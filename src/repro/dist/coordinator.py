@@ -52,8 +52,11 @@ from repro.obs.events import events
 from repro.obs.metrics import metrics
 from repro.runtime.executor import FailedCell, RetryPolicy
 
-PROTOCOL_VERSION = 1
-"""Bump on any incompatible frame/message change."""
+PROTOCOL_VERSION = 2
+"""Bump on any incompatible frame/message change (2: batched grants)."""
+
+MAX_GRANT = 32
+"""Most leases one ``grant`` frame carries."""
 
 DEFAULT_LEASE_S = 30.0
 DEFAULT_HEARTBEAT_S = 2.0
@@ -101,6 +104,18 @@ def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
             platform=campaign.platform.name,
         ))
     return units
+
+
+def grant_size(pending: int, workers: int) -> int:
+    """Leases to put in the next grant: a fair share, capped.
+
+    At most half of an even split of the pending units across the
+    connected workers (so a late joiner still finds work), at most
+    :data:`MAX_GRANT`, at least one.  Grants shrink as the campaign
+    drains, which keeps the tail balanced across workers.
+    """
+    share = -(-pending // (2 * max(workers, 1)))
+    return max(1, min(MAX_GRANT, share))
 
 
 def result_digest(doc: dict) -> str:
@@ -444,8 +459,8 @@ class Coordinator:
             return True
         if kind == "fetch":
             return self._handle_fetch(conn, seq)
-        if kind == "result":
-            return self._handle_result(conn, message)
+        if kind == "results":
+            return self._handle_results(conn, message)
         if kind == "goodbye":
             conn.goodbye = True
             return False
@@ -484,42 +499,68 @@ class Coordinator:
 
     def _handle_fetch(self, conn: _Connection, seq) -> bool:
         with self._lock:
-            if self.table.done:
+            table = self.table
+            if table.done:
                 reply: dict = {"type": "done", "re": seq}
             else:
-                lease = self.table.acquire(conn.worker_id)
-                if lease is None:
-                    wait = self.table.next_ready_s()
+                leases = table.acquire_many(
+                    conn.worker_id,
+                    grant_size(table.pending, len(self._connections)),
+                )
+                if not leases:
+                    wait = table.next_ready_s()
                     if wait is None:
                         # Everything is leased out; poll for reassignment.
-                        wait = min(1.0, self.table.lease_s / 4.0)
+                        wait = min(1.0, table.lease_s / 4.0)
                     reply = {
                         "type": "wait", "re": seq,
                         "for_s": round(max(wait, _TICK_S), 4),
                     }
                 else:
-                    unit = self.table.unit(lease.unit_id)
                     reply = {
-                        "type": "lease",
+                        "type": "grant",
                         "re": seq,
-                        "lease_id": lease.lease_id,
-                        "attempt": lease.attempt,
-                        "lease_s": self.table.lease_s,
-                        "unit": unit.descriptor(),
+                        "lease_s": table.lease_s,
+                        "leases": [
+                            {
+                                "lease_id": lease.lease_id,
+                                "attempt": lease.attempt,
+                                "unit": table.unit(
+                                    lease.unit_id
+                                ).descriptor(),
+                            }
+                            for lease in leases
+                        ],
                     }
-        if reply["type"] == "lease":
-            metrics().counter("dist.leases_granted").inc()
+        if reply["type"] == "grant":
+            granted = reply["leases"]
+            metrics().counter("dist.leases_granted").inc(len(granted))
             events().emit(
                 "dist.lease.grant",
-                worker=conn.worker_id, lease=reply["lease_id"],
-                unit=reply["unit"]["workload"] + "@"
-                + reply["unit"]["target"],
-                attempt=reply["attempt"],
+                worker=conn.worker_id, leases=len(granted),
+                first=granted[0]["lease_id"],
+                attempt=granted[0]["attempt"],
             )
         conn.transport.send(reply)
         return True
 
+    def _handle_results(self, conn: _Connection, message: dict) -> bool:
+        """Settle one grant's results frame, entry by entry, in order."""
+        entries = message.get("results")
+        if not isinstance(entries, list) \
+                or not all(isinstance(entry, dict) for entry in entries):
+            events().emit(
+                "dist.protocol.error", level="warn",
+                worker=conn.worker_id, kind="results-not-a-list",
+            )
+            return False
+        for entry in entries:
+            if not self._handle_result(conn, entry):
+                return False
+        return True
+
     def _handle_result(self, conn: _Connection, message: dict) -> bool:
+        """Settle one entry of a results frame; False closes the link."""
         unit_id = str(message.get("unit_id", ""))
         lease_id = str(message.get("lease_id", ""))
         status = message.get("status")

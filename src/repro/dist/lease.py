@@ -7,7 +7,7 @@ access themselves.  Every unit of campaign work moves through a small
 state machine:
 
 ```
-pending --acquire--> leased --commit--> committed       (terminal)
+pending --grant--> leased --commit--> committed         (terminal)
    ^                   |
    |   expire / fail / release (attempt charged,
    |   seeded backoff gates the retry)
@@ -39,16 +39,32 @@ disagreeing about deterministic work means one of them is broken, and
 the table records it loudly instead of letting either result silently
 win the cache.
 
+**Grants.**  :meth:`LeaseTable.acquire_many` fills one grant of up to
+``limit`` leases in a single scan, in submission order.  A worker runs
+a grant's units one after another, so the ``i``-th lease of a grant
+(0-based) gets ``(i + 1) * lease_s`` to its deadline: every unit keeps
+``lease_s`` of its own, however long its queue.  A unit that already
+has a charged attempt is always granted alone -- a poison cell then
+spends only its own retry budget, never that of healthy units granted
+beside it (:meth:`LeaseTable.acquire_many` explains why a retried unit
+always starts its grant, which it then ends).
+
 ``expiry`` uses ``now >= deadline`` -- a lease is dead *exactly at* its
 deadline, so a clock that lands on the boundary reassigns rather than
 trusting a worker that is provably out of time.
+
+**Bookkeeping cost.**  Status counts are kept incrementally (``done``
+and ``progress`` are O(1)), expiry and release walk only the leased
+units, and grants scan from a cursor below which no unit is pending, so
+a failure-free campaign of N units costs O(N) table work, not O(N^2)
+(each retry moves the cursor back to the retried unit once).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import MelodyError
 from repro.runtime.executor import FailedCell, RetryPolicy
@@ -103,12 +119,13 @@ class _UnitState:
     """Mutable per-unit bookkeeping (internal to the table)."""
 
     __slots__ = (
-        "unit", "status", "attempts", "not_before", "lease", "digest",
-        "failure",
+        "unit", "index", "status", "attempts", "not_before", "lease",
+        "digest", "failure",
     )
 
-    def __init__(self, unit: WorkUnit):
+    def __init__(self, unit: WorkUnit, index: int):
         self.unit = unit
+        self.index = index
         self.status = "pending"
         self.attempts = 0
         self.not_before = 0.0
@@ -134,10 +151,20 @@ class LeaseTable:
             if unit.unit_id in seen:
                 raise MelodyError(f"duplicate unit id {unit.unit_id!r}")
             seen[unit.unit_id] = unit
+        self._states: List[_UnitState] = [
+            _UnitState(unit, index)
+            for index, unit in enumerate(seen.values())
+        ]
         self._units: Dict[str, _UnitState] = {
-            unit_id: _UnitState(unit) for unit_id, unit in seen.items()
+            state.unit.unit_id: state for state in self._states
         }
-        self._order: Tuple[str, ...] = tuple(seen)
+        self._leased: Dict[str, _UnitState] = {}
+        self._counts: Dict[str, int] = {
+            "pending": len(self._states), "leased": 0, "committed": 0,
+            "quarantined": 0,
+        }
+        # No pending unit sits below this index in submission order.
+        self._cursor = 0
         self.policy = policy if policy is not None else RetryPolicy(
             max_attempts=5, backoff_base_s=0.05, backoff_max_s=1.0
         )
@@ -154,15 +181,19 @@ class LeaseTable:
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._units)
+        return len(self._states)
 
     @property
     def done(self) -> bool:
         """All units terminal (committed or quarantined)."""
-        return all(
-            state.status in ("committed", "quarantined")
-            for state in self._units.values()
-        )
+        counts = self._counts
+        return counts["committed"] + counts["quarantined"] \
+            == len(self._states)
+
+    @property
+    def pending(self) -> int:
+        """Units waiting for a grant (backoff-gated ones included)."""
+        return self._counts["pending"]
 
     def unit(self, unit_id: str) -> WorkUnit:
         """The work unit behind ``unit_id`` (KeyError when unknown)."""
@@ -171,32 +202,24 @@ class LeaseTable:
     def committed_keys(self) -> List[str]:
         """Run keys of every committed unit (for store promotion)."""
         return [
-            state.unit.key for state in self._units.values()
+            state.unit.key for state in self._states
             if state.status == "committed"
         ]
 
     def quarantined(self) -> List[FailedCell]:
         """Quarantine records, in unit submission order."""
         return [
-            self._units[unit_id].failure
-            for unit_id in self._order
-            if self._units[unit_id].status == "quarantined"
+            state.failure for state in self._states
+            if state.status == "quarantined"
         ]
 
     def outstanding(self) -> List[Lease]:
-        """Currently granted leases."""
-        return [
-            state.lease for state in self._units.values()
-            if state.status == "leased" and state.lease is not None
-        ]
+        """Currently granted leases, in grant order."""
+        return [state.lease for state in self._leased.values()]
 
     def progress(self) -> Dict[str, int]:
         """Unit counts by status (for banners and wide events)."""
-        counts = {"pending": 0, "leased": 0, "committed": 0,
-                  "quarantined": 0}
-        for state in self._units.values():
-            counts[state.status] += 1
-        return counts
+        return dict(self._counts)
 
     def next_ready_s(self) -> Optional[float]:
         """Seconds until the earliest backoff-gated unit is grantable.
@@ -205,38 +228,52 @@ class LeaseTable:
         pending at all (every unit is leased or terminal), so a fetching
         worker should poll again after a short wait.
         """
+        if not self._counts["pending"]:
+            return None
         now = self.clock()
-        waits = [
+        return min(
             max(0.0, state.not_before - now)
-            for state in self._units.values()
+            for state in self._states[self._cursor:]
             if state.status == "pending"
-        ]
-        return min(waits) if waits else None
+        )
 
     # -- transitions -------------------------------------------------------
 
     def acquire(self, worker: str) -> Optional[Lease]:
         """Grant the first ready pending unit to ``worker``."""
+        leases = self.acquire_many(worker, 1)
+        return leases[0] if leases else None
+
+    def acquire_many(self, worker: str, limit: int) -> List[Lease]:
+        """Fill one grant of up to ``limit`` leases for ``worker``.
+
+        One scan in submission order from the cursor; backoff-gated
+        units are skipped.  Every fresh unit the scan meets is granted,
+        so the units ever granted form a prefix of the submission order
+        and a retried unit always comes before every fresh one: it is
+        granted first, and ends the grant, so it is always granted
+        alone.
+        """
         now = self.clock()
-        for unit_id in self._order:
-            state = self._units[unit_id]
-            if state.status != "pending" or state.not_before > now:
+        states = self._states
+        grant: List[Lease] = []
+        left_behind: Optional[int] = None
+        index = self._cursor
+        while index < len(states) and len(grant) < limit:
+            state = states[index]
+            index += 1
+            if state.status != "pending":
                 continue
-            self._grants += 1
-            state.attempts += 1
-            lease = Lease(
-                lease_id=f"L{self._grants}",
-                unit_id=unit_id,
-                worker=worker,
-                attempt=state.attempts,
-                granted_at=now,
-                deadline=now + self.lease_s,
-            )
-            state.status = "leased"
-            state.lease = lease
-            self.counters["granted"] += 1
-            return lease
-        return None
+            if state.not_before > now:
+                if left_behind is None:
+                    left_behind = state.index
+                continue
+            retry = state.attempts > 0
+            grant.append(self._grant(state, worker, now, len(grant)))
+            if retry:
+                break
+        self._cursor = index if left_behind is None else left_behind
+        return grant
 
     def expire(self) -> List[Lease]:
         """Reap every lease at or past its deadline; returns the reaped.
@@ -248,17 +285,16 @@ class LeaseTable:
         """
         now = self.clock()
         reaped: List[Lease] = []
-        for state in self._units.values():
+        for state in list(self._leased.values()):
             lease = state.lease
-            if state.status != "leased" or lease is None:
-                continue
             if now >= lease.deadline:
                 reaped.append(lease)
                 self.counters["expired"] += 1
                 self._settle_failure(
                     state, "timeout",
                     f"lease {lease.lease_id} expired after "
-                    f"{self.lease_s:.1f}s on {lease.worker}",
+                    f"{lease.deadline - lease.granted_at:.1f}s on "
+                    f"{lease.worker}",
                 )
         return reaped
 
@@ -292,10 +328,9 @@ class LeaseTable:
         deterministically on one unit.
         """
         released: List[Lease] = []
-        for state in self._units.values():
+        for state in list(self._leased.values()):
             lease = state.lease
-            if state.status != "leased" or lease is None \
-                    or lease.worker != worker:
+            if lease.worker != worker:
                 continue
             released.append(lease)
             self.counters["released"] += 1
@@ -347,28 +382,57 @@ class LeaseTable:
             self.counters["resurrected"] += 1
             state.failure = None
         elif state.status == "pending" or (
-            state.lease is not None
-            and (state.lease.lease_id != lease_id
-                 or state.lease.worker != worker)
+            state.lease.lease_id != lease_id
+            or state.lease.worker != worker
         ):
             verdict = "late"
             self.counters["late_commits"] += 1
-        state.status = "committed"
+        self._move(state, "committed")
         state.digest = digest
-        state.lease = None
         self.counters["committed"] += 1
         return verdict
 
     # -- internals ---------------------------------------------------------
+
+    def _grant(
+        self, state: _UnitState, worker: str, now: float, position: int
+    ) -> Lease:
+        """Lease one pending unit as the ``position``-th of a grant."""
+        self._grants += 1
+        state.attempts += 1
+        lease = Lease(
+            lease_id=f"L{self._grants}",
+            unit_id=state.unit.unit_id,
+            worker=worker,
+            attempt=state.attempts,
+            granted_at=now,
+            deadline=now + self.lease_s * (position + 1),
+        )
+        self._move(state, "leased")
+        state.lease = lease
+        self._leased[lease.unit_id] = state
+        self.counters["granted"] += 1
+        return lease
+
+    def _move(self, state: _UnitState, status: str) -> None:
+        """Change one unit's status, keeping counts, lease and cursor."""
+        counts = self._counts
+        counts[state.status] -= 1
+        counts[status] += 1
+        if state.status == "leased":
+            del self._leased[state.unit.unit_id]
+            state.lease = None
+        state.status = status
+        if status == "pending" and state.index < self._cursor:
+            self._cursor = state.index
 
     def _settle_failure(
         self, state: _UnitState, reason: str, message: str
     ) -> None:
         """Route one failed attempt: backoff-gated retry or quarantine."""
         unit = state.unit
-        state.lease = None
         if state.attempts >= self.policy.max_attempts:
-            state.status = "quarantined"
+            self._move(state, "quarantined")
             state.failure = FailedCell(
                 key=unit.key,
                 workload=unit.workload,
@@ -380,7 +444,7 @@ class LeaseTable:
             )
             self.counters["quarantined"] += 1
             return
-        state.status = "pending"
+        self._move(state, "pending")
         state.not_before = self.clock() + self.policy.backoff_s(
             unit.key, state.attempts
         )

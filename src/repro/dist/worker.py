@@ -3,9 +3,10 @@
 A :class:`Worker` dials one coordinator, rebuilds the campaign locally
 from the :class:`~repro.dist.spec.CampaignSpec` in the welcome frame
 (verifying the fingerprint before touching a single cell), and then
-loops: fetch a lease, execute the cell through the very same
-``_execute_cell_attempt`` path the solo engine uses -- fault plan
-installed, host chaos policy honored -- and deliver the result document.
+loops: fetch a grant of leases, execute its cells in order through the
+very same ``_execute_cell_attempt`` path the solo engine uses -- fault
+plan installed, host chaos policy honored -- and deliver every result
+document of the grant in one ``results`` frame.
 
 Everything about the worker is built to be killed:
 
@@ -21,9 +22,11 @@ Everything about the worker is built to be killed:
   document instead of re-running the cell (the coordinator folds the
   duplicate away);
 * ``die_after=N`` arms a self-destruct on lease ``N+1`` for chaos
-  harnesses: ``hard_exit`` makes it a real ``os._exit`` (SIGKILL
-  semantics, exercised by the CI smoke), otherwise the worker abandons
-  the socket and returns, which an in-process harness can assert on.
+  harnesses -- usually mid-grant, so the grant's results are never
+  delivered and every unit in it is released: ``hard_exit`` makes it a
+  real ``os._exit`` (SIGKILL semantics, exercised by the CI smoke),
+  otherwise the worker abandons the socket and returns, which an
+  in-process harness can assert on.
 
 All sends optionally pass through the :class:`~repro.dist.chaos
 .ChaosTransport`, making the worker's outbound frames -- results and
@@ -281,19 +284,28 @@ class Worker:
                     float(reply.get("for_s", WAIT_SLICE_S)), WAIT_SLICE_S
                 ))
                 continue
-            if kind != "lease":
-                raise FrameError(f"expected lease/wait/done, got {kind!r}")
-            self._leases_taken += 1
-            if self.die_after is not None \
-                    and self._leases_taken > self.die_after:
-                # Abrupt death mid-lease: no goodbye, no result, the
-                # socket just goes dark (close happens in _session's
-                # finally for the in-process flavor; hard_exit skips
-                # even that).
-                if self.hard_exit:
-                    os._exit(EXIT_SELF_DESTRUCT)
-                raise _SelfDestruct()
-            self._serve_lease(transport, reply)
+            if kind != "grant":
+                raise FrameError(f"expected grant/wait/done, got {kind!r}")
+            leases = reply.get("leases")
+            if not isinstance(leases, list):
+                raise FrameError("grant frame carries no lease list")
+            results = []
+            for lease in leases:
+                self._leases_taken += 1
+                if self.die_after is not None \
+                        and self._leases_taken > self.die_after:
+                    # Abrupt death mid-grant: no goodbye, no results,
+                    # the socket just goes dark (close happens in
+                    # _session's finally for the in-process flavor;
+                    # hard_exit skips even that).
+                    if self.hard_exit:
+                        os._exit(EXIT_SELF_DESTRUCT)
+                    raise _SelfDestruct()
+                results.append(self._run_lease(lease))
+            transport.send({"type": "results", "results": results})
+            self.units_delivered += sum(
+                1 for entry in results if entry["status"] == "ok"
+            )
 
     def _recv_reply(self, transport: FrameTransport) -> dict:
         """The next coordinator reply (replies travel clean and in order)."""
@@ -304,20 +316,19 @@ class Worker:
             raise ConnectionResetError("coordinator hung up")
         return reply
 
-    def _serve_lease(self, transport: FrameTransport, lease: dict) -> None:
+    def _run_lease(self, lease: dict) -> dict:
+        """Execute one granted unit; returns its results-frame entry."""
         unit = lease.get("unit") or {}
         unit_id = str(unit.get("unit_id", ""))
         lease_id = str(lease.get("lease_id", ""))
         attempt = int(lease.get("attempt", 1))
+        entry = {"unit_id": unit_id, "lease_id": lease_id}
         cell = self._cells.get(unit_id)
         if cell is None:
-            transport.send({
-                "type": "result", "unit_id": unit_id,
-                "lease_id": lease_id, "status": "error",
-                "reason": "error",
-                "message": f"worker has no cell for unit {unit_id!r}",
-            })
-            return
+            return dict(
+                entry, status="error", reason="error",
+                message=f"worker has no cell for unit {unit_id!r}",
+            )
         doc = self._results.get(unit_id)
         elapsed = 0.0
         if doc is None:
@@ -331,22 +342,17 @@ class Worker:
                     worker=self.name, unit=unit_id[-40:],
                     attempt=attempt, error=str(exc)[:200],
                 )
-                transport.send({
-                    "type": "result", "unit_id": unit_id,
-                    "lease_id": lease_id, "status": "error",
-                    "reason": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                })
-                return
+                return dict(
+                    entry, status="error", reason="error",
+                    message=f"{type(exc).__name__}: {exc}",
+                )
             elapsed = time.perf_counter() - start
             self.units_executed += 1
             self._results[unit_id] = doc
-        transport.send({
-            "type": "result", "unit_id": unit_id,
-            "lease_id": lease_id, "status": "ok",
-            "doc": doc, "elapsed_s": round(float(elapsed), 6),
-        })
-        self.units_delivered += 1
+        return dict(
+            entry, status="ok", doc=doc,
+            elapsed_s=round(float(elapsed), 6),
+        )
 
     def _execute(self, cell, attempt: int) -> dict:
         from repro.runtime.executor import _execute_cell_attempt

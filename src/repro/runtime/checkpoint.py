@@ -135,7 +135,7 @@ class Checkpointer:
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         try:
             with open(tmp, "w") as handle:
-                json.dump(document, handle)
+                handle.write(json.dumps(document))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

@@ -8,9 +8,10 @@ bit-identity of the distributed result set against a solo run.
 """
 
 import socket
+import threading
 
 from repro.dist import FrameTransport, PROTOCOL_VERSION, campaign_units
-from repro.dist.coordinator import Coordinator
+from repro.dist.coordinator import MAX_GRANT, Coordinator, grant_size
 from repro.dist.harness import (
     SMOKE_SPEC,
     WorkerPlan,
@@ -18,6 +19,8 @@ from repro.dist.harness import (
     run_dist_campaign,
     solo_records,
 )
+from repro.dist.lease import LeaseTable
+from repro.dist.worker import Worker
 from repro.faults.chaos import ChaosPolicy
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import load_checkpoint
@@ -66,6 +69,85 @@ class TestHostileFleet:
         assembled = solo_records(SMOKE_SPEC, str(tmp_path))
         reference = solo_records(SMOKE_SPEC, None)
         assert assembled == reference
+
+
+class TestGrantCrashes:
+    def test_worker_dying_mid_grant_regrants_the_rest(self, tmp_path):
+        # The mortal worker is alone when it fetches, so its grant is the
+        # fair share of all 10 pending units (5).  It runs 2, dies on the
+        # 3rd, and never delivers: the whole grant is released -- the 3
+        # units it never started included -- and each comes back alone.
+        coordinator = Coordinator(
+            SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
+            heartbeat_s=0.25,
+            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
+        )
+        port = coordinator.start()
+        try:
+            mortal = Worker("127.0.0.1", port, name="mortal", die_after=2)
+            assert mortal.run() == 9
+            assert mortal.units_executed == 2
+            survivor = Worker("127.0.0.1", port, name="survivor")
+            codes = []
+            thread = threading.Thread(
+                target=lambda: codes.append(survivor.run()), daemon=True
+            )
+            thread.start()
+            summary = coordinator.run(timeout=60.0)
+            thread.join(timeout=10.0)
+        finally:
+            coordinator.stop()
+        assert codes == [0]
+        assert summary.complete
+        assert summary.released == 5
+        assert summary.committed == summary.units
+        assert summary.quarantined == [] and summary.conflicts == []
+        # Every released unit was re-granted exactly once.
+        assert summary.counters["granted"] == summary.units + 5
+        assert solo_records(SMOKE_SPEC, str(tmp_path)) \
+            == solo_records(SMOKE_SPEC, None)
+
+    def test_doomed_cell_in_a_shared_grant_quarantines_alone(
+        self, tmp_path, monkeypatch
+    ):
+        grants = []
+        acquire_many = LeaseTable.acquire_many
+
+        def recording(table, worker, limit):
+            leases = acquire_many(table, worker, limit)
+            grants.append([lease.unit_id for lease in leases])
+            return leases
+
+        monkeypatch.setattr(LeaseTable, "acquire_many", recording)
+        doomed = doomed_key(SMOKE_SPEC, index=1)
+        outcome = run_dist_campaign(
+            str(tmp_path),
+            workers=(
+                WorkerPlan(
+                    name="saboteur",
+                    cell_chaos=ChaosPolicy(doomed=(doomed,), seed=1),
+                ),
+            ),
+            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+        )
+        summary = outcome.summary
+        assert summary.complete
+        assert [f.key for f in summary.quarantined] == [doomed]
+        assert summary.quarantined[0].attempts == 3
+        assert summary.committed == summary.units - 1
+        units = {
+            unit.key: unit.unit_id for unit in campaign_units(
+                SMOKE_SPEC.build_campaign(), outcome.fingerprint
+            )
+        }
+        doomed_id = units[doomed]
+        holding = [grant for grant in grants if doomed_id in grant]
+        # First shared with healthy units, then twice on its own ...
+        assert len(holding) == 3
+        assert len(holding[0]) > 1
+        assert holding[1:] == [[doomed_id], [doomed_id]]
+        # ... and no healthy unit ever needed a second attempt.
+        assert summary.counters["granted"] == summary.units + 2
 
 
 class TestQuarantine:
@@ -118,24 +200,39 @@ class TestResultValidation:
                 })
                 assert transport.recv(timeout=5.0)["type"] == "welcome"
                 transport.send({"type": "fetch"})
-                lease = transport.recv(timeout=5.0)
-                assert lease["type"] == "lease"
+                grant = transport.recv(timeout=5.0)
+                assert grant["type"] == "grant"
+                lease = grant["leases"][0]
                 unit_id = lease["unit"]["unit_id"]
-                transport.send({
-                    "type": "result", "status": "ok",
+                transport.send({"type": "results", "results": [{
+                    "status": "ok",
                     "unit_id": unit_id, "lease_id": lease["lease_id"],
                     "doc": {"version": -1, "garbage": True},
-                })
+                }]})
                 transport.send({"type": "fetch"})
                 retry = transport.recv(timeout=5.0)
-                assert retry["type"] == "lease"
-                assert retry["unit"]["unit_id"] == unit_id
-                assert retry["attempt"] == 2
+                assert retry["type"] == "grant"
+                # The charged unit comes back alone, at attempt 2.
+                assert [entry["unit"]["unit_id"]
+                        for entry in retry["leases"]] == [unit_id]
+                assert retry["leases"][0]["attempt"] == 2
                 assert coordinator.table.progress()["committed"] == 0
             finally:
                 transport.close()
         finally:
             coordinator.stop()
+
+
+class TestGrantSize:
+    def test_fair_share_of_pending_per_worker(self):
+        assert grant_size(10, 1) == 5
+        assert grant_size(10, 2) == 3
+        assert grant_size(7, 3) == 2
+
+    def test_capped_and_never_empty(self):
+        assert grant_size(1325, 1) == MAX_GRANT
+        assert grant_size(1, 4) == 1
+        assert grant_size(0, 0) == 1
 
 
 class TestProtocolEdges:

@@ -68,6 +68,49 @@ class TestGrant:
             LeaseTable(units(1), lease_s=0.0)
 
 
+class TestGrants:
+    def test_grant_fills_in_order_with_staggered_deadlines(self):
+        # A worker runs its grant in order: lease i waits for i others.
+        t, clock = table(n=5)
+        grant = t.acquire_many("alpha", 3)
+        assert [lease.unit_id for lease in grant] == ["u0", "u1", "u2"]
+        assert [lease.attempt for lease in grant] == [1, 1, 1]
+        assert [lease.deadline - clock.now for lease in grant] \
+            == [10.0, 20.0, 30.0]
+        assert len({lease.lease_id for lease in grant}) == 3
+        assert t.progress()["leased"] == 3
+
+    def test_retried_unit_is_granted_alone(self):
+        t, _ = table(n=4)
+        first, _second = t.acquire_many("alpha", 2)
+        t.fail(first.unit_id, first.lease_id, "alpha", "error", "boom")
+        retry = t.acquire_many("beta", 4)
+        assert [(lease.unit_id, lease.attempt) for lease in retry] \
+            == [("u0", 2)]
+        assert [lease.unit_id for lease in t.acquire_many("beta", 4)] \
+            == ["u2", "u3"]
+
+    def test_backoff_gated_unit_is_skipped_not_blocking(self):
+        t, clock = table(n=3, backoff=5.0)
+        (lease,) = t.acquire_many("alpha", 1)
+        t.fail(lease.unit_id, lease.lease_id, "alpha", "error", "boom")
+        assert [l.unit_id for l in t.acquire_many("beta", 3)] \
+            == ["u1", "u2"]
+        assert t.acquire_many("beta", 3) == []
+        clock.advance(5.0)
+        assert [l.unit_id for l in t.acquire_many("beta", 3)] == ["u0"]
+
+    def test_expire_and_release_touch_only_their_leases(self):
+        t, clock = table(n=4)
+        t.acquire_many("alpha", 2)
+        t.acquire_many("beta", 2)
+        clock.advance(10.0)
+        # Only the first lease of each grant is at its deadline.
+        assert sorted(l.unit_id for l in t.expire()) == ["u0", "u2"]
+        assert [l.unit_id for l in t.release_worker("beta")] == ["u3"]
+        assert [l.unit_id for l in t.outstanding()] == ["u1"]
+
+
 class TestExpiry:
     def test_no_expiry_before_deadline(self):
         t, clock = table()

@@ -15,6 +15,7 @@ from repro.faults.harness import chaos_campaign
 from repro.faults.plan import FaultPlan, FaultEpisode, fault_injection
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import (
+    CHECKPOINT_VERSION,
     Checkpointer,
     campaign_fingerprint,
     checkpoint_path,
@@ -45,6 +46,22 @@ class TestCheckpointer:
         ckpt.tick(1, [])
         ckpt.flush([])
         assert ckpt.writes == 2
+
+    def test_document_is_json_dumps_bytes(self, tmp_path, failed_record):
+        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
+                            name="t", total_cells=4, completed=3)
+        ckpt.write([failed_record])
+        with open(ckpt.path) as handle:
+            text = handle.read()
+        assert text == json.dumps({
+            "version": CHECKPOINT_VERSION,
+            "fingerprint": "f" * 32,
+            "name": "t",
+            "total_cells": 4,
+            "completed_cells": 3,
+            "complete": False,
+            "failed": [failed_record.to_dict()],
+        })
 
     def test_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
         # The atomic rename is only durable once the *directory entry*

@@ -88,6 +88,25 @@ class TestDiskTier:
         assert reloaded == run
         assert reader.disk_hits == 1
 
+    def test_documents_are_json_dumps_bytes(self, tmp_path, run,
+                                           simple_workload, emr, device_a):
+        # Run documents and blobs are written as one json.dumps string:
+        # the bytes on disk are exactly what json.dumps makes of them.
+        from repro.runtime.serialize import run_result_to_dict
+
+        key = run_key(simple_workload, emr, device_a)
+        RunCache(str(tmp_path)).put(key, run)
+        files = [tmp_path / key[:2] / f"{key}.json"]
+        files += sorted((tmp_path / "blobs").glob("*.json"))
+        assert len(files) == 3
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text))
+        doc = json.loads(files[0].read_text())
+        expected = run_result_to_dict(run, embed_context=False)
+        assert {k: v for k, v in doc.items()
+                if not k.endswith("_ref")} == json.loads(json.dumps(expected))
+
     def test_blobs_shared_across_runs(self, tmp_path, simple_workload, emr,
                                       device_a, device_b):
         cache = RunCache(str(tmp_path))
