@@ -36,7 +36,6 @@ from repro.obs.timers import phase_timer
 from repro.runtime.cache import RunCache
 from repro.runtime.context import get_engine
 from repro.runtime.executor import CampaignEngine, Cell, FailedCell
-from repro.runtime.shard import ShardSpec, baseline_token, grid_token
 from repro.workloads import all_workloads
 from repro.workloads.base import WorkloadSpec
 
@@ -144,55 +143,25 @@ class CampaignResult:
 
 
 def campaign_cells(
-    campaign: Campaign, shard: Optional[ShardSpec] = None
+    campaign: Campaign,
 ) -> Tuple[List[WorkloadSpec], List[Tuple[WorkloadSpec, MemoryTarget]],
            List[Tuple[str, str]]]:
     """Plan one campaign's cells: (baseline workloads, grid, skipped).
 
-    The single source of truth for what a campaign -- or one shard of it
-    -- executes: :meth:`Melody.run` submits exactly these cells, and the
-    CLI sizes shard checkpoints from the same plan.  With a shard, only
-    owned grid pairs appear, capacity skips are recorded by their owner
-    shard only, and the baseline list contains the workloads this shard
-    needs (owned baseline token, or divisor of an owned grid cell).
+    The single source of truth for what a campaign executes:
+    :meth:`Melody.run` submits exactly these cells, the CLI sizes
+    checkpoints from the same plan, and the dist coordinator turns them
+    into work units.
     """
-    if shard is not None and shard.count > 1:
-        from repro.runtime.checkpoint import campaign_fingerprint
-
-        fingerprint = campaign_fingerprint(campaign)
-    else:
-        shard = None  # 1/1 is the unsharded plan, bit for bit
     grid: List[Tuple[WorkloadSpec, MemoryTarget]] = []
     skipped: List[Tuple[str, str]] = []
-    grid_workloads = set()
     for workload in campaign.workloads:
         for target in campaign.targets:
-            if shard is not None and not shard.owns(
-                grid_token(fingerprint, workload.name, target.name)
-            ):
-                # Another shard's cell: not run, and its capacity skip
-                # (if any) is recorded by the owner, so merged shard
-                # results never double-count a skip.
-                continue
             if workload.working_set_gb > target.capacity_gb:
                 skipped.append((workload.name, target.name))
                 continue
             grid.append((workload, target))
-            grid_workloads.add(workload.name)
-    if shard is None:
-        base_workloads = list(campaign.workloads)
-    else:
-        # A shard runs a baseline iff it owns the baseline token or any
-        # owned grid cell divides by it.  Baselines claimed by several
-        # shards execute redundantly but land on one run key --
-        # bit-identical cache entries, never a conflict.
-        base_workloads = [
-            workload
-            for workload in campaign.workloads
-            if workload.name in grid_workloads
-            or shard.owns(baseline_token(fingerprint, workload.name))
-        ]
-    return base_workloads, grid, skipped
+    return list(campaign.workloads), grid, skipped
 
 
 class Melody:
@@ -225,31 +194,21 @@ class Melody:
 
     # -- execution -----------------------------------------------------------
 
-    def run(
-        self, campaign: Campaign, shard: Optional["ShardSpec"] = None
-    ) -> CampaignResult:
+    def run(self, campaign: Campaign) -> CampaignResult:
         """Execute a campaign, skipping workloads that do not fit a device.
 
         The cell grid is submitted baselines-first, so slowdown cells that
         coincide with the baseline target (or with cells of an earlier
         campaign) are recalled from the run cache instead of re-executed.
-
-        With a :class:`~repro.runtime.shard.ShardSpec`, only the grid
-        cells the shard owns execute (plus the baselines they divide
-        by); N shard runs over one campaign partition the grid exactly,
-        and their results, skips and checkpoints merge back into the
-        unsharded campaign's.
         """
         with phase_timer("campaign", campaign=campaign.name):
-            return self._run(campaign, shard)
+            return self._run(campaign)
 
-    def _run(
-        self, campaign: Campaign, shard: Optional["ShardSpec"] = None
-    ) -> CampaignResult:
+    def _run(self, campaign: Campaign) -> CampaignResult:
         """The untimed campaign body (see :meth:`run`)."""
         result = CampaignResult(campaign=campaign)
         baseline_target = campaign.baseline or campaign.platform.local_target()
-        base_workloads, grid, skipped = campaign_cells(campaign, shard)
+        base_workloads, grid, skipped = campaign_cells(campaign)
         result.skipped.extend(skipped)
         cells: List[Cell] = [
             Cell(workload, campaign.platform, baseline_target, self.config)

@@ -1,8 +1,7 @@
 """repro.dist: the fault-tolerant multi-host campaign fabric.
 
 One coordinator (:mod:`repro.dist.coordinator`) owns one campaign,
-partitioned into cell-granular work units (the same partition tokens
-``--shard`` hashes) and handed to any number of workers
+split into cell-granular work units and handed to any number of workers
 (:mod:`repro.dist.worker`) over a length-prefixed JSON frame protocol
 (:mod:`repro.dist.frames`) under **time-bounded leases**
 (:mod:`repro.dist.lease`).  The design center is a hostile fleet:

@@ -1,10 +1,11 @@
 """The fault-tolerant campaign coordinator (the ``repro coordinate`` brain).
 
-One coordinator owns one campaign.  It partitions the campaign into
-:class:`~repro.dist.lease.WorkUnit` cells (the same partition tokens
-``repro.runtime.shard`` hashes for ``--shard i/N``), listens on a TCP
-port, and hands units to whatever workers connect under time-bounded
-leases.  Everything a flaky fleet can do is survivable by construction:
+One coordinator owns one campaign.  It splits the campaign into
+:class:`~repro.dist.lease.WorkUnit` cells, commits at once every unit
+whose result the shared run cache already holds (a solo run never
+re-runs a cache hit either), listens on a TCP port, and hands the rest
+to whatever workers connect under time-bounded leases.  Everything a
+flaky fleet can do is survivable by construction:
 
 * a worker that stops heartbeating gets its socket closed, which
   releases its leases (attempt charged) for reassignment to live peers;
@@ -67,18 +68,27 @@ _TICK_S = 0.05
 """Monitor cadence; also bounds how stale expiry checks can be."""
 
 
+def grid_token(fingerprint: str, workload: str, target: str) -> str:
+    """Unit id of one (workload, target) grid cell."""
+    return f"{fingerprint}\x1f{workload}\x1f{target}"
+
+
+def baseline_token(fingerprint: str, workload: str) -> str:
+    """Unit id of one workload's baseline cell."""
+    return f"{fingerprint}\x1f{workload}\x1fbaseline\x00"
+
+
 def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
     """Flatten one campaign into leasable units, baselines first.
 
     Exactly the cells :func:`repro.core.melody.campaign_cells` plans for
-    a solo run (capacity skips never become units), identified by the
-    shard-partition tokens, so unit identity is stable across
-    coordinator restarts and agrees with ``--shard`` runs of the same
-    campaign.
+    a solo run (capacity skips never become units).  Unit ids fold the
+    campaign fingerprint with the cell's names, so the coordinator and
+    every worker -- in any process, on any host -- compute the same ids,
+    and two campaigns never share one.
     """
     from repro.core.melody import campaign_cells
     from repro.runtime.cache import run_key
-    from repro.runtime.shard import baseline_token, grid_token
 
     base_workloads, grid, _ = campaign_cells(campaign)
     baseline_target = campaign.baseline or campaign.platform.local_target()
@@ -224,6 +234,18 @@ class Coordinator:
             lease_s=lease_s,
             clock=clock,
         )
+        # Eager: connection threads share this one instance, so every
+        # put lands in the memory tier promote_store later reads (a
+        # lazily-raced second instance would silently lose runs).
+        from repro.runtime.cache import RunCache
+
+        self._cache_instance = RunCache(cache_dir)
+        # A cached unit is done before any worker connects: it counts as
+        # committed (summary, checkpoint, store promotion) but is never
+        # leased, so resuming a finished campaign grants nothing.
+        for unit in units:
+            if self._cache_instance.get(unit.key) is not None:
+                self.table.commit_cached(unit.unit_id)
         self._lock = threading.Lock()
         self._connections: Dict[int, _Connection] = {}
         self._conn_counter = 0
@@ -232,13 +254,7 @@ class Coordinator:
         self._listener: Optional[socket.socket] = None
         self._stopping = threading.Event()
         self._done = threading.Event()
-        # Eager: connection threads share this one instance, so every
-        # put lands in the memory tier promote_store later reads (a
-        # lazily-raced second instance would silently lose runs).
-        from repro.runtime.cache import RunCache
-
-        self._cache_instance = RunCache(cache_dir)
-        if self.table.done:  # degenerate but legal: zero-unit campaign
+        if self.table.done:  # nothing to lease: all cached, or no units
             self._done.set()
 
     # -- lifecycle ---------------------------------------------------------

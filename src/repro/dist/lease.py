@@ -22,6 +22,9 @@ result.  Quarantine records are :class:`~repro.runtime.executor
 .FailedCell` documents -- the same records PR 5's resilient engine
 writes -- so the checkpoint/resume path downstream needs no new cases.
 
+A unit whose result the run cache already holds is never leased: the
+coordinator commits it up front with :meth:`LeaseTable.commit_cached`.
+
 **Attempt accounting.**  An attempt is charged when the lease is
 *granted*, because every way a granted lease can end badly -- worker
 error report, lease expiry (covers hangs and silent death), connection
@@ -77,7 +80,7 @@ class WorkUnit:
     """One leasable unit: a single campaign cell, by identity."""
 
     unit_id: str
-    """Stable partition token (see :mod:`repro.runtime.shard`)."""
+    """Stable unit id (see :func:`repro.dist.coordinator.grid_token`)."""
     kind: str
     """``baseline`` or ``grid``."""
     workload: str
@@ -391,6 +394,16 @@ class LeaseTable:
         state.digest = digest
         self.counters["committed"] += 1
         return verdict
+
+    def commit_cached(self, unit_id: str) -> None:
+        """Commit a pending unit whose result the run cache already holds.
+
+        Nothing was leased or delivered, so no digest is recorded; the
+        unit is never granted afterwards.
+        """
+        state = self._units[unit_id]
+        if state.status == "pending":
+            self._move(state, "committed")
 
     # -- internals ---------------------------------------------------------
 

@@ -14,12 +14,10 @@ is bit-identical to the one a fresh serial call would produce.
 
 from repro.runtime.cache import RunCache, run_key
 from repro.runtime.checkpoint import (
-    CheckpointConflict,
     Checkpointer,
     CheckpointState,
     campaign_fingerprint,
     load_checkpoint,
-    merge_checkpoints,
 )
 from repro.runtime.context import (
     configure_runtime,
@@ -43,12 +41,10 @@ from repro.runtime.serialize import (
     run_result_from_dict,
     run_result_to_dict,
 )
-from repro.runtime.shard import ShardSpec, parse_shard
 
 __all__ = [
     "CampaignEngine",
     "Cell",
-    "CheckpointConflict",
     "Checkpointer",
     "CheckpointState",
     "ENGINE_MODES",
@@ -59,14 +55,11 @@ __all__ = [
     "PlannerCosts",
     "RetryPolicy",
     "RunCache",
-    "ShardSpec",
     "SimCell",
     "campaign_fingerprint",
     "configure_runtime",
     "get_engine",
     "load_checkpoint",
-    "merge_checkpoints",
-    "parse_shard",
     "reset_runtime",
     "run_key",
     "run_result_from_dict",

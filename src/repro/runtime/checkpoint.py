@@ -206,93 +206,6 @@ class CheckpointState:
         )
 
 
-class CheckpointConflict(Exception):
-    """Two shard checkpoints disagree about one quarantined cell."""
-
-
-def merge_checkpoints(
-    cache_dir: str,
-    fingerprint: str,
-    job_ids: Optional[List[str]] = None,
-    remove: bool = True,
-) -> Optional[CheckpointState]:
-    """Fold per-shard checkpoints into one merged campaign checkpoint.
-
-    Shard runs of one campaign each write ``<fingerprint>.<job>.json``;
-    after they finish, the merged ``<fingerprint>.json`` must describe
-    the complete cell set so an unsharded ``--resume`` (or a later
-    re-shard) sees every completion and every quarantined cell.
-    ``job_ids=None`` discovers all shard documents on disk; an existing
-    merged/unsharded checkpoint participates as one more part.
-
-    Completed-cell counts add up (shards partition the grid; shared
-    baseline cells execute once and hit the cache elsewhere).  Failed
-    cells union by cell key -- a key quarantined by two shards must
-    carry **bit-identical** records (same document, byte for byte), or
-    :class:`CheckpointConflict` is raised and nothing is written: two
-    shards disagreeing about one cell means one of them ran a different
-    campaign than its checkpoint claims.  ``complete`` only when every
-    part finished.  With ``remove=True`` (default) the merged shard
-    documents are deleted.  Returns the merged state, or ``None`` when
-    there is nothing to merge.
-    """
-    directory = os.path.join(cache_dir, "checkpoints")
-    if job_ids is None:
-        job_ids = []
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            names = []
-        prefix = f"{fingerprint}."
-        for name in sorted(names):
-            if not (name.startswith(prefix) and name.endswith(".json")):
-                continue
-            job_id = name[len(prefix):-len(".json")]
-            if _JOB_ID_RE.match(job_id):
-                job_ids.append(job_id)
-    parts: List[tuple] = []
-    base = load_checkpoint(cache_dir, fingerprint)
-    if base is not None:
-        parts.append(("", base))
-    for job_id in job_ids:
-        state = load_checkpoint(cache_dir, fingerprint, job_id)
-        if state is not None:
-            parts.append((job_id, state))
-    if not parts:
-        return None
-    merged_failed: dict = {}
-    for job_id, state in parts:
-        for record in state.failed:
-            incumbent = merged_failed.get(record.key)
-            if incumbent is None:
-                merged_failed[record.key] = record
-            elif incumbent.to_dict() != record.to_dict():
-                raise CheckpointConflict(
-                    f"cell {record.key} has conflicting quarantine "
-                    f"records across shard checkpoints of campaign "
-                    f"{fingerprint}"
-                )
-    failed = list(merged_failed.values())
-    name = next((s.name for _, s in parts if s.name), "")
-    merged = Checkpointer(
-        cache_dir=cache_dir,
-        fingerprint=fingerprint,
-        name=name,
-        total_cells=sum(s.total_cells for _, s in parts),
-        completed=sum(s.completed_cells for _, s in parts),
-    )
-    merged.write(failed, complete=all(s.complete for _, s in parts))
-    if remove:
-        for job_id, _ in parts:
-            if not job_id:
-                continue  # the merged document replaces this path
-            try:
-                os.unlink(checkpoint_path(cache_dir, fingerprint, job_id))
-            except OSError:
-                pass
-    return load_checkpoint(cache_dir, fingerprint)
-
-
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 

@@ -1,20 +1,17 @@
-"""ResultStore: read/scan/merge facade over segments and manifests.
+"""ResultStore: read/scan facade over segments and manifests.
 
 Layout, under ``<cache_dir>/store/``::
 
-    manifests/<fingerprint>.json            merged campaign manifest
-    manifests/<fingerprint>.<job_id>.json   one shard's slice
+    manifests/<fingerprint>.json            one campaign's manifest
+    manifests/<fingerprint>.<job_id>.json   one job's slice of it
     segments/<writer_id>-<seq>.f64          packed float64 payloads
 
 Reads are O(1): key -> (manifest row) -> ``np.memmap`` slice ->
 :func:`~repro.store.codec.join_document`.  Scans are vectorized over
 the manifest columns and never touch segments except for the latency
-arrays a query actually asks percentiles of.  Shard merging
-(:meth:`ResultStore.compact`) folds ``<fp>.<job>.json`` manifests into
-one ``<fp>.json``; overlapping cell keys must be bit-identical (same
-skeleton, same span bytes) or the merge raises :class:`StoreConflict`
--- two shards disagreeing about one cell is corruption, never a tie to
-break silently.
+arrays a query actually asks percentiles of.  Manifests of several jobs
+may claim one cell key; the first claim wins and scans skip the
+shadowed rows, so a cell is never reported twice.
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ from repro.store.segments import SegmentWriter, open_segment
 
 MANIFEST_DIR = "manifests"
 SEGMENT_DIR = "segments"
-
-
-class StoreConflict(Exception):
-    """Two store entries claim the same cell key with different bytes."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class StoreWriter:
     fresh segment files; prior spans keep pointing where they were), so
     repeated promotions of one campaign accrete instead of clobbering.
     Writers of distinct (fingerprint, job) pairs never share a segment
-    file, which is what lets shard processes write concurrently.
+    file, which is what lets concurrent jobs write safely.
     """
 
     def __init__(
@@ -192,8 +185,8 @@ class ResultStore:
         self._loaded = False
         self._manifests: Dict[str, Manifest] = {}
         # key -> (manifest, row); first manifest to claim a key wins
-        # (claims are bit-identical by construction; the store diag
-        # layer and compact() enforce, the index just picks one).
+        # (claims are bit-identical by construction: a key is a content
+        # hash of deterministic work, so the index just picks one).
         self._index: Dict[str, Tuple[Manifest, int]] = {}
         self._blob_objects: Dict[str, Any] = {}
         self._spans: Dict[Tuple[str, str], Optional[Tuple[int, int]]] = {}
@@ -201,7 +194,7 @@ class ResultStore:
         # (content-addressed, so safe across manifests); segment views
         # by segment name, re-opened through the size-aware
         # ``open_segment`` memo whenever a span reaches past the cached
-        # mapping (a concurrent shard grew the file).  Both are plain
+        # mapping (a concurrent writer grew the file).  Both are plain
         # dicts touched without the lock: a lost race costs one
         # duplicate compile/open, never a wrong answer.
         self._joins: Dict[str, Any] = {}
@@ -427,7 +420,7 @@ class ResultStore:
         offered load of event-sim entries (analytic entries carry NaN
         and never match a load bound).  Rows shadowed by another
         manifest's claim of the same key are skipped, so overlapping
-        shard manifests never double-report a cell.
+        job manifests never double-report a cell.
         """
         self._load()
         hits: List[ScanHit] = []
@@ -480,73 +473,6 @@ class ResultStore:
         """A :class:`StoreWriter` appending under ``(fingerprint, job)``."""
         self._load()
         return StoreWriter(self, fingerprint, job_id)
-
-    # -- maintenance -----------------------------------------------------
-
-    def compact(self, fingerprint: str) -> int:
-        """Merge every shard manifest of ``fingerprint`` into one.
-
-        Folds ``<fp>.<job>.json`` slices (plus any existing merged
-        ``<fp>.json``) into a single ``<fp>.json``, then removes the
-        slices.  Segment files are left untouched -- the merged
-        manifest points at the same spans, so a merge is manifest-sized
-        work no matter how many gigabytes the shards simulated.
-        Duplicate cell keys must be bit-identical (same skeleton, same
-        span bytes) or :class:`StoreConflict` is raised and nothing is
-        written.  Returns the merged entry count.
-        """
-        if not self.manifest_dir.is_dir():
-            return 0
-        merged_path = self.manifest_dir / f"{fingerprint}.json"
-        shard_paths = sorted(
-            self.manifest_dir.glob(f"{fingerprint}.*.json")
-        )
-        paths = ([merged_path] if merged_path.exists() else []) \
-            + shard_paths
-        if not paths:
-            return 0
-        merged = Manifest(fingerprint, "")
-        claimed: Dict[str, ManifestEntry] = {}
-        for path in paths:
-            part = Manifest.load(path)
-            for entry in part.entries():
-                incumbent = claimed.get(entry.key)
-                if incumbent is not None:
-                    self._verify_identical(incumbent, entry)
-                    continue
-                claimed[entry.key] = entry
-                merged.skeletons.setdefault(
-                    entry.skeleton, part.skeletons[entry.skeleton]
-                )
-                for ref in (entry.workload_ref, entry.platform_ref):
-                    if ref and ref in part.blobs:
-                        merged.blobs.setdefault(ref, part.blobs[ref])
-                merged.add(entry)
-        merged.write(self.manifest_dir)
-        for path in shard_paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.refresh()
-        return len(merged)
-
-    def _verify_identical(
-        self, left: ManifestEntry, right: ManifestEntry
-    ) -> None:
-        if left.skeleton != right.skeleton:
-            raise StoreConflict(
-                f"cell {left.key} stored with two different skeletons "
-                f"({left.skeleton} vs {right.skeleton})"
-            )
-        a = self._vector(left)
-        b = self._vector(right)
-        if a.tobytes() != b.tobytes():
-            raise StoreConflict(
-                f"cell {left.key} stored with two different payloads "
-                f"({left.segment}@{left.offset} vs "
-                f"{right.segment}@{right.offset})"
-            )
 
     def query_rows(
         self,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.melody import Campaign, Melody
+from repro.core.melody import Campaign, Melody, campaign_cells
 from repro.errors import AnalysisError, ConfigurationError
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine
@@ -42,6 +42,12 @@ class TestCampaignExecution:
         assert len(result.skipped) == len(oversized)
         skipped_names = {name for name, _ in result.skipped}
         assert all(w.name in skipped_names for w in oversized)
+
+    def test_plan_covers_every_cell(self, campaign):
+        base, grid, skipped = campaign_cells(campaign)
+        assert len(base) == len(campaign.workloads)
+        assert len(grid) + len(skipped) == \
+            len(campaign.workloads) * len(campaign.targets)
 
     def test_slowdowns_vector(self, campaign):
         result = Melody().run(campaign)

@@ -1,8 +1,9 @@
 """CLI surface of the dist stack: endpoints, flag validation, fleets.
 
-The fleet tests exercise the satellite regression: shard/worker child
-exit codes must propagate to the parent's exit code, and an interrupt
-mid-fleet must terminate every child instead of orphaning it.
+The fleet tests check that an interrupt mid-fleet terminates every
+child instead of orphaning it, and that ``--shards N`` -- a loopback
+coordinator with N worker subprocesses -- exports exactly what a solo
+run does.
 """
 
 import signal
@@ -120,36 +121,67 @@ class TestFleetCleanup:
         assert not done.terminated and not done.killed
 
 
-class TestShardFleetExitCodes:
-    def _run(self, monkeypatch, tmp_path, codes):
-        spawned = []
+GAPBS_ARGV = [
+    "campaign", "--platform", "EMR2S", "--targets", "numa", "cxl-a",
+    "--suite", "GAPBS", "--sample", "6",
+]
 
-        def fake_popen(argv, env=None, **kwargs):
-            proc = FakeProc(code=codes[len(spawned)])
-            spawned.append(proc)
-            return proc
 
-        monkeypatch.setattr(subprocess, "Popen", fake_popen)
-        code = main([
-            "campaign", "--platform", "EMR2S", "--targets", "cxl-a",
-            "--suite", "GAPBS", "--sample", "6",
-            "--cache-dir", str(tmp_path), "--shards", str(len(codes)),
+class TestShardsAlias:
+    @pytest.fixture(autouse=True)
+    def fresh_runtime(self):
+        from repro.runtime import reset_runtime
+
+        reset_runtime()
+        yield
+        reset_runtime()
+
+    def _exports(self, capsys, out, *extra):
+        code = main(GAPBS_ARGV + [
+            "--csv", str(out / "d.csv"), "--json", str(out / "d.json"),
+            *extra,
         ])
-        return code, spawned
-
-    def test_nonzero_shard_code_propagates_verbatim(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        code, spawned = self._run(monkeypatch, tmp_path, [0, 5])
-        assert code == 5
-        assert len(spawned) == 2
-        assert "exited 5" in capsys.readouterr().err
-
-    def test_quarantine_code_3_is_not_final(self, monkeypatch, tmp_path):
-        # Exit 3 means quarantined cells under --strict-cells; the
-        # parent's merged pass re-reports those and picks the verdict.
-        # With fake shards nothing actually ran, so the merged pass
-        # executes the campaign itself and exits clean.
-        code, spawned = self._run(monkeypatch, tmp_path, [0, 3])
         assert code == 0
-        assert len(spawned) == 2
+        return capsys.readouterr().out
+
+    def test_two_shards_export_exactly_what_solo_does(
+        self, capsys, tmp_path
+    ):
+        from repro.runtime import reset_runtime
+
+        solo, fleet = tmp_path / "solo", tmp_path / "fleet"
+        solo.mkdir()
+        fleet.mkdir()
+        self._exports(capsys, solo)
+        reset_runtime()
+        cache = str(tmp_path / "cache")
+        out = self._exports(capsys, fleet, "--cache-dir", cache,
+                            "--shards", "2")
+        assert "15/15 units committed" in out
+        assert "0 conflict(s)" in out
+        for name in ("d.csv", "d.json"):
+            assert (fleet / name).read_bytes() == (solo / name).read_bytes()
+        # Resuming the finished campaign re-runs nothing.
+        reset_runtime()
+        out = self._exports(capsys, fleet, "--cache-dir", cache,
+                            "--shards", "2", "--resume")
+        assert "leases: 0 granted" in out
+        assert "15/15 cells checkpointed" in out
+        for name in ("d.csv", "d.json"):
+            assert (fleet / name).read_bytes() == (solo / name).read_bytes()
+
+    def test_one_shard_is_a_solo_run(self, capsys, tmp_path):
+        out = self._exports(capsys, tmp_path, "--cache-dir",
+                            str(tmp_path / "cache"), "--shards", "1")
+        assert "units committed" not in out
+        assert "records" in out
+
+    def test_single_shard_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(GAPBS_ARGV + ["--cache-dir", str(tmp_path),
+                               "--shard", "0/2"])
+        assert exc.value.code == 2
+
+    def test_shards_requires_cache_dir(self, capsys):
+        assert main(GAPBS_ARGV + ["--shards", "2"]) == 2
+        assert "--cache-dir" in capsys.readouterr().err

@@ -7,7 +7,11 @@ hostile fleet, graceful quarantine of genuinely doomed work, and
 bit-identity of the distributed result set against a solo run.
 """
 
+import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 from repro.dist import FrameTransport, PROTOCOL_VERSION, campaign_units
@@ -46,6 +50,37 @@ class TestCleanCampaign:
         assert state.complete
         assert state.completed_cells == outcome.summary.units
         assert state.failed == ()
+
+
+class TestCacheResume:
+    def test_cached_units_commit_without_leases(self, tmp_path):
+        # A finished campaign's units are all in the run cache, so a
+        # second coordinator over the same cache dir settles them at
+        # construction: no lease is granted, no worker is needed.
+        first = run_dist_campaign(str(tmp_path))
+        assert first.summary.complete
+        coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
+        assert coordinator.table.done
+        summary = coordinator.run(timeout=10.0)
+        assert summary.complete
+        assert summary.counters["granted"] == 0
+        assert summary.committed == summary.units == first.summary.units
+        state = load_checkpoint(str(tmp_path), summary.fingerprint)
+        assert state is not None and state.complete
+        assert state.completed_cells == summary.units
+
+    def test_only_uncached_units_stay_pending(self, tmp_path):
+        units = campaign_units(
+            SMOKE_SPEC.build_campaign(), "unused-fingerprint"
+        )
+        solo_records(SMOKE_SPEC, str(tmp_path))  # warms every unit
+        cache = RunCache(str(tmp_path))
+        missing = units[-1].key
+        os.unlink(cache._disk_path(missing))
+        coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
+        assert coordinator.table.progress()["committed"] == len(units) - 1
+        assert coordinator.table.pending == 1
+        coordinator.stop()
 
 
 class TestHostileFleet:
@@ -270,3 +305,37 @@ class TestProtocolEdges:
         )
         assert len({u.unit_id for u in units}) == len(units)
         assert len({u.key for u in units}) == len(units)
+
+    def test_unit_ids_salted_by_fingerprint(self):
+        campaign = SMOKE_SPEC.build_campaign()
+        a = [u.unit_id for u in campaign_units(campaign, "a" * 64)]
+        b = [u.unit_id for u in campaign_units(campaign, "b" * 64)]
+        assert not set(a) & set(b)
+        # Same keys either way: the salt names units, not results.
+        assert [u.key for u in campaign_units(campaign, "a" * 64)] \
+            == [u.key for u in campaign_units(campaign, "b" * 64)]
+
+    def test_unit_ids_stable_across_processes(self):
+        # Worker and coordinator must agree on ids whatever the hash
+        # seed of either process.
+        script = (
+            "import json; from repro.dist import campaign_units; "
+            "from repro.dist.harness import SMOKE_SPEC; "
+            "print(json.dumps([u.unit_id for u in campaign_units("
+            "SMOKE_SPEC.build_campaign(), 'f' * 64)]))"
+        )
+        src = os.path.dirname(os.path.dirname(
+            __import__("repro").__file__
+        ))
+        seen = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+            seen.append(json.loads(out))
+        local = [u.unit_id for u in campaign_units(
+            SMOKE_SPEC.build_campaign(), "f" * 64
+        )]
+        assert seen == [local, local]

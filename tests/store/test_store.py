@@ -1,4 +1,4 @@
-"""ResultStore tests: bit-exact reads, scans, shard merging, accretion."""
+"""ResultStore tests: bit-exact reads, scans, accretion."""
 
 import json
 import math
@@ -14,11 +14,7 @@ from repro.runtime.serialize import (
     run_result_to_dict,
     workload_to_dict,
 )
-from repro.store import (
-    ResultStore,
-    StoreConflict,
-    canonical_document,
-)
+from repro.store import ResultStore, canonical_document
 
 FP = "f" * 64
 
@@ -148,45 +144,6 @@ class TestScan:
 
 
 class TestMergeAndAccretion:
-    def test_compact_merges_shards(self, store):
-        doc_a, doc_b = sim_doc(gbps=2.0), sim_doc(gbps=8.0)
-        for job, doc, key in (
-            ("shard0of2", doc_a, key_of(0)),
-            ("shard1of2", doc_b, key_of(1)),
-        ):
-            writer = store.writer(FP, job)
-            writer.add(key, doc)
-            writer.commit()
-        merged = store.compact(FP)
-        assert merged == 2
-        assert set(store.keys()) == {key_of(0), key_of(1)}
-        assert canonical_document(store.get(key_of(0))) == \
-            canonical_document(doc_a)
-        # shard manifests are gone; one merged manifest remains
-        names = [path.name for path in store.manifest_dir.iterdir()]
-        assert names == [FP + ".json"]
-
-    def test_compact_accepts_identical_overlap(self, store):
-        doc = sim_doc()
-        for job in ("shard0of2", "shard1of2"):
-            writer = store.writer(FP, job)
-            writer.add(key_of(5), doc)
-            writer.commit()
-        assert store.compact(FP) == 1
-        assert canonical_document(store.get(key_of(5))) == \
-            canonical_document(doc)
-
-    def test_compact_refuses_conflicting_overlap(self, store):
-        for job, seed in (("shard0of2", 1), ("shard1of2", 2)):
-            writer = store.writer(FP, job)
-            writer.add(key_of(5), sim_doc(seed=seed))
-            writer.commit()
-        with pytest.raises(StoreConflict):
-            store.compact(FP)
-
-    def test_compact_nothing_to_do(self, store):
-        assert store.compact(FP) == 0
-
     def test_writer_accretes_existing_manifest(self, tmp_path, store):
         writer = store.writer(FP)
         writer.add(key_of(0), sim_doc(gbps=2.0))
