@@ -1,23 +1,22 @@
-"""Campaign-engine throughput benchmark: serial vs parallel vs warm cache.
+"""Campaign-engine throughput benchmark: cold serial vs warm cache.
 
-Runs the same Figure 8a device-campaign subset through three engine
+Runs the same Figure 8a device-campaign subset through two engine
 configurations and records cells/sec for each in ``BENCH_campaign.json``
 (next to this file's repo root), so the runtime layer's perf trajectory is
 tracked from PR to PR:
 
-* ``cold_serial``    -- jobs=1, empty cache: the pre-runtime baseline.
-* ``cold_parallel``  -- jobs=4, empty cache: process-pool fan-out.
-* ``warm_cache``     -- jobs=1, disk cache populated by a prior run.
+* ``cold_serial``    -- empty cache: the pre-runtime baseline.
+* ``warm_cache``     -- disk cache populated by a prior run.
 
-On a single-CPU host the pool cannot beat serial (the workers share one
-core and pay fork + pickle overhead); ``cpu_count`` is recorded alongside
-the numbers so readers can judge the parallel figure in context.  The warm
-path must beat cold-serial by a wide margin anywhere.
+The warm path must beat cold-serial by a wide margin anywhere.
+``cpu_count`` is recorded alongside the numbers for context; the engine
+itself runs in one process (fanning out is the lease coordinator's job,
+benchmarked in ``test_perf_dist.py``).
 
 A second benchmark runs an *event-simulation* campaign -- a grid of
-:class:`SimCell` operating points -- through the serial, pool, and fused
+:class:`SimCell` operating points -- through the serial and fused
 ``batch`` strategies.  Correctness comes first: every cell's latencies and
-RAS counters must be byte-identical across all three strategies (asserted
+RAS counters must be byte-identical across both strategies (asserted
 before any timing lands in the report).  The ``batched`` row records the
 fused-kernel throughput against the canonical analytic ``cold_serial``
 baseline.  ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI and keeps the
@@ -50,8 +49,8 @@ def _campaign():
     return Melody.device_campaign(workloads=all_workloads()[::8])
 
 
-def _timed_run(campaign, jobs=1, cache_dir=None):
-    engine = CampaignEngine(cache=RunCache(cache_dir), jobs=jobs)
+def _timed_run(campaign, cache_dir=None):
+    engine = CampaignEngine(cache=RunCache(cache_dir))
     start = time.perf_counter()
     result = Melody(engine=engine).run(campaign)
     elapsed = time.perf_counter() - start
@@ -62,9 +61,6 @@ def test_perf_campaign_throughput(tmp_path):
     campaign = _campaign()
 
     serial_result, serial_engine, serial_s = _timed_run(campaign)
-    parallel_result, parallel_engine, parallel_s = _timed_run(
-        campaign, jobs=4
-    )
 
     cache_dir = str(tmp_path / "runs")
     _timed_run(campaign, cache_dir=cache_dir)  # populate the disk tier
@@ -85,12 +81,6 @@ def test_perf_campaign_throughput(tmp_path):
             "seconds": round(serial_s, 4),
             "cells_per_second": round(cells / serial_s, 1),
         },
-        "cold_parallel_jobs4": {
-            "seconds": round(parallel_s, 4),
-            "cells_per_second": round(cells / parallel_s, 1),
-            "pool_fallbacks": parallel_engine.stats.pool_fallbacks,
-            "speedup_vs_cold_serial": round(serial_s / parallel_s, 2),
-        },
         "warm_cache": {
             "seconds": round(warm_s, 4),
             "cells_per_second": round(cells / warm_s, 1),
@@ -101,22 +91,16 @@ def test_perf_campaign_throughput(tmp_path):
     print()
     print(json.dumps(report, indent=2))
 
-    # Correctness before speed: all three paths agree bit-for-bit.
-    for other in (parallel_result, warm_result):
-        for target in serial_result.target_names():
-            assert list(serial_result.slowdowns(target)) == list(
-                other.slowdowns(target)
-            )
+    # Correctness before speed: both paths agree bit-for-bit.
+    for target in serial_result.target_names():
+        assert list(serial_result.slowdowns(target)) == list(
+            warm_result.slowdowns(target)
+        )
 
     assert warm_engine.stats.cells_run == 0
     assert warm_s * 5 < serial_s, (
         f"warm cache {warm_s:.3f}s not >=5x faster than serial {serial_s:.3f}s"
     )
-    if (os.cpu_count() or 1) >= 4:
-        assert parallel_s < serial_s, (
-            f"jobs=4 {parallel_s:.3f}s slower than serial {serial_s:.3f}s "
-            f"on a {os.cpu_count()}-CPU host"
-        )
 
 
 def _sim_grid():
@@ -136,7 +120,7 @@ def _sim_grid():
     return cells
 
 
-def _run_sim(cells, mode, jobs=1, repeats=1):
+def _run_sim(cells, mode, repeats=1):
     """Run the grid on fresh engines (own cache tier: nothing is warm).
 
     ``repeats > 1`` reruns the cold pass and keeps the fastest time --
@@ -145,7 +129,7 @@ def _run_sim(cells, mode, jobs=1, repeats=1):
     """
     results, engine, best = None, None, None
     for _ in range(repeats):
-        fresh = CampaignEngine(cache=RunCache(None), jobs=jobs, mode=mode)
+        fresh = CampaignEngine(cache=RunCache(None), mode=mode)
         start = time.perf_counter()
         out = fresh.run_cells(cells)
         elapsed = time.perf_counter() - start
@@ -169,12 +153,10 @@ def _assert_cells_identical(reference, other, label):
 def test_perf_sim_campaign_batched():
     cells = _sim_grid()
 
-    # Correctness gate first: serial / pool / batch must agree bit-for-bit
-    # on every cell before any strategy's timing is worth reporting.
+    # Correctness gate first: serial and batch must agree bit-for-bit on
+    # every cell before either strategy's timing is worth reporting.
     serial_ref, _, _ = _run_sim(cells, "serial")
-    pool_results, pool_engine, _ = _run_sim(cells, "pool", jobs=4)
     batch_results, _, _ = _run_sim(cells, "batch")
-    _assert_cells_identical(serial_ref, pool_results, "pool")
     _assert_cells_identical(serial_ref, batch_results, "batch")
 
     # Timed passes on fresh engines (the identity pass warmed the code
@@ -211,7 +193,6 @@ def test_perf_sim_campaign_batched():
         "cells_per_second": round(SIM_CELLS / batch_s, 1),
         "cells_batched": batch_engine.stats.cells_batched,
         "planner": batch_engine.stats.last_plan,
-        "pool_planner": pool_engine.stats.last_plan,
         "speedup_vs_cold_serial": round(
             (SIM_CELLS / batch_s) / baseline_cps, 2
         ),

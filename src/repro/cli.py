@@ -56,11 +56,10 @@ from repro.errors import ConfigurationError, MelodyError
 
 
 def _configure_runtime(args):
-    """Apply --jobs/--cache-dir (and any resilience flags) to the engine."""
+    """Apply --cache-dir/--engine (and any resilience flags) to the engine."""
     from repro.runtime import configure_runtime
 
     return configure_runtime(
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         policy=_retry_policy(args),
         mode=getattr(args, "engine", None),
@@ -427,9 +426,12 @@ def _run_dist_fleet(args, campaign) -> int:
     ``--cache-dir`` and a complete checkpoint, so the caller's follow-up
     resume pass assembles exports byte-identical to a solo run.  This is
     also what ``--shards N`` runs.  Children are terminated on any exit
-    path, interrupts included.
+    path, interrupts included.  If every child exits while units are
+    still unsettled, the coordinator stops instead of waiting for workers
+    that will never come, and the fleet fails with exit code 2.
     """
     import subprocess
+    import threading
 
     from repro.dist import Coordinator
     from repro.dist.spec import CampaignSpec
@@ -465,7 +467,13 @@ def _run_dist_fleet(args, campaign) -> int:
                     argv += ["--net-chaos",
                              str(args.dist_net_chaos + index)]
                 fleet.add(subprocess.Popen(argv, env=env))
+            threading.Thread(
+                target=_stop_when_fleet_dies,
+                args=(list(fleet.procs), coordinator),
+                name="dist-fleet-watch", daemon=True,
+            ).start()
             summary = coordinator.run(timeout=args.dist_deadline)
+            exit_codes = [proc.poll() for proc in fleet.procs]
     finally:
         coordinator.stop()
     print(summary.render())
@@ -474,10 +482,30 @@ def _run_dist_fleet(args, campaign) -> int:
               "a worker delivered divergent results", file=sys.stderr)
         return 2
     if not summary.complete:
-        print("error: dist campaign deadline elapsed before every unit "
-              "settled", file=sys.stderr)
+        if exit_codes and None not in exit_codes:
+            codes = ", ".join(
+                f"dw{index}={code}" for index, code in enumerate(exit_codes)
+            )
+            print(f"error: every dist worker exited before every unit "
+                  f"settled (exit codes: {codes})", file=sys.stderr)
+        else:
+            print("error: dist campaign deadline elapsed before every "
+                  "unit settled", file=sys.stderr)
         return 2
     return 0
+
+
+def _stop_when_fleet_dies(procs, coordinator) -> None:
+    """Stop ``coordinator`` once every child exited with units unsettled.
+
+    Workers exit on their own only after hearing ``done`` (or after
+    exhausting their reconnects); with all of them gone nothing can
+    settle the remaining units, so waiting on would hang forever.
+    """
+    for proc in procs:
+        proc.wait()
+    if not coordinator.table.done:
+        coordinator.stop()
 
 
 def cmd_coordinate(args) -> int:
@@ -1088,13 +1116,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every Nth workload")
     p.add_argument("--csv", default=None, help="export dataset CSV")
     p.add_argument("--json", default=None, help="export dataset JSON")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker processes (default: serial)")
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "serial", "pool", "batch"],
+                   choices=["auto", "serial", "batch"],
                    help="cell execution strategy: auto consults the "
-                   "planner cost model per batch of cells; serial/pool/"
-                   "batch force one strategy (results are byte-identical "
+                   "planner cost model per batch of cells; serial/batch "
+                   "force one strategy (results are byte-identical "
                    "across all of them)")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk run cache shared across invocations")
@@ -1267,8 +1293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full 265-workload population")
     p.add_argument("--output", default=None,
                    help="directory to write <experiment>.txt files into")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker processes (default: serial)")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk run cache shared across invocations")
     p.add_argument("--strict", action="store_true",

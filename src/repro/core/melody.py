@@ -170,21 +170,19 @@ class Melody:
     All cell execution -- baselines included -- routes through a
     :class:`~repro.runtime.executor.CampaignEngine`, so identical cells are
     memoized across campaigns, experiments and (with a disk cache) across
-    processes, and fan out over a process pool when the engine has
-    ``jobs > 1``.  By default every Melody in a process shares one engine;
-    pass ``engine``, or ``jobs``/``cache_dir`` for a private one.
+    processes.  By default every Melody in a process shares one engine;
+    pass ``engine``, or ``cache_dir`` for a private one.
     """
 
     def __init__(
         self,
         config: PipelineConfig = PipelineConfig(),
         engine: Optional[CampaignEngine] = None,
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
     ):
         self.config = config
-        if engine is None and (jobs is not None or cache_dir is not None):
-            engine = CampaignEngine(cache=RunCache(cache_dir), jobs=jobs or 1)
+        if engine is None and cache_dir is not None:
+            engine = CampaignEngine(cache=RunCache(cache_dir))
         self._engine = engine
 
     @property

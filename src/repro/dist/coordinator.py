@@ -169,8 +169,8 @@ class DistSummary:
             f"conflict(s)",
         ]
         if not self.complete:
-            lines.append("  INCOMPLETE: deadline elapsed before every "
-                         "unit settled")
+            lines.append("  INCOMPLETE: stopped before every unit "
+                         "settled")
         return "\n".join(lines)
 
 
@@ -302,7 +302,8 @@ class Coordinator:
         timeout: Optional[float] = None,
         linger_s: float = 5.0,
     ) -> DistSummary:
-        """Block until every unit settles (or ``timeout``); finalize.
+        """Block until every unit settles (or ``timeout``, or a
+        :meth:`stop` from another thread); finalize.
 
         After completion the coordinator lingers up to ``linger_s`` so
         connected workers can fetch once more, hear ``done``, and exit
@@ -311,7 +312,9 @@ class Coordinator:
         """
         if self.port is None:
             self.start()
-        complete = self._done.wait(timeout)
+        self._done.wait(timeout)
+        with self._lock:
+            complete = self.table.done
         if complete:
             deadline = self.clock() + linger_s
             while self.clock() < deadline:
@@ -324,8 +327,13 @@ class Coordinator:
         return self._finalize(complete)
 
     def stop(self) -> None:
-        """Close the listener and every connection; join the threads."""
+        """Close the listener and every connection; join the threads.
+
+        Also wakes a :meth:`run` blocked in another thread, which then
+        finalizes an incomplete campaign unless every unit had settled.
+        """
         self._stopping.set()
+        self._done.set()
         if self._listener is not None:
             try:
                 self._listener.close()

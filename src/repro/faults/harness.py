@@ -17,8 +17,8 @@ a caller needs to assert the survival invariants:
 * the cache holds no entry for a quarantined cell.
 
 This module imports the campaign stack, so it is *not* pulled in by
-``repro.faults`` itself -- import it explicitly (the executor must stay
-importable from inside pool workers without dragging Melody along).
+``repro.faults`` itself -- import it explicitly (the executor imports
+``repro.faults``, which must therefore not drag the campaign stack along).
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ def run_chaos_campaign(
     error_prob: float = 0.15,
     n_workloads: int = 4,
     doom_index: int = 1,
-    jobs: int = 1,
     max_attempts: int = 3,
     timeout_s: Optional[float] = None,
     backoff_base_s: float = 0.0,
@@ -106,9 +105,7 @@ def run_chaos_campaign(
         doomed=doomed,
         seed=seed,
     )
-    engine = CampaignEngine(
-        cache=RunCache(cache_dir), jobs=jobs, policy=policy
-    )
+    engine = CampaignEngine(cache=RunCache(cache_dir), policy=policy)
     melody = Melody(engine=engine)
     with chaos_injection(chaos):
         result = melody.run(campaign)

@@ -246,8 +246,8 @@ def retry_storm_plan(
 # serve`` jobs can run different fault plans without racing -- a race
 # here would silently mis-key cache entries.  Single-threaded CLI flows
 # are unchanged (install and execution share one context), and forked
-# pool workers inherit the forking thread's context with the process
-# image, exactly as they inherited the old global.
+# isolated cell attempts inherit the forking thread's context with the
+# process image, exactly as they inherited the old global.
 
 _ACTIVE: ContextVar[Optional[FaultPlan]] = ContextVar(
     "repro_fault_plan", default=None

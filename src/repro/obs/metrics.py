@@ -21,8 +21,8 @@ One shared :func:`threading.RLock` guards every instrument update,
 instrument creation, and export, so ``+=`` on shared floats can never
 tear or lose increments and an export always sees a consistent snapshot
 (a histogram's ``counts`` always sum to its ``count``).  The lock is
-re-initialized in forked children (``os.register_at_fork``) so a process
-pool forked while another thread holds it cannot deadlock.
+re-initialized in forked children (``os.register_at_fork``) so an isolated
+cell subprocess forked while another thread holds it cannot deadlock.
 
 Determinism guarantee: instruments only *read* the quantities they are
 handed -- none of them touches an RNG or feeds back into a model -- so
@@ -57,9 +57,9 @@ def _reset_lock_after_fork() -> None:
     """Replace the lock in forked children.
 
     ``fork`` clones only the calling thread; a lock held by any *other*
-    thread at fork time would stay locked forever in the child.  Campaign
-    pool workers and isolated cell subprocesses all fork, and under
-    ``repro serve`` other threads are live when they do.
+    thread at fork time would stay locked forever in the child.  Isolated
+    resilient cell attempts fork, and under ``repro serve`` (with a
+    per-cell timeout) other threads are live when they do.
     """
     global _LOCK
     _LOCK = threading.RLock()

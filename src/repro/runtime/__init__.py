@@ -1,14 +1,16 @@
-"""The campaign execution runtime: memoized, parallel cell execution.
+"""The campaign execution runtime: memoized cell execution.
 
 Every (workload, platform, target, config) *cell* a campaign or experiment
 wants to run is routed through a process-wide :class:`CampaignEngine`,
 which consults a content-addressed :class:`RunCache` (in-memory tier shared
 across all experiments of one process, optional on-disk tier shared across
-processes) and fans uncached cells out over a process pool when ``jobs > 1``.
+processes) and runs uncached cells serially or as fused batches.  Fanning
+a campaign out over processes is the lease coordinator's job
+(:mod:`repro.dist`).
 
 Runs are bit-deterministic -- the pipeline derives every RNG from stable
-string keys (:mod:`repro.rng`) -- so memoization and parallel execution are
-both safe: a cached or pool-computed :class:`~repro.cpu.pipeline.RunResult`
+string keys (:mod:`repro.rng`) -- so memoization and distribution are both
+safe: a cached or worker-computed :class:`~repro.cpu.pipeline.RunResult`
 is bit-identical to the one a fresh serial call would produce.
 """
 

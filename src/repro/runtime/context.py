@@ -5,10 +5,10 @@ Campaign users (Melody, the experiment drivers, the CLI) share one
 memoize *across* experiments: the Figure 8a device campaign populates the
 cache that Figures 11/12/14/15 then read.
 
-The default engine is serial and memory-only.  ``configure_runtime``
-replaces it (the CLI calls this for ``--jobs`` / ``--cache-dir``); the
-``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` environment variables seed the
-default for embedders that never touch the CLI.
+The default engine is memory-only.  ``configure_runtime`` replaces it
+(the CLI calls this for ``--cache-dir`` / ``--engine`` and the resilience
+flags); the ``REPRO_CACHE_DIR`` environment variable seeds the default for
+embedders that never touch the CLI.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine, EngineStats, RetryPolicy
 
@@ -27,20 +26,12 @@ def get_engine() -> CampaignEngine:
     """The shared engine, created on first use."""
     global _engine
     if _engine is None:
-        raw = os.environ.get("REPRO_JOBS", "1") or "1"
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_JOBS must be an integer, got {raw!r}"
-            ) from None
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        _engine = CampaignEngine(cache=RunCache(cache_dir), jobs=jobs)
+        _engine = CampaignEngine(cache=RunCache(cache_dir))
     return _engine
 
 
 def configure_runtime(
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     policy: Optional["RetryPolicy"] = None,
     mode: Optional[str] = None,
@@ -51,7 +42,7 @@ def configure_runtime(
     ``policy``, which always takes the given value: passing ``None``
     returns to fail-fast execution); the in-memory cache always starts
     fresh (the disk tier, if any, persists).  ``mode`` is the execution
-    strategy (``auto``/``serial``/``pool``/``batch``, the CLI's
+    strategy (``auto``/``serial``/``batch``, the CLI's
     ``--engine``); ``auto`` delegates each pending set to the planner.
     """
     global _engine
@@ -60,7 +51,6 @@ def configure_runtime(
         cache=RunCache(cache_dir if cache_dir is not None
                        else (str(current.cache.cache_dir)
                              if current.cache.cache_dir else None)),
-        jobs=jobs if jobs is not None else current.jobs,
         policy=policy,
         mode=mode if mode is not None else current.mode,
     )

@@ -1,10 +1,9 @@
-"""The parallel, cache-aware, fault-tolerant campaign executor.
+"""The cache-aware, fault-tolerant campaign executor.
 
 :class:`CampaignEngine` takes a flat list of :class:`Cell` objects -- the
 (workload, platform, target, config) grid of a campaign -- and returns one
-:class:`~repro.cpu.pipeline.RunResult` per cell **in cell order**, never in
-completion order, so parallel and serial execution produce byte-identical
-downstream figures.
+:class:`~repro.cpu.pipeline.RunResult` per cell **in cell order**, so the
+way cells were executed never shows in downstream figures.
 
 The engine executes two kinds of cells: analytic :class:`Cell` objects
 (workload x platform x target through the CPU pipeline) and
@@ -22,52 +21,42 @@ Execution strategy per batch:
    callers that put baseline cells first get baseline-first scheduling and
    dependent cells hit the cache);
 3. ask the :class:`ExecutionPlanner` how to run the unique misses --
-   **batch** (fused kernels, sim cells only), **pool** (process pool with
-   chunked submission), or **serial** -- from a small measured cost model
-   over the cell shapes and the host's CPU count.  Requested jobs are
-   clamped to the CPU count *before* planning, so a 1-CPU host can never
-   fork a pool (the regression BENCH_campaign.json once measured as
-   ``jobs=4`` running at 0.6x serial);
+   **batch** (fused kernels, sim cells only) or **serial** -- from a small
+   measured cost model over the cell shapes;
 4. store results and assemble the per-cell list by key lookup.
 
-A cell's result is byte-identical whether it ran serially, pooled, or
-batched (the ``eventsim-batch-identity`` diag check and the benchmark's
-pre-timing assertion both enforce this), so the planner's choice is pure
-policy -- it can never change campaign output.
+A cell's result is byte-identical whether it ran serially or batched (the
+``eventsim-batch-identity`` diag check and the benchmark's pre-timing
+assertion both enforce this), so the planner's choice is pure policy -- it
+can never change campaign output.  The engine never spreads a batch over
+processes: a campaign reaches more cores only through the lease
+coordinator (:mod:`repro.dist`, the CLI's ``--shards N`` /
+``--coordinator``).
 
-Pool setup failures (sandboxed environments, missing semaphores, pickling
-restrictions) degrade gracefully to the serial path; a pool that breaks
-*mid-map* (a worker SIGKILLed) resubmits only the not-yet-completed cells
-serially rather than re-running the whole batch.  Genuine run errors
-propagate exactly as they would serially -- unless a
-:class:`RetryPolicy` is installed, which switches the engine into its
-**resilient mode**: each cell runs in an isolated subprocess with an
-optional wall-clock timeout, failures retry with seeded exponential
-backoff + jitter (the sleep function is injectable, so tests use a fake
-clock), and cells that exhaust their attempts are quarantined into
-structured :class:`FailedCell` records instead of aborting the campaign.
-A ``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists progress
+Genuine run errors propagate -- unless a :class:`RetryPolicy` is
+installed, which switches the engine into its **resilient mode**: each
+cell runs in an isolated subprocess with an optional wall-clock timeout,
+failures retry with seeded exponential backoff + jitter (the sleep
+function is injectable, so tests use a fake clock), and cells that
+exhaust their attempts are quarantined into structured
+:class:`FailedCell` records instead of aborting the campaign.  A
+``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists progress
 periodically so a killed campaign can resume.
 
 Observability: every batch feeds the process-wide metrics registry
 (:mod:`repro.obs`) -- cells requested/run/cached/deduped, batch wall-time
-histogram, cache hit rate, pool-vs-serial split, worker utilization, pool
-fallbacks, and the resilience counters (retries, timeouts, quarantines,
-resubmissions) -- and, when tracing is on, emits one wall-clock span per
-batch.  Instrumentation only observes wall time and counts; it cannot
-change which cells run or what they return.
+histogram, cache hit rate, serial-vs-batch split and the resilience
+counters (retries, timeouts, quarantines) -- and, when tracing is on,
+emits one wall-clock span per batch.  Instrumentation only observes wall
+time and counts; it cannot change which cells run or what they return.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -94,13 +83,10 @@ from repro.runtime.cache import RunCache, run_key
 from repro.runtime.serialize import FORMAT_VERSION
 from repro.workloads.base import WorkloadSpec
 
-_MIN_POOL_BATCH = 4
-"""Below this many pending cells a pool costs more than it saves."""
-
 _JOIN_GRACE_S = 5.0
 """How long to wait for a terminated cell subprocess to die."""
 
-ENGINE_MODES = ("auto", "serial", "pool", "batch")
+ENGINE_MODES = ("auto", "serial", "batch")
 """Accepted ``CampaignEngine.mode`` values (the CLI's ``--engine``)."""
 
 
@@ -161,7 +147,7 @@ class SimCell:
         return self.engine in ("auto", "batch") and tracing() is None
 
     def run(self):
-        """Run this cell solo (the serial and pool paths)."""
+        """Run this cell solo (the serial and resilient paths)."""
         return _simulator_for(self.device, self.seed).simulate(
             self.n_requests,
             self.offered_gbps,
@@ -207,17 +193,10 @@ def _cell_names(cell: AnyCell) -> Tuple[str, str, str]:
 
 
 def _execute_cell(cell: AnyCell):
-    """Pool worker: run one cell (module-level so it pickles)."""
+    """Run one cell of either kind."""
     if isinstance(cell, SimCell):
         return cell.run()
     return run_workload(cell.workload, cell.platform, cell.target, cell.config)
-
-
-def _execute_cell_timed(cell: Cell) -> Tuple[RunResult, float]:
-    """Pool worker: run one cell and report its busy time (utilization)."""
-    start = time.perf_counter()
-    result = _execute_cell(cell)
-    return result, time.perf_counter() - start
 
 
 def _execute_cell_attempt(cell: Cell, attempt: int = 1) -> RunResult:
@@ -329,27 +308,13 @@ def _run_cell_inline(cell: AnyCell, attempt: int) -> Tuple[str, object]:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
-def _pool_chunksize(n_pending: int, jobs: int) -> int:
-    """Chunk size for pool submission.
-
-    ~4 chunks per worker amortizes submission overhead while keeping the
-    pool fed, clamped so the batch always splits into at least one chunk
-    per worker: a chunk size above ``ceil(n/jobs)`` would hand some
-    workers nothing while others serially chew oversized chunks.
-    """
-    amortized = max(1, n_pending // (jobs * 4))
-    per_worker = -(-n_pending // jobs)  # ceil
-    return max(1, min(amortized, per_worker))
-
-
 @dataclass(frozen=True)
 class PlannerCosts:
     """Measured per-cell cost constants (seconds) for the planner.
 
     Calibrated on the reference 1-CPU box (see DESIGN.md): they only need
     to get the *ordering* of the strategies right, not absolute wall
-    times, and the ordering is robust -- fork+pickle overhead is orders
-    of magnitude above per-cell work, and the fused kernels' per-request
+    times, and the ordering is robust -- the fused kernels' per-request
     cost is a stable fraction of the solo kernels'.
     """
 
@@ -361,10 +326,6 @@ class PlannerCosts:
     """Solo vector kernels, marginal cost per request."""
     sim_batch_req_s: float = 1.6e-7
     """Fused batch kernels, marginal cost per request (cache-resident chunks)."""
-    pool_spawn_s: float = 2.5e-1
-    """Forking a worker pool (interpreter + import warmup)."""
-    pool_cell_s: float = 3.0e-4
-    """Per pooled cell: pickling, IPC, result transfer."""
 
     def serial_s(self, cells: Sequence[AnyCell]) -> float:
         """Estimated serial wall time for ``cells``."""
@@ -384,21 +345,12 @@ class PlannerCosts:
             for cell in cells
         )
 
-    def pool_s(self, cells: Sequence[AnyCell], jobs: int) -> float:
-        """Estimated pooled wall time with ``jobs`` workers."""
-        return (
-            self.pool_spawn_s
-            + self.pool_cell_s * len(cells)
-            + self.serial_s(cells) / max(jobs, 1)
-        )
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """One planning decision for a pending set of cells."""
 
-    choice: str  # "serial" | "pool" | "batch"
-    jobs: int
+    choice: str  # "serial" | "batch"
     cells: int
     est_s: float
     est_serial_s: float
@@ -410,13 +362,10 @@ class ExecutionPlan:
 
 
 class ExecutionPlanner:
-    """Chooses batch vs pool vs serial for each pending set.
+    """Chooses batch vs serial for each pending set.
 
-    The decision is pure policy: every strategy returns byte-identical
-    results, so a wrong estimate costs wall time, never correctness.  By
-    construction the pool is only reachable with ``jobs > 1`` -- and jobs
-    arrive here already clamped to the host CPU count -- so a 1-CPU host
-    can never fork a pool, whatever mode or cost constants say.
+    The decision is pure policy: both strategies return byte-identical
+    results, so a wrong estimate costs wall time, never correctness.
     """
 
     def __init__(self, costs: Optional[PlannerCosts] = None):
@@ -435,9 +384,9 @@ class ExecutionPlanner:
         )
 
     def plan(
-        self, cells: Sequence[AnyCell], jobs: int, mode: str = "auto"
+        self, cells: Sequence[AnyCell], mode: str = "auto"
     ) -> ExecutionPlan:
-        """Decide how to execute ``cells`` with at most ``jobs`` workers."""
+        """Decide how to execute ``cells``."""
         if mode not in ENGINE_MODES:
             raise ConfigurationError(
                 f"unknown engine mode {mode!r}; "
@@ -450,7 +399,7 @@ class ExecutionPlanner:
 
         def mk(choice: str, est: float, reason: str) -> ExecutionPlan:
             return ExecutionPlan(
-                choice=choice, jobs=jobs, cells=n,
+                choice=choice, cells=n,
                 est_s=est, est_serial_s=est_serial, reason=reason,
             )
 
@@ -460,21 +409,12 @@ class ExecutionPlanner:
             if can_batch:
                 return mk("batch", costs.batch_s(cells), "forced")
             return mk("serial", est_serial, "batch-incompatible")
-        if mode == "pool":
-            if jobs > 1:
-                return mk("pool", costs.pool_s(cells, jobs), "forced")
-            return mk("serial", est_serial, "one-worker")
 
-        # auto: cheapest estimated strategy, pool gated exactly as the
-        # historical executor gated it (enough cells, more than one job).
+        # auto: the cheaper estimated strategy.
         if can_batch:
             est_batch = costs.batch_s(cells)
             if est_batch <= est_serial:
                 return mk("batch", est_batch, "cost-model")
-        if jobs > 1 and n >= _MIN_POOL_BATCH:
-            est_pool = costs.pool_s(cells, jobs)
-            if est_pool < est_serial:
-                return mk("pool", est_pool, "cost-model")
         return mk("serial", est_serial, "cost-model")
 
 
@@ -576,17 +516,9 @@ class EngineStats:
     split is approximate -- the per-engine total never exceeds the
     cache-wide truth."""
     cells_deduped: int = 0
-    cells_pool: int = 0
     cells_serial: int = 0
     elapsed_s: float = 0.0
-    pool_busy_s: float = 0.0
-    pool_wall_s: float = 0.0
     batches: int = 0
-    pool_fallbacks: int = 0
-    jobs_clamped: int = 0
-    """Worker slots removed by the CPU-count clamp (0 when jobs fit)."""
-    cells_resubmitted: int = 0
-    """Cells resubmitted serially after a pool broke mid-batch."""
     cells_retried: int = 0
     """Failed attempts that were re-queued under a RetryPolicy."""
     cells_timeout: int = 0
@@ -598,7 +530,10 @@ class EngineStats:
     planner_serial: int = 0
     """Pending sets the planner resolved to serial execution."""
     planner_pool: int = 0
-    """Pending sets the planner resolved to the process pool."""
+    """Always 0: the engine has no process pool.  Kept because the
+    benchmark harness (``perfbench/tracing.py``) reads it through
+    ``getattr`` as its ``executor.plan.pool`` counter, and ``perfbench/``
+    changes only in a benchmark change of its own; drop both together."""
     planner_batch: int = 0
     """Pending sets the planner resolved to fused batching."""
     last_plan: str = ""
@@ -627,18 +562,6 @@ class EngineStats:
         return (
             self.cells_deduped / self.cells_requested
             if self.cells_requested > 0
-            else 0.0
-        )
-
-    def worker_utilization(self) -> float:
-        """Pool busy time over pool capacity (0 when the pool never ran).
-
-        ``pool_wall_s`` already aggregates ``workers x wall`` per batch, so
-        this is a capacity fraction in [0, 1] even across batches with
-        different worker counts.
-        """
-        return (
-            self.pool_busy_s / self.pool_wall_s if self.pool_wall_s > 0
             else 0.0
         )
 
@@ -681,7 +604,6 @@ class CampaignEngine:
     """
 
     cache: RunCache = field(default_factory=RunCache)
-    jobs: int = 1
     stats: EngineStats = field(default_factory=EngineStats)
     policy: Optional[RetryPolicy] = None
     checkpointer: Optional[object] = None
@@ -816,22 +738,6 @@ class CampaignEngine:
 
     # -- execution backends ------------------------------------------------
 
-    def _effective_jobs(self) -> int:
-        """Requested jobs clamped to the host's CPU count.
-
-        ``BENCH_campaign.json`` on a 1-CPU host showed ``jobs=4`` at 0.6x
-        the serial throughput: extra workers on an oversubscribed host only
-        add fork + pickle overhead.  An unknown CPU count leaves the
-        request untouched.
-        """
-        cpus = os.cpu_count()
-        effective = self.jobs if cpus is None else min(self.jobs, cpus)
-        clamped = self.jobs - effective
-        if clamped > 0:
-            self.stats.jobs_clamped = clamped
-            metrics().gauge("runtime.jobs_clamped").set(clamped)
-        return effective
-
     def _checkpoint_step(self, n_pending: int) -> int:
         """Sub-batch size for the fail-fast path under a checkpointer."""
         every = getattr(self.checkpointer, "every", 0) \
@@ -883,8 +789,6 @@ class CampaignEngine:
         self.stats.last_plan = plan.summary()
         if plan.choice == "batch":
             self.stats.planner_batch += 1
-        elif plan.choice == "pool":
-            self.stats.planner_pool += 1
         else:
             self.stats.planner_serial += 1
         registry = metrics()
@@ -896,19 +800,10 @@ class CampaignEngine:
     def _execute(self, pending: List[AnyCell]) -> List[object]:
         if not pending:
             return []
-        jobs = self._effective_jobs()
-        plan = self.planner.plan(pending, jobs, self.mode)
+        plan = self.planner.plan(pending, self.mode)
         self._note_plan(plan)
         if plan.choice == "batch":
             return self._execute_batch(pending)
-        if plan.choice == "pool":
-            try:
-                return self._execute_pool(pending, jobs)
-            except (OSError, ValueError, ImportError, BrokenProcessPool,
-                    pickle.PicklingError):
-                # Pool infrastructure unavailable -- fall back, don't fail.
-                self.stats.pool_fallbacks += 1
-                metrics().counter("runtime.pool_fallbacks").inc()
         self.stats.cells_serial += len(pending)
         metrics().counter("runtime.cells_serial").inc(len(pending))
         return [_execute_cell(cell) for cell in pending]
@@ -936,58 +831,6 @@ class CampaignEngine:
         metrics().counter("runtime.cells_batched").inc(len(pending))
         return results
 
-    def _execute_pool(self, pending: List[Cell], jobs: int) -> List[RunResult]:
-        """Pooled execution; a mid-map pool break resubmits only the rest.
-
-        ``pool.map`` yields results in submission order, so consuming it
-        incrementally tells us exactly which prefix completed before a
-        worker died; only the remainder re-runs serially
-        (``cells_resubmitted``), not the whole batch.
-        """
-        import multiprocessing as mp
-
-        try:
-            context = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            context = mp.get_context()
-        chunksize = _pool_chunksize(len(pending), jobs)
-        start = time.perf_counter()
-        timed: List[Tuple[RunResult, float]] = []
-        broke = False
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            try:
-                for item in pool.map(
-                    _execute_cell_timed, pending, chunksize=chunksize
-                ):
-                    timed.append(item)
-            except BrokenProcessPool:
-                broke = True
-        wall = time.perf_counter() - start
-        busy = sum(duration for _, duration in timed)
-        self.stats.pool_busy_s += busy
-        self.stats.pool_wall_s += jobs * wall
-        self.stats.cells_pool += len(timed)
-        registry = metrics()
-        if registry.enabled:
-            if timed:
-                registry.counter("runtime.cells_pool").inc(len(timed))
-            registry.gauge("runtime.worker_utilization").set(
-                self.stats.worker_utilization()
-            )
-        if broke:
-            rest = pending[len(timed):]
-            self.stats.pool_fallbacks += 1
-            self.stats.cells_resubmitted += len(rest)
-            self.stats.cells_serial += len(rest)
-            if registry.enabled:
-                registry.counter("runtime.pool_fallbacks").inc()
-                registry.counter("runtime.cells_resubmitted").inc(len(rest))
-                registry.counter("runtime.cells_serial").inc(len(rest))
-            timed.extend(_execute_cell_timed(cell) for cell in rest)
-        return [result for result, _ in timed]
-
     # -- resilient mode ----------------------------------------------------
 
     def _execute_resilient(
@@ -998,30 +841,18 @@ class CampaignEngine:
     ) -> int:
         """Retry/timeout/quarantine execution under ``self.policy``.
 
-        A pool first-pass handles the happy path cheaply when it is safe
-        (no per-cell timeout requested); everything it could not finish
-        drains through the isolated serial loop, which forks one
-        subprocess per attempt so crashes and hangs cannot take the
-        campaign down.  Backoff sleeps happen just before a retry runs,
-        via the injectable ``sleep_fn``.
+        Cells run one attempt at a time; with ``isolate`` (or a per-cell
+        timeout) each attempt forks its own subprocess so crashes and
+        hangs cannot take the campaign down.  Resilient mode never plans
+        a fused batch: one poisoned cell would take its whole chunk down.
+        Backoff sleeps happen just before a retry runs, via the
+        injectable ``sleep_fn``.
         """
         policy = self.policy
         queue: Deque[Tuple[Cell, str, int]] = deque(
             (cell, key, 1) for cell, key in zip(pending, pending_keys)
         )
         ok = 0
-        jobs = self._effective_jobs()
-        # Resilient mode keeps per-cell isolation -- a fused batch would
-        # let one poisoned cell take down its whole chunk -- so batching
-        # is never planned here; the planner only arbitrates pool vs
-        # serial for the optimistic first pass (the pool is unsafe under
-        # a per-cell timeout, which has no pooled equivalent).
-        if policy.timeout_s is None and pending:
-            mode = "pool" if self.mode == "pool" else "auto"
-            plan = self.planner.plan(pending, jobs, mode)
-            if plan.choice == "pool":
-                self._note_plan(plan)
-                queue, ok = self._resilient_pool_pass(queue, jobs, resolved)
         isolate = self.isolate or policy.timeout_s is not None
         while queue:
             cell, key, attempt = queue.popleft()
@@ -1050,86 +881,6 @@ class CampaignEngine:
                 metrics().counter("runtime.cells_retried").inc()
                 queue.append((cell, key, attempt + 1))
         return ok
-
-    def _resilient_pool_pass(
-        self,
-        queue: Deque[Tuple[Cell, str, int]],
-        jobs: int,
-        resolved: Dict[str, Optional[RunResult]],
-    ) -> Tuple[Deque[Tuple[Cell, str, int]], int]:
-        """One optimistic pool sweep; failures fall through to the loop.
-
-        A worker death breaks the pool for every unfinished future; those
-        cells re-queue *without* an attempt charge (the culprit is
-        unknown), while a future that carries a genuine exception charges
-        its attempt like a serial failure would.
-        """
-        items = list(queue)
-        retry: Deque[Tuple[Cell, str, int]] = deque()
-        ok = 0
-        import multiprocessing as mp
-
-        try:
-            context = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            context = mp.get_context()
-        start = time.perf_counter()
-        try:
-            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-        except (OSError, ValueError, ImportError):
-            self.stats.pool_fallbacks += 1
-            metrics().counter("runtime.pool_fallbacks").inc()
-            return deque(items), 0
-        completed = 0
-        with pool:
-            try:
-                futures = [
-                    (pool.submit(_execute_cell_attempt, cell, attempt),
-                     cell, key, attempt)
-                    for cell, key, attempt in items
-                ]
-            except (BrokenProcessPool, pickle.PicklingError, OSError):
-                self.stats.pool_fallbacks += 1
-                metrics().counter("runtime.pool_fallbacks").inc()
-                return deque(items), 0
-            broke = False
-            for future, cell, key, attempt in futures:
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broke = True
-                    retry.append((cell, key, attempt))
-                except (pickle.PicklingError, OSError):
-                    retry.append((cell, key, attempt))
-                except Exception as exc:  # noqa: BLE001 -- worker raised
-                    if attempt >= self.policy.max_attempts:
-                        self._quarantine(
-                            cell, key, attempt, "error",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    else:
-                        self.stats.cells_retried += 1
-                        metrics().counter("runtime.cells_retried").inc()
-                        retry.append((cell, key, attempt + 1))
-                else:
-                    self._complete(key, result, resolved)
-                    completed += 1
-                    ok += 1
-        wall = time.perf_counter() - start
-        self.stats.pool_wall_s += jobs * wall
-        self.stats.cells_pool += completed
-        registry = metrics()
-        if registry.enabled and completed:
-            registry.counter("runtime.cells_pool").inc(completed)
-        if broke:
-            self.stats.pool_fallbacks += 1
-            self.stats.cells_resubmitted += len(retry)
-            if registry.enabled:
-                registry.counter("runtime.pool_fallbacks").inc()
-                registry.counter("runtime.cells_resubmitted").inc(
-                    len(retry)
-                )
-        return retry, ok
 
     def _complete(
         self,

@@ -5,8 +5,8 @@ piece of shared mutable state -- the coalescer's in-flight map, the
 admission counters, the per-job event fan-out -- so none of it needs
 locks.  Actual characterization work happens in a small
 :class:`~concurrent.futures.ThreadPoolExecutor`: each leader job builds
-a throwaway :class:`~repro.runtime.executor.CampaignEngine` (``jobs=1``,
-inline resilient mode) over the server's one shared
+a throwaway :class:`~repro.runtime.executor.CampaignEngine` (inline
+resilient mode) over the server's one shared
 :class:`~repro.runtime.cache.RunCache`, installs the query's fault plan
 and chaos policy into its own context (ContextVars, so neighbours are
 untouched), and runs the sweep point by point, posting progress back to

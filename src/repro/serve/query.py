@@ -282,15 +282,13 @@ def build_engine(
 ) -> CampaignEngine:
     """The per-job engine the server (and ``--oneshot``) executes with.
 
-    ``jobs=1`` keeps the process pool structurally unreachable from
-    worker threads, and ``isolate=False`` runs resilient attempts inline
-    -- retry/quarantine semantics without forking from a thread.  A
+    ``isolate=False`` runs resilient attempts inline -- retry/quarantine
+    semantics without forking from a worker thread.  A
     per-cell ``timeout_s`` re-enables isolation (the engine forces it;
     only a killable subprocess can enforce a deadline).
     """
     return CampaignEngine(
         cache=cache if cache is not None else RunCache(),
-        jobs=1,
         policy=RetryPolicy(max_attempts=retries, timeout_s=timeout_s),
         isolate=False,
     )

@@ -1,14 +1,17 @@
 """CLI surface of the dist stack: endpoints, flag validation, fleets.
 
 The fleet tests check that an interrupt mid-fleet terminates every
-child instead of orphaning it, and that ``--shards N`` -- a loopback
-coordinator with N worker subprocesses -- exports exactly what a solo
-run does.
+child instead of orphaning it, that a fleet whose workers all die fails
+instead of hanging, and that ``--shards N`` -- a loopback coordinator
+with N worker subprocesses -- exports exactly what a solo run does.
 """
 
+import shutil
 import signal
 import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -181,6 +184,27 @@ class TestShardsAlias:
             main(GAPBS_ARGV + ["--cache-dir", str(tmp_path),
                                "--shard", "0/2"])
         assert exc.value.code == 2
+
+    def test_fleet_whose_workers_all_die_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """No deadline is set: only noticing the dead children ends it."""
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(main(GAPBS_ARGV + [
+                "--cache-dir", str(tmp_path), "--shards", "2",
+            ])),
+            daemon=True,
+        )
+        start = time.monotonic()
+        runner.start()
+        runner.join(timeout=30)
+        assert codes == [2]
+        assert time.monotonic() - start < 15
+        err = capsys.readouterr().err
+        assert "every dist worker exited" in err
+        assert "dw0=1, dw1=1" in err
 
     def test_shards_requires_cache_dir(self, capsys):
         assert main(GAPBS_ARGV + ["--shards", "2"]) == 2

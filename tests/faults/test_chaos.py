@@ -1,7 +1,5 @@
 """Chaos-policy and chaos-harness tests (real forked worker sabotage)."""
 
-import os
-
 import pytest
 
 from repro.errors import MelodyError
@@ -108,18 +106,3 @@ class TestHarness:
         assert outcome.result.failed == []
         assert len(outcome.result.records) == outcome.expected_records
         assert outcome.engine.stats.cells_retried > 0
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="pool chaos needs >= 2 CPUs")
-    def test_pool_first_pass_survives_chaos(self):
-        outcome = run_chaos_campaign(seed=13, kill_prob=0.5, jobs=2)
-        [doom_key] = outcome.doomed_keys
-        assert [f.key for f in outcome.result.failed] == [doom_key]
-        assert len(outcome.result.records) == outcome.expected_records - 1
-        reference = fault_free_reference(outcome.campaign)
-        ref = {
-            (r.workload, r.target): r.slowdown_pct
-            for r in reference.records
-        }
-        for record in outcome.result.records:
-            assert record.slowdown_pct == ref[(record.workload, record.target)]

@@ -1,7 +1,7 @@
 """Cross-engine bit-identity of the fused batch kernels.
 
 A campaign cell's result must be byte-identical whether it ran solo
-(scalar or vector engine), pooled, or fused into a batch with arbitrary
+(scalar or vector engine) or fused into a batch with arbitrary
 neighbours -- otherwise the planner's strategy choice would leak into
 figures.  These tests sweep batched-vs-solo across devices, loads,
 read/write mixes, and fault plans, plus the ragged shapes (B=1, mixed

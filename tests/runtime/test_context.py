@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.runtime.context import (
     configure_runtime,
     get_engine,
@@ -27,36 +26,25 @@ class TestGetEngine:
 
     def test_defaults_serial_memory_only(self):
         engine = get_engine()
-        assert engine.jobs == 1
+        assert engine.policy is None
         assert engine.cache.cache_dir is None
 
     def test_env_seeding(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         engine = get_engine()
-        assert engine.jobs == 3
         assert str(engine.cache.cache_dir) == str(tmp_path)
-
-    def test_bad_env_jobs_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ConfigurationError):
-            get_engine()
-
-    def test_empty_env_jobs_means_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "")
-        assert get_engine().jobs == 1
 
 
 class TestConfigureRuntime:
     def test_replaces_shared_engine(self, tmp_path):
-        engine = configure_runtime(jobs=4, cache_dir=str(tmp_path))
+        engine = configure_runtime(cache_dir=str(tmp_path), mode="serial")
         assert get_engine() is engine
-        assert engine.jobs == 4
+        assert engine.mode == "serial"
 
     def test_none_keeps_current_values(self, tmp_path):
-        configure_runtime(jobs=4, cache_dir=str(tmp_path))
+        configure_runtime(cache_dir=str(tmp_path), mode="serial")
         engine = configure_runtime()
-        assert engine.jobs == 4
+        assert engine.mode == "serial"
         assert str(engine.cache.cache_dir) == str(tmp_path)
 
     def test_stats_accessor(self):

@@ -1,15 +1,16 @@
-"""Parallel and cached execution must be bit-identical to serial runs.
+"""Cached execution must be bit-identical to uncached runs.
 
-These are the acceptance tests of the runtime layer: a ``jobs=4`` pool and
-a warm on-disk cache are pure performance features -- every observable
-(slowdown vectors, counter readings, full RunResults) matches the serial
-in-process path exactly, so rendered figures stay byte-identical.
+These are acceptance tests of the runtime layer: a warm on-disk cache is
+a pure performance feature -- every observable (slowdown vectors, counter
+readings, full RunResults) matches the cold in-process path exactly, so
+rendered figures stay byte-identical.  Cross-process identity (a
+``--shards 2`` fleet vs a solo run) is covered by
+``tests/dist/test_cli_dist.py``.
 """
 
 import numpy as np
 import pytest
 
-import repro.runtime.executor as executor_mod
 from repro.core.melody import Melody
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine
@@ -22,45 +23,9 @@ def fig8a_subset():
     return Melody.device_campaign(workloads=all_workloads()[:6])
 
 
-@pytest.fixture
-def quad_cpu(monkeypatch):
-    """Pretend the host has 4 CPUs so the jobs clamp keeps the pool."""
-    monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 4)
-
-
-def _private_melody(jobs=1, cache_dir=None):
-    engine = CampaignEngine(cache=RunCache(cache_dir), jobs=jobs)
+def _private_melody(cache_dir=None):
+    engine = CampaignEngine(cache=RunCache(cache_dir))
     return Melody(engine=engine), engine
-
-
-class TestParallelDeterminism:
-    def test_parallel_matches_serial_bitwise(self, fig8a_subset, quad_cpu):
-        serial, _ = _private_melody(jobs=1)
-        parallel, engine = _private_melody(jobs=4)
-        expected = serial.run(fig8a_subset)
-        actual = parallel.run(fig8a_subset)
-
-        assert engine.stats.cells_run > 0
-        for target in expected.target_names():
-            np.testing.assert_array_equal(
-                expected.slowdowns(target), actual.slowdowns(target)
-            )
-        for want, got in zip(expected.records, actual.records):
-            assert want.workload == got.workload
-            assert want.target == got.target
-            assert want.run.counters == got.run.counters
-            assert want.baseline.counters == got.baseline.counters
-            assert want.run == got.run
-
-    def test_record_order_independent_of_jobs(self, fig8a_subset, quad_cpu):
-        serial, _ = _private_melody(jobs=1)
-        parallel, _ = _private_melody(jobs=4)
-        a = serial.run(fig8a_subset)
-        b = parallel.run(fig8a_subset)
-        assert [(r.workload, r.target) for r in a.records] == [
-            (r.workload, r.target) for r in b.records
-        ]
-        assert a.skipped == b.skipped
 
 
 class TestWarmCacheDeterminism:

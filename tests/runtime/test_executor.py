@@ -1,7 +1,6 @@
-"""CampaignEngine tests: dedupe, ordering, stats, pool and fallback."""
+"""CampaignEngine tests: dedupe, ordering, stats, planning, sim cells."""
 
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
 import repro.runtime.executor as executor_mod
 from repro.cpu.pipeline import PipelineConfig, run_workload
@@ -11,19 +10,12 @@ from repro.runtime.executor import (
     Cell,
     ExecutionPlanner,
     SimCell,
-    _pool_chunksize,
 )
 
 
 @pytest.fixture
 def engine():
     return CampaignEngine(cache=RunCache())
-
-
-@pytest.fixture
-def quad_cpu(monkeypatch):
-    """Pretend the host has 4 CPUs so jobs>1 survives the clamp."""
-    monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 4)
 
 
 @pytest.fixture
@@ -73,187 +65,13 @@ class TestRunCells:
         assert engine.stats.cells_run == 2
         assert a.counters != b.counters
 
-
-class TestParallel:
-    """Pool-machinery tests force ``mode="pool"``: the planner's cost
-    model (correctly) refuses to fork a pool for a six-cell grid, and
-    these tests exercise the pool plumbing, not the planning policy."""
-
-    def test_pool_matches_serial_bitwise(self, grid, quad_cpu):
-        serial = CampaignEngine(cache=RunCache(), jobs=1).run_cells(grid)
-        parallel = CampaignEngine(
-            cache=RunCache(), jobs=4, mode="pool"
-        ).run_cells(grid)
-        assert serial == parallel
-        for s, p in zip(serial, parallel):
-            assert s.cycles == p.cycles
-            assert s.counters == p.counters
-
-    def test_small_batches_stay_serial(self, simple_workload, emr, device_a,
-                                       monkeypatch, quad_cpu):
-        engine = CampaignEngine(cache=RunCache(), jobs=4)
-
-        def boom(pending, jobs):  # pool must not be touched for tiny batches
-            raise AssertionError("pool used for a small batch")
-
-        monkeypatch.setattr(engine, "_execute_pool", boom)
-        engine.run_cells([Cell(simple_workload, emr, device_a)])
-        assert engine.stats.pool_fallbacks == 0
-
-    def test_broken_pool_falls_back_to_serial(self, grid, monkeypatch,
-                                              quad_cpu):
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-
-        def boom(pending, jobs):
-            raise OSError("no semaphores in this sandbox")
-
-        monkeypatch.setattr(engine, "_execute_pool", boom)
-        results = engine.run_cells(grid)
-        assert engine.stats.pool_fallbacks == 1
-        assert results == CampaignEngine(cache=RunCache()).run_cells(grid)
-
-    def test_run_errors_propagate(self, grid, monkeypatch, quad_cpu):
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-
-        def boom(pending, jobs):
+    def test_run_errors_propagate(self, engine, grid, monkeypatch):
+        def boom(*args, **kwargs):
             raise RuntimeError("a genuine run failure")
 
-        monkeypatch.setattr(engine, "_execute_pool", boom)
+        monkeypatch.setattr(executor_mod, "run_workload", boom)
         with pytest.raises(RuntimeError):
             engine.run_cells(grid)
-
-    def test_broken_process_pool_mid_map_falls_back(self, grid, monkeypatch,
-                                                    quad_cpu):
-        """A pool that dies mid-``map`` degrades to identical serial results."""
-
-        class DyingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                raise BrokenProcessPool("worker died unexpectedly")
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", DyingPool)
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-        results = engine.run_cells(grid)
-        assert engine.stats.pool_fallbacks == 1
-        assert engine.stats.cells_serial == len(grid)
-        assert engine.stats.cells_pool == 0
-        assert results == CampaignEngine(cache=RunCache()).run_cells(grid)
-
-    def test_partial_pool_break_resubmits_only_rest(self, grid, monkeypatch,
-                                                    quad_cpu):
-        """Cells finished before the pool broke are kept, not re-run."""
-        k = 2
-
-        class PartialPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                items = list(items)
-
-                def gen():
-                    for item in items[:k]:
-                        yield fn(item)
-                    raise BrokenProcessPool("worker died mid-map")
-
-                return gen()
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", PartialPool)
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-        results = engine.run_cells(grid)
-        assert engine.stats.pool_fallbacks == 1
-        assert engine.stats.cells_pool == k
-        assert engine.stats.cells_resubmitted == len(grid) - k
-        assert engine.stats.cells_serial == len(grid) - k
-        assert results == CampaignEngine(cache=RunCache()).run_cells(grid)
-
-    def test_pool_vs_serial_cells_counted(self, grid, quad_cpu):
-        serial = CampaignEngine(cache=RunCache(), jobs=1)
-        serial.run_cells(grid)
-        assert serial.stats.cells_serial == len(grid)
-        assert serial.stats.cells_pool == 0
-        pooled = CampaignEngine(cache=RunCache(), jobs=2, mode="pool")
-        pooled.run_cells(grid)
-        if pooled.stats.pool_fallbacks == 0:
-            assert pooled.stats.cells_pool == len(grid)
-            assert pooled.stats.cells_serial == 0
-            assert pooled.stats.pool_wall_s > 0.0
-            assert 0.0 < pooled.stats.worker_utilization() <= 1.0
-
-
-class TestJobsClamp:
-    def test_clamped_to_serial_on_one_cpu(self, grid, monkeypatch):
-        """Even with the pool *forced*, one CPU can never fork a pool."""
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-
-        def boom(pending, jobs):  # a 1-CPU host must never pay for a pool
-            raise AssertionError("pool used despite the clamp")
-
-        monkeypatch.setattr(engine, "_execute_pool", boom)
-        results = engine.run_cells(grid)
-        assert engine.stats.jobs_clamped == 3
-        assert engine.stats.cells_serial == len(grid)
-        assert engine.stats.cells_pool == 0
-        assert engine.stats.pool_fallbacks == 0
-        assert results == CampaignEngine(cache=RunCache()).run_cells(grid)
-
-    def test_clamped_to_host_cpus(self, grid, monkeypatch):
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 2)
-        engine = CampaignEngine(cache=RunCache(), jobs=4, mode="pool")
-        seen = {}
-
-        def record(pending, jobs):
-            seen["jobs"] = jobs
-            return [executor_mod._execute_cell(cell) for cell in pending]
-
-        monkeypatch.setattr(engine, "_execute_pool", record)
-        engine.run_cells(grid)
-        assert seen["jobs"] == 2
-        assert engine.stats.jobs_clamped == 2
-
-    def test_unknown_cpu_count_leaves_jobs_alone(self, grid, monkeypatch):
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: None)
-        engine = CampaignEngine(cache=RunCache(), jobs=4)
-        assert engine._effective_jobs() == 4
-        assert engine.stats.jobs_clamped == 0
-
-    def test_fitting_jobs_not_clamped(self, monkeypatch):
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 8)
-        engine = CampaignEngine(cache=RunCache(), jobs=4)
-        assert engine._effective_jobs() == 4
-        assert engine.stats.jobs_clamped == 0
-
-
-class TestPoolChunksize:
-    def test_at_least_one(self):
-        assert _pool_chunksize(1, 8) == 1
-
-    def test_every_worker_gets_a_chunk(self):
-        for n in (4, 6, 9, 17, 33, 100, 1000):
-            for jobs in (2, 4, 8, 16):
-                size = _pool_chunksize(n, jobs)
-                chunks = -(-n // size)
-                assert chunks >= min(jobs, n), (n, jobs, size)
-
-    def test_large_batches_amortize(self):
-        # 4 chunks per worker once the batch is big enough.
-        assert _pool_chunksize(320, 8) == 10
-        assert _pool_chunksize(64, 4) == 4
 
 
 class TestStats:
@@ -291,8 +109,7 @@ class TestStats:
 class TestPlanner:
     """The execution planner's cost-model decisions are pure policy --
     results are byte-identical either way -- but the decisions themselves
-    carry hard guarantees: no pool on one worker, no batch across
-    incompatible cells."""
+    carry a hard guarantee: no batch across incompatible cells."""
 
     @pytest.fixture
     def sim_cells(self):
@@ -304,18 +121,6 @@ class TestPlanner:
                     offered_gbps=3.0 + i)
             for i in range(8)
         ]
-
-    def test_pool_never_chosen_on_one_worker(self, grid, sim_cells):
-        planner = ExecutionPlanner()
-        for cells in (grid, sim_cells, grid * 300):
-            for mode in ("auto", "pool"):
-                plan = planner.plan(cells, jobs=1, mode=mode)
-                assert plan.choice != "pool", (mode, len(cells))
-
-    def test_forced_pool_on_one_worker_degrades_to_serial(self, grid):
-        plan = ExecutionPlanner().plan(grid, jobs=1, mode="pool")
-        assert plan.choice == "serial"
-        assert plan.reason == "one-worker"
 
     def test_batch_never_groups_incompatible_cells(self, grid, sim_cells):
         planner = ExecutionPlanner()
@@ -331,28 +136,20 @@ class TestPlanner:
         assert not planner.batchable(pinned)
         for cells in (grid, grid + sim_cells, pinned):
             for mode in ("auto", "batch"):
-                plan = planner.plan(cells, jobs=1, mode=mode)
-                assert plan.choice != "batch"
+                plan = planner.plan(cells, mode=mode)
+                assert plan.choice == "serial"
 
     def test_auto_batches_sim_cells(self, sim_cells):
-        plan = ExecutionPlanner().plan(sim_cells, jobs=1, mode="auto")
+        plan = ExecutionPlanner().plan(sim_cells, mode="auto")
         assert plan.choice == "batch"
         assert plan.est_s <= plan.est_serial_s
-
-    def test_auto_pools_only_when_the_model_says_so(self, grid):
-        planner = ExecutionPlanner()
-        # Six analytic cells never amortize a pool fork.
-        assert planner.plan(grid, jobs=4, mode="auto").choice == "serial"
-        # A thousand of them do (with workers actually available).
-        big = grid * 200
-        assert planner.plan(big, jobs=4, mode="auto").choice == "pool"
-        assert planner.plan(big, jobs=1, mode="auto").choice == "serial"
 
     def test_unknown_mode_rejected(self, grid):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            ExecutionPlanner().plan(grid, jobs=1, mode="fastest")
+        for mode in ("fastest", "pool"):
+            with pytest.raises(ConfigurationError):
+                ExecutionPlanner().plan(grid, mode=mode)
 
 
 class TestSimCells:

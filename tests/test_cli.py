@@ -94,7 +94,7 @@ class TestFiguresExport:
 class TestRuntimeFlags:
     @pytest.fixture(autouse=True)
     def fresh_runtime(self):
-        # --jobs/--cache-dir reconfigure the process-wide engine; keep that
+        # --cache-dir/--engine reconfigure the process-wide engine; keep that
         # from leaking into (or out of) other tests.
         from repro.runtime import reset_runtime
 
@@ -124,15 +124,16 @@ class TestRuntimeFlags:
                              if l.startswith("  ")]
         assert rows(cold) == rows(warm)
 
-    def test_campaign_jobs_flag_identical_output(self, capsys):
-        args = ("campaign", "--suite", "PARSEC", "--targets", "cxl-a",
-                "--sample", "4")
-        _, serial = run_cli(capsys, *args)
-        code, parallel = run_cli(capsys, *args, "--jobs", "2")
-        assert code == 0
-        rows = lambda text: [l for l in text.splitlines()
-                             if l.startswith("  ")]
-        assert rows(serial) == rows(parallel)
+    @pytest.mark.parametrize("argv", [
+        ("campaign", "--jobs", "2"),
+        ("figures", "tab01", "--jobs", "2"),
+        ("campaign", "--engine", "pool"),
+    ])
+    def test_process_pool_options_rejected(self, capsys, argv):
+        """The engine has no process pool; ``--shards N`` fans out."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
     def test_figures_prints_stats_line(self, capsys):
         code, out = run_cli(capsys, "figures", "tab01")
