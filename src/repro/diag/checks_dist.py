@@ -14,8 +14,9 @@ that these checks enforce on every ``repro validate`` run:
   completes and leaves the shared cache assembling records
   bit-identical to a solo run.
 * **Degradation is graceful and honest.**  A cell that fails every
-  attempt quarantines as a ``FailedCell`` record, is never cached, and
-  the rest of the campaign completes around it.
+  attempt quarantines as a ``FailedCell`` record, is never cached, the
+  rest of the campaign completes around it, and every surviving record
+  is bit-identical to a chaos-free run.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def check_dist_campaign_identity(ctx: DiagContext) -> Iterator[Violation]:
     layer="dist",
     description="a cell failing every attempt quarantines as a "
     "FailedCell, stays out of the cache, and the campaign completes "
-    "around it",
+    "around it with survivors bit-identical to a chaos-free run",
 )
 def check_dist_quarantine(ctx: DiagContext) -> Iterator[Violation]:
     """Graceful degradation end to end: doomed cell, finished campaign."""
@@ -226,6 +227,7 @@ def check_dist_quarantine(ctx: DiagContext) -> Iterator[Violation]:
         WorkerPlan,
         doomed_key,
         run_dist_campaign,
+        solo_records,
     )
     from repro.faults.chaos import ChaosPolicy
     from repro.runtime.cache import RunCache
@@ -285,3 +287,17 @@ def check_dist_quarantine(ctx: DiagContext) -> Iterator[Violation]:
                 context={"committed": str(outcome.summary.committed),
                          "units": str(outcome.summary.units)},
             )
+        # Assembling from the dist cache re-runs only the doomed cell
+        # (sabotage-free here); every other record is a survivor.
+        assembled = solo_records(SMOKE_SPEC, cache_dir)
+    reference = solo_records(SMOKE_SPEC, None)
+    if json.dumps(assembled, sort_keys=True) \
+            != json.dumps(reference, sort_keys=True):
+        yield Violation(
+            layer="dist", check="dist-quarantine",
+            subject="bit-identity",
+            message="records surviving the doomed cell differ from a "
+            "chaos-free run (retries must be bit-transparent)",
+            context={"assembled": str(len(assembled)),
+                     "reference": str(len(reference))},
+        )

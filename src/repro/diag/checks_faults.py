@@ -1,4 +1,4 @@
-"""Faults-layer invariants: injection is deterministic, resilience is safe.
+"""Faults-layer invariants: injection is deterministic, retries reproducible.
 
 The fault subsystem makes two promises that these checks enforce on every
 ``repro validate`` run:
@@ -8,11 +8,13 @@ The fault subsystem makes two promises that these checks enforce on every
   keys); an enabled plan perturbs both engines identically and
   deterministically; and enabling a plan moves the cell to a *different*
   cache key so faulted results can never shadow fault-free ones.
-* **The resilient runtime survives chaos without lying.**  A campaign run
-  under seeded worker sabotage completes (no hang, no abort), quarantines
-  exactly the doomed cells as :class:`~repro.runtime.executor.FailedCell`
-  records, never caches a quarantined cell, and produces surviving
-  records bit-identical to a chaos-free run.
+* **Retries are reproducible.**  The seeded backoff schedule is a pure,
+  jitter-bounded function of (seed, cell, attempt).
+
+Surviving worker sabotage end to end -- quarantine of doomed cells and
+survivors bit-identical to a chaos-free run -- is the ``dist`` layer's
+job (:mod:`repro.diag.checks_dist`): crashes and hangs are the lease
+coordinator's to absorb.
 """
 
 from __future__ import annotations
@@ -248,72 +250,4 @@ def check_backoff_schedule(ctx: DiagContext) -> Iterator[Violation]:
                 message="backoff left the jitter envelope",
                 context={"value": f"{first:.6f}",
                          "envelope": f"[{lo:.6f}, {hi:.6f}]"},
-            )
-
-
-@invariant(
-    name="chaos-survival",
-    layer="faults",
-    description="a campaign under seeded worker sabotage completes, "
-    "quarantines exactly the doomed cells, never caches them, and leaves "
-    "surviving records bit-identical to a chaos-free run",
-)
-def check_chaos_survival(ctx: DiagContext) -> Iterator[Violation]:
-    """The chaos harness is the end-to-end resilience proof."""
-    from repro.faults.harness import fault_free_reference, run_chaos_campaign
-
-    outcome = run_chaos_campaign(seed=ctx.seed + 11)
-    subjects(check_chaos_survival, outcome.expected_records)
-    failed_keys = {f.key for f in outcome.result.failed}
-    if set(outcome.doomed_keys) - failed_keys:
-        yield Violation(
-            layer="faults",
-            check="chaos-survival",
-            subject="quarantine",
-            message="a doomed cell was not quarantined",
-            context={"doomed": str(outcome.doomed_keys),
-                     "failed": str(sorted(failed_keys))},
-        )
-    for record in outcome.result.failed:
-        if record.reason not in ("error", "crash", "timeout"):
-            yield Violation(
-                layer="faults",
-                check="chaos-survival",
-                subject=record.key[:16],
-                message=f"FailedCell carries unknown reason {record.reason!r}",
-                context={},
-            )
-        if outcome.engine.cache.get(record.key) is not None:
-            yield Violation(
-                layer="faults",
-                check="chaos-survival",
-                subject=record.key[:16],
-                message="a quarantined cell was written to the run cache",
-                context={"reason": record.reason},
-            )
-    expected_survivors = outcome.expected_records - len(outcome.doomed_keys)
-    if len(outcome.result.records) != expected_survivors:
-        yield Violation(
-            layer="faults",
-            check="chaos-survival",
-            subject="records",
-            message="chaos campaign lost records beyond the doomed cells",
-            context={"got": str(len(outcome.result.records)),
-                     "expected": str(expected_survivors)},
-        )
-    reference = fault_free_reference(outcome.campaign)
-    ref_by_cell = {
-        (r.workload, r.target): r.slowdown_pct for r in reference.records
-    }
-    for record in outcome.result.records:
-        expected = ref_by_cell.get((record.workload, record.target))
-        if expected is None or record.slowdown_pct != expected:
-            yield Violation(
-                layer="faults",
-                check="chaos-survival",
-                subject=f"{record.workload}/{record.target}",
-                message="a surviving record differs from the chaos-free "
-                "run (retries must be bit-transparent)",
-                context={"chaos": f"{record.slowdown_pct!r}",
-                         "reference": f"{expected!r}"},
             )

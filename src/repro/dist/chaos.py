@@ -2,7 +2,7 @@
 
 :class:`ChaosTransport` is a drop-in :class:`~repro.dist.frames
 .FrameTransport` whose *outgoing* path consults a
-:class:`~repro.faults.netchaos.NetChaosPolicy` per frame:
+:class:`~repro.faults.chaos.NetChaosPolicy` per frame:
 
 * ``dup``     -- the frame ships twice (the receiver's
   :class:`~repro.dist.frames.InOrderChannel` drops the second copy);
@@ -34,7 +34,7 @@ import time
 from typing import Optional
 
 from repro.dist.frames import FrameTransport
-from repro.faults.netchaos import NetChaosPolicy
+from repro.faults.chaos import NET_ACTIONS, NetChaosPolicy
 
 PARTIAL_STALL_S = 0.01
 """Pause between the two halves of a partial write."""
@@ -56,9 +56,7 @@ class ChaosTransport(FrameTransport):
         self._sleep = sleep
         self._frame_index = 0
         self._held: Optional[bytes] = None
-        self.actions_taken = {name: 0 for name in
-                              ("drop", "dup", "reorder", "delay",
-                               "partial", "none")}
+        self.actions_taken = {name: 0 for name in NET_ACTIONS}
 
     def _sever(self, reason: str) -> None:
         """Kill the connection and surface it to the caller."""

@@ -32,8 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.dist.coordinator import Coordinator, DistSummary
 from repro.dist.spec import CampaignSpec
 from repro.dist.worker import Worker
-from repro.faults.chaos import ChaosPolicy
-from repro.faults.netchaos import NetChaosPolicy
+from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
 from repro.runtime.executor import RetryPolicy
 
 SMOKE_SPEC = CampaignSpec(

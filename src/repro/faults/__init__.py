@@ -8,30 +8,29 @@ Two halves, both seeded and content-addressed:
   :class:`FaultPlan` and applied to the event-driven simulator's prepared
   inputs, identically in both engines.
 * **Host chaos** (:mod:`repro.faults.chaos`) -- worker kills, injected
-  errors, and hangs against the campaign runtime, which the resilient
-  executor must retry, time out, or quarantine.
-* **Network chaos** (:mod:`repro.faults.netchaos`) -- seeded per-frame
-  sabotage (drops, duplicates, reordering, latency spikes, partial
-  writes) for the :mod:`repro.dist` coordinator/worker wire, which the
-  lease protocol must absorb without ever changing campaign output.
+  errors, and hangs against campaign cells (which the resilient engine
+  retries or quarantines, and the lease coordinator survives), plus
+  seeded per-frame sabotage (drops, duplicates, reordering, latency
+  spikes, partial writes) of the :mod:`repro.dist` coordinator/worker
+  wire, which the lease protocol must absorb without ever changing
+  campaign output.
 
 Importing this package is free of side effects: with no plan installed
 every fault-free code path is byte-identical to a build without the
 subsystem (the ``faults`` diag layer enforces this).  The end-to-end
-chaos harness lives in :mod:`repro.faults.harness` (imported lazily; it
-pulls in the campaign stack).
+chaos harness is :mod:`repro.dist.harness`.
 """
 
 from repro.faults.chaos import (
     ChaosError,
     ChaosPolicy,
+    NetChaosPolicy,
     active_chaos,
     chaos_injection,
     clear_chaos,
     install_chaos,
 )
 from repro.faults.inject import AppliedFaults, apply_fault_plan
-from repro.faults.netchaos import NetChaosPolicy
 from repro.faults.plan import (
     EPISODE_KINDS,
     FaultEpisode,

@@ -245,9 +245,7 @@ def retry_storm_plan(
 # (and asyncio task) sees its own installation, so concurrent ``repro
 # serve`` jobs can run different fault plans without racing -- a race
 # here would silently mis-key cache entries.  Single-threaded CLI flows
-# are unchanged (install and execution share one context), and forked
-# isolated cell attempts inherit the forking thread's context with the
-# process image, exactly as they inherited the old global.
+# are unchanged (install and execution share one context).
 
 _ACTIVE: ContextVar[Optional[FaultPlan]] = ContextVar(
     "repro_fault_plan", default=None

@@ -21,8 +21,8 @@ One shared :func:`threading.RLock` guards every instrument update,
 instrument creation, and export, so ``+=`` on shared floats can never
 tear or lose increments and an export always sees a consistent snapshot
 (a histogram's ``counts`` always sum to its ``count``).  The lock is
-re-initialized in forked children (``os.register_at_fork``) so an isolated
-cell subprocess forked while another thread holds it cannot deadlock.
+re-initialized in forked children (``os.register_at_fork``) so a child
+forked while another thread holds it cannot deadlock.
 
 Determinism guarantee: instruments only *read* the quantities they are
 handed -- none of them touches an RNG or feeds back into a model -- so

@@ -35,18 +35,20 @@ coordinator (:mod:`repro.dist`, the CLI's ``--shards N`` /
 
 Genuine run errors propagate -- unless a :class:`RetryPolicy` is
 installed, which switches the engine into its **resilient mode**: each
-cell runs in an isolated subprocess with an optional wall-clock timeout,
-failures retry with seeded exponential backoff + jitter (the sleep
-function is injectable, so tests use a fake clock), and cells that
-exhaust their attempts are quarantined into structured
-:class:`FailedCell` records instead of aborting the campaign.  A
-``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists progress
-periodically so a killed campaign can resume.
+cell attempt runs in-process, failures retry with seeded exponential
+backoff + jitter (the sleep function is injectable, so tests use a fake
+clock), and cells that exhaust their attempts are quarantined into
+structured :class:`FailedCell` records instead of aborting the campaign.
+Crashes and hangs are not this module's business: a cell that kills or
+wedges its process is bounded by lease expiry on the coordinator
+(:mod:`repro.dist`, the CLI's ``--cell-timeout``).  A ``checkpointer``
+(see :mod:`repro.runtime.checkpoint`) persists progress periodically so
+a killed campaign can resume.
 
 Observability: every batch feeds the process-wide metrics registry
 (:mod:`repro.obs`) -- cells requested/run/cached/deduped, batch wall-time
 histogram, cache hit rate, serial-vs-batch split and the resilience
-counters (retries, timeouts, quarantines) -- and, when tracing is on,
+counters (retries, quarantines) -- and, when tracing is on,
 emits one wall-clock span per batch.  Instrumentation only observes wall
 time and counts; it cannot change which cells run or what they return.
 """
@@ -82,9 +84,6 @@ from repro.rng import DEFAULT_SEED, generator_for
 from repro.runtime.cache import RunCache, run_key
 from repro.runtime.serialize import FORMAT_VERSION
 from repro.workloads.base import WorkloadSpec
-
-_JOIN_GRACE_S = 5.0
-"""How long to wait for a terminated cell subprocess to die."""
 
 ENGINE_MODES = ("auto", "serial", "batch")
 """Accepted ``CampaignEngine.mode`` values (the CLI's ``--engine``)."""
@@ -212,102 +211,6 @@ def _execute_cell_attempt(cell: Cell, attempt: int = 1) -> RunResult:
     return _execute_cell(cell)
 
 
-def _isolated_child(conn, cell: Cell, attempt: int) -> None:
-    """Subprocess body for resilient execution: report, never raise."""
-    try:
-        result = _execute_cell_attempt(cell, attempt)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 -- the parent decides
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-def _run_cell_isolated(
-    cell: Cell, attempt: int, timeout_s: Optional[float]
-) -> Tuple[str, object]:
-    """Run one cell in its own subprocess with a wall-clock timeout.
-
-    Returns ``("ok", RunResult)`` or ``(reason, message)`` with reason one
-    of ``"error"`` (the cell raised), ``"crash"`` (the subprocess died
-    without reporting -- SIGKILL, ``os._exit``), or ``"timeout"``.  On
-    hosts without subprocess infrastructure the cell runs inline, which
-    keeps campaigns working but cannot enforce the timeout.
-    """
-    import multiprocessing as mp
-
-    try:
-        context = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        context = mp.get_context()
-    try:
-        parent, child = context.Pipe(duplex=False)
-        proc = context.Process(
-            target=_isolated_child, args=(child, cell, attempt)
-        )
-        proc.start()
-    except (OSError, ValueError, ImportError):
-        # No subprocess infrastructure (sandbox): degraded inline run.
-        try:
-            return "ok", _execute_cell_attempt(cell, attempt)
-        except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
-            return "error", f"{type(exc).__name__}: {exc}"
-    child.close()
-    try:
-        timed_out = False
-        if not parent.poll(timeout_s):
-            # Deadline passed with nothing on the pipe: kill the worker.
-            # (Termination closes the child's pipe end, so poll() below
-            # would see EOF exactly like a crash -- the flag is what
-            # distinguishes the two.)
-            proc.terminate()
-            timed_out = True
-        proc.join(_JOIN_GRACE_S)
-        if proc.is_alive():  # pragma: no cover - stuck in uninterruptible IO
-            proc.kill()
-            proc.join(_JOIN_GRACE_S)
-        if timed_out:
-            return "timeout", f"cell exceeded {timeout_s:.1f}s"
-        if not parent.poll(0):
-            return "crash", f"worker died (exit code {proc.exitcode})"
-        try:
-            status, payload = parent.recv()
-        except (EOFError, OSError):
-            return "crash", f"worker died (exit code {proc.exitcode})"
-        if status == "ok":
-            return "ok", payload
-        return "error", payload
-    finally:
-        try:
-            parent.close()
-        except Exception:
-            pass
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.terminate()
-            proc.join(_JOIN_GRACE_S)
-
-
-def _run_cell_inline(cell: AnyCell, attempt: int) -> Tuple[str, object]:
-    """Run one resilient attempt in-process (no subprocess, no timeout).
-
-    ``repro serve`` worker threads use this: forking from a thread while
-    other threads hold locks (metrics, cache) risks deadlocking the
-    child, and a server job only needs the retry/quarantine semantics --
-    crash isolation comes from the thread boundary, and hangs are bounded
-    by admission control, not per-cell timeouts.
-    """
-    try:
-        return "ok", _execute_cell_attempt(cell, attempt)
-    except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
-        return "error", f"{type(exc).__name__}: {exc}"
-
-
 @dataclass(frozen=True)
 class PlannerCosts:
     """Measured per-cell cost constants (seconds) for the planner.
@@ -428,7 +331,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    timeout_s: Optional[float] = None
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
@@ -438,8 +340,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
         if self.backoff_base_s < 0:
             raise ConfigurationError("backoff_base_s must be >= 0")
         if self.backoff_factor < 1.0:
@@ -521,8 +421,6 @@ class EngineStats:
     batches: int = 0
     cells_retried: int = 0
     """Failed attempts that were re-queued under a RetryPolicy."""
-    cells_timeout: int = 0
-    """Attempts killed by the per-cell wall-clock timeout."""
     cells_quarantined: int = 0
     """Cells resolved as FailedCell (including checkpoint-restored ones)."""
     cells_batched: int = 0
@@ -598,7 +496,7 @@ class CampaignEngine:
 
     With ``policy=None`` (the default) execution is fail-fast, exactly as
     historical callers expect.  Installing a :class:`RetryPolicy` switches
-    failed-cell handling to retry/timeout/quarantine; ``failed`` then
+    failed-cell handling to retry/quarantine; ``failed`` then
     accumulates one :class:`FailedCell` per quarantined cell and
     ``run_cells`` returns ``None`` in that cell's slot.
     """
@@ -612,12 +510,6 @@ class CampaignEngine:
     mode: str = "auto"
     """Execution-strategy override: one of :data:`ENGINE_MODES`."""
     planner: ExecutionPlanner = field(default_factory=ExecutionPlanner)
-    isolate: bool = True
-    """Resilient mode: run each attempt in its own subprocess (the CLI
-    default).  ``False`` runs attempts inline -- retry/quarantine without
-    fork -- which is what server worker threads need; a per-cell
-    ``timeout_s`` always forces isolation (only a killable subprocess can
-    enforce a wall-clock deadline)."""
     _quarantined: Dict[str, FailedCell] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -839,43 +731,40 @@ class CampaignEngine:
         pending_keys: List[str],
         resolved: Dict[str, Optional[RunResult]],
     ) -> int:
-        """Retry/timeout/quarantine execution under ``self.policy``.
+        """Retry/quarantine execution under ``self.policy``.
 
-        Cells run one attempt at a time; with ``isolate`` (or a per-cell
-        timeout) each attempt forks its own subprocess so crashes and
-        hangs cannot take the campaign down.  Resilient mode never plans
-        a fused batch: one poisoned cell would take its whole chunk down.
-        Backoff sleeps happen just before a retry runs, via the
-        injectable ``sleep_fn``.
+        Cells run one in-process attempt at a time; an exception is an
+        ``error``.  There is no fork and no timeout here: ``repro serve``
+        worker threads run this path (forking from a thread while other
+        threads hold locks risks deadlocking the child), and a CLI
+        campaign that must survive crashes or hangs runs on the lease
+        coordinator instead.  Resilient mode never plans a fused batch:
+        one poisoned cell would take its whole chunk down.  Backoff
+        sleeps happen just before a retry runs, via the injectable
+        ``sleep_fn``.
         """
         policy = self.policy
         queue: Deque[Tuple[Cell, str, int]] = deque(
             (cell, key, 1) for cell, key in zip(pending, pending_keys)
         )
         ok = 0
-        isolate = self.isolate or policy.timeout_s is not None
         while queue:
             cell, key, attempt = queue.popleft()
             if attempt > 1:
                 delay = policy.backoff_s(key, attempt - 1)
                 if delay > 0:
                     self.sleep_fn(delay)
-            if isolate:
-                outcome, payload = _run_cell_isolated(
-                    cell, attempt, policy.timeout_s
-                )
+            try:
+                result = _execute_cell_attempt(cell, attempt)
+            except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
+                message = f"{type(exc).__name__}: {exc}"
             else:
-                outcome, payload = _run_cell_inline(cell, attempt)
-            if outcome == "ok":
-                self._complete(key, payload, resolved)
+                self._complete(key, result, resolved)
                 self.stats.cells_serial += 1
                 ok += 1
                 continue
-            if outcome == "timeout":
-                self.stats.cells_timeout += 1
-                metrics().counter("runtime.cells_timeout").inc()
             if attempt >= policy.max_attempts:
-                self._quarantine(cell, key, attempt, outcome, str(payload))
+                self._quarantine(cell, key, attempt, "error", message)
             else:
                 self.stats.cells_retried += 1
                 metrics().counter("runtime.cells_retried").inc()

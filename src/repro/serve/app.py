@@ -79,7 +79,6 @@ class ServeConfig:
     max_queue: int = 32
     per_tenant: int = 16
     cell_retries: int = 2
-    cell_timeout: Optional[float] = None
     cache_dir: Optional[str] = None
     allow_chaos: bool = False
     drain_s: float = 5.0
@@ -246,7 +245,6 @@ class ServeApp:
         engine = build_engine(
             cache=self.cache,
             retries=self.config.cell_retries,
-            timeout_s=self.config.cell_timeout,
         )
         mark = [time.perf_counter()]
 

@@ -278,19 +278,15 @@ def parse_query(data: object, allow_chaos: bool = False) -> Query:
 def build_engine(
     cache: Optional[RunCache] = None,
     retries: int = 2,
-    timeout_s: Optional[float] = None,
 ) -> CampaignEngine:
     """The per-job engine the server (and ``--oneshot``) executes with.
 
-    ``isolate=False`` runs resilient attempts inline -- retry/quarantine
-    semantics without forking from a worker thread.  A
-    per-cell ``timeout_s`` re-enables isolation (the engine forces it;
-    only a killable subprocess can enforce a deadline).
+    Resilient attempts run inline in the job's worker thread: retry and
+    quarantine semantics, and no fork.
     """
     return CampaignEngine(
         cache=cache if cache is not None else RunCache(),
-        policy=RetryPolicy(max_attempts=retries, timeout_s=timeout_s),
-        isolate=False,
+        policy=RetryPolicy(max_attempts=retries),
     )
 
 
@@ -400,7 +396,6 @@ def run_oneshot(
     cache_dir: Optional[str] = None,
     allow_chaos: bool = False,
     retries: int = 2,
-    timeout_s: Optional[float] = None,
 ) -> bytes:
     """Parse, execute and render one query exactly as the server would.
 
@@ -409,7 +404,5 @@ def run_oneshot(
     coalesced subscriber received for the same query.
     """
     query = parse_query(data, allow_chaos=allow_chaos)
-    engine = build_engine(
-        cache=RunCache(cache_dir), retries=retries, timeout_s=timeout_s
-    )
+    engine = build_engine(cache=RunCache(cache_dir), retries=retries)
     return render_document(execute_query(query, engine))

@@ -140,3 +140,25 @@ def bandwidth_workload():
         threads=4,
         latency_class="bandwidth",
     )
+
+
+@pytest.fixture
+def small_campaign():
+    """Factory for a small real campaign: N workloads on CXL-A.
+
+    The first ``n_workloads`` workloads that fit the device, so every
+    workload contributes one baseline and one device cell.
+    """
+    from repro.core.melody import Campaign
+    from repro.workloads import all_workloads
+
+    def build(n_workloads=4):
+        target = cxl_a()
+        fitting = tuple(
+            w for w in all_workloads()
+            if w.working_set_gb <= target.capacity_gb
+        )[:n_workloads]
+        return Campaign(name="small", platform=EMR2S, targets=(target,),
+                        workloads=fitting)
+
+    return build

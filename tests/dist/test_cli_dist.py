@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.cli import _fleet_cleanup, _parse_endpoint, main
+from repro.cli import _fleet_cleanup, _parse_endpoint, build_parser, main
 from repro.errors import MelodyError
 
 
@@ -56,6 +56,32 @@ class TestCampaignFlagValidation:
         ])
         assert code == 2
         assert "--dist-workers" in capsys.readouterr().err
+
+    def test_cell_timeout_requires_cache_dir(self, capsys):
+        code = main(["campaign", "--cell-timeout", "5"])
+        assert code == 2
+        assert "--cell-timeout requires --cache-dir" \
+            in capsys.readouterr().err
+
+    def test_dist_spellings_set_the_cell_flags(self):
+        parser = build_parser()
+        for flag in ("--cell-timeout", "--dist-lease"):
+            args = parser.parse_args(["campaign", flag, "7.5"])
+            assert args.cell_timeout == 7.5
+        for flag in ("--cell-retries", "--dist-unit-retries"):
+            args = parser.parse_args(["campaign", flag, "4"])
+            assert args.cell_retries == 4
+        args = parser.parse_args(["campaign"])
+        assert args.cell_timeout is None and args.cell_retries is None
+        assert not hasattr(args, "dist_lease")
+        assert not hasattr(args, "dist_unit_retries")
+
+    def test_serve_has_no_cell_timeout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--cell-timeout", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cell-timeout" \
+            in capsys.readouterr().err
 
     def test_worker_endpoint_validated(self, capsys):
         code = main(["worker", "--connect", "not-an-endpoint"])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.dist.chaos import ChaosTransport
 from repro.dist.frames import FrameError, FrameTransport, InOrderChannel
-from repro.faults.netchaos import ACTIONS, NetChaosPolicy
+from repro.faults.chaos import NET_ACTIONS, NetChaosPolicy
 
 
 class ScriptedPolicy:
@@ -204,4 +204,4 @@ class TestPolicyValidation:
     def test_action_names_are_known(self):
         policy = NetChaosPolicy.from_seed(3)
         for i in range(1, 100):
-            assert policy.action("s", i) in ACTIONS
+            assert policy.action("s", i) in NET_ACTIONS

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,6 @@ import pytest
 import repro
 from repro.core.melody import Melody
 from repro.errors import ConfigurationError
-from repro.faults.harness import chaos_campaign
 from repro.faults.plan import FaultPlan, FaultEpisode, fault_injection
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import (
@@ -161,15 +161,15 @@ class TestCheckpointer:
 
 
 class TestFingerprint:
-    def test_stable_and_campaign_sensitive(self):
-        a = chaos_campaign(4)
-        b = chaos_campaign(4)
-        c = chaos_campaign(3)
+    def test_stable_and_campaign_sensitive(self, small_campaign):
+        a = small_campaign(4)
+        b = small_campaign(4)
+        c = small_campaign(3)
         assert campaign_fingerprint(a) == campaign_fingerprint(b)
         assert campaign_fingerprint(a) != campaign_fingerprint(c)
 
-    def test_fault_plan_changes_fingerprint(self):
-        campaign = chaos_campaign(4)
+    def test_fault_plan_changes_fingerprint(self, small_campaign):
+        campaign = small_campaign(4)
         bare = campaign_fingerprint(campaign)
         plan = FaultPlan(name="p", episodes=(FaultEpisode(kind="ecc"),))
         with fault_injection(plan):
@@ -184,16 +184,16 @@ class TestSigkillResume:
     """A campaign killed between checkpoints resumes without re-running."""
 
     CHILD = textwrap.dedent("""\
-        import os, sys
+        import os, pickle, sys
         sys.path.insert(0, sys.argv[1])
         cache_dir = sys.argv[2]
-        from repro.faults.harness import chaos_campaign
         from repro.runtime import (
             CampaignEngine, Checkpointer, RunCache, campaign_fingerprint,
         )
         from repro.runtime.executor import Cell
 
-        campaign = chaos_campaign(4)
+        with open(sys.argv[3], "rb") as handle:
+            campaign = pickle.load(handle)
         cells = [
             Cell(w, campaign.platform, t, campaign.config)
             for t in (campaign.platform.local_target(),) + campaign.targets
@@ -211,17 +211,22 @@ class TestSigkillResume:
         os._exit(9)  # abrupt death, SIGKILL-style: no flush, no finalize
     """)
 
-    def test_resume_after_kill_identical_and_incremental(self, tmp_path):
+    def test_resume_after_kill_identical_and_incremental(
+        self, tmp_path, small_campaign
+    ):
         cache_dir = str(tmp_path / "cache")
         script = tmp_path / "child.py"
         script.write_text(self.CHILD)
+        campaign = small_campaign(4)
+        campaign_file = tmp_path / "campaign.pickle"
+        campaign_file.write_bytes(pickle.dumps(campaign))
         proc = subprocess.run(
-            [sys.executable, str(script), SRC_DIR, cache_dir],
+            [sys.executable, str(script), SRC_DIR, cache_dir,
+             str(campaign_file)],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 9, proc.stderr
 
-        campaign = chaos_campaign(4)
         fingerprint = campaign_fingerprint(campaign)
         state = load_checkpoint(cache_dir, fingerprint)
         assert state is not None and not state.complete

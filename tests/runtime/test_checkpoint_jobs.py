@@ -11,6 +11,7 @@ of them without re-running its checkpointed cells.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -21,7 +22,6 @@ import pytest
 import repro
 from repro.core.melody import Melody
 from repro.errors import ConfigurationError
-from repro.faults.harness import chaos_campaign
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import (
     Checkpointer,
@@ -103,16 +103,16 @@ class TestSigkillResumeWithTwin:
     """SIGKILL mid-campaign with a concurrent same-fingerprint twin."""
 
     CHILD = textwrap.dedent("""\
-        import os, sys, threading
+        import os, pickle, sys, threading
         sys.path.insert(0, sys.argv[1])
         cache_dir = sys.argv[2]
-        from repro.faults.harness import chaos_campaign
         from repro.runtime import (
             CampaignEngine, Checkpointer, RunCache, campaign_fingerprint,
         )
         from repro.runtime.executor import Cell
 
-        campaign = chaos_campaign(4)
+        with open(sys.argv[3], "rb") as handle:
+            campaign = pickle.load(handle)
         fingerprint = campaign_fingerprint(campaign)
         cells = [
             Cell(w, campaign.platform, t, campaign.config)
@@ -145,17 +145,22 @@ class TestSigkillResumeWithTwin:
         os._exit(9)  # abrupt death: no flush, no finalize
     """)
 
-    def test_both_checkpoints_survive_and_resume_works(self, tmp_path):
+    def test_both_checkpoints_survive_and_resume_works(
+        self, tmp_path, small_campaign
+    ):
         cache_dir = str(tmp_path / "cache")
         script = tmp_path / "child.py"
         script.write_text(self.CHILD)
+        campaign = small_campaign(4)
+        campaign_file = tmp_path / "campaign.pickle"
+        campaign_file.write_bytes(pickle.dumps(campaign))
         proc = subprocess.run(
-            [sys.executable, str(script), SRC_DIR, cache_dir],
+            [sys.executable, str(script), SRC_DIR, cache_dir,
+             str(campaign_file)],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 9, proc.stderr
 
-        campaign = chaos_campaign(4)
         fingerprint = campaign_fingerprint(campaign)
         a = load_checkpoint(cache_dir, fingerprint, "job-a")
         b = load_checkpoint(cache_dir, fingerprint, "job-b")
