@@ -156,13 +156,13 @@ def test_perf_sim_campaign_batched():
     # Correctness gate first: serial and batch must agree bit-for-bit on
     # every cell before either strategy's timing is worth reporting.
     serial_ref, _, _ = _run_sim(cells, "serial")
-    batch_results, _, _ = _run_sim(cells, "batch")
+    batch_results, _, _ = _run_sim(cells, "auto")
     _assert_cells_identical(serial_ref, batch_results, "batch")
 
     # Timed passes on fresh engines (the identity pass warmed the code
     # paths for every strategy equally); best of 3 per strategy.
     _, serial_engine, serial_s = _run_sim(cells, "serial", repeats=3)
-    _, batch_engine, batch_s = _run_sim(cells, "batch", repeats=3)
+    _, batch_engine, batch_s = _run_sim(cells, "auto", repeats=3)
 
     report = (
         json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}

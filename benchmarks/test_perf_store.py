@@ -94,7 +94,7 @@ def test_perf_store_warm_reads(tmp_path):
 
     # Populate both tiers: the batch engine fills memory + JSON documents,
     # promotion packs the same results into the columnar store.
-    engine = CampaignEngine(cache=RunCache(cache_dir), mode="batch")
+    engine = CampaignEngine(cache=RunCache(cache_dir))
     start = time.perf_counter()
     engine.run_cells(cells)
     sim_s = time.perf_counter() - start

@@ -1171,11 +1171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="export dataset CSV")
     p.add_argument("--json", default=None, help="export dataset JSON")
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "serial", "batch"],
-                   help="cell execution strategy: auto consults the "
-                   "planner cost model per batch of cells; serial/batch "
-                   "force one strategy (results are byte-identical "
-                   "across all of them)")
+                   choices=["auto", "serial"],
+                   help="cell execution strategy: auto fuses a pending "
+                   "set into batch kernels when every cell is a "
+                   "batchable simulation cell; serial never batches "
+                   "(results are byte-identical either way)")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk run cache shared across invocations")
     p.add_argument("--strict", action="store_true",

@@ -295,7 +295,7 @@ def check_eventsim_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     a second batch runs under a fault plan exercising the per-cell RNG
     streams (retry storm mutates the retry draws, a thermal window
     applies ``service_scale``).  A divergence anywhere means the
-    planner's strategy choice could leak into figures.
+    engine's batch-or-serial choice could leak into figures.
     """
     import numpy as np
 
@@ -379,6 +379,74 @@ def check_eventsim_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     yield from sweep("")
     with fault_injection(plan):
         yield from sweep("/faulted")
+
+
+_THREAD_CHECK_REQUESTS = (2_000, 1_500)
+_THREAD_CHECK_THREADS = 4
+_THREAD_CHECK_ROUNDS = 3
+
+
+@invariant(
+    name="eventsim-thread-identity",
+    layer="device",
+    description="simulations running on concurrent threads (solo vector "
+    "and fused batch) return byte-identical results to serial runs",
+)
+def check_eventsim_thread_identity(ctx: DiagContext) -> Iterator[Violation]:
+    """The kernels share no mutable state across threads.
+
+    ``repro serve`` computes cold queries on a thread pool, so every job
+    -- one solo vector simulation per operating point, plus one fused
+    batch over all of them -- runs several times on concurrent threads
+    and must match its serial run bit for bit.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    from repro.hw.cxl.eventdevice import EventDrivenDevice, simulate_batch
+
+    points = []
+    for device in ctx.cxl_devices():
+        sim = EventDrivenDevice(device, seed=ctx.seed)
+        peak = device.peak_bandwidth_gbps(1.0)
+        for n, (load_fraction, read_fraction) in zip(
+            _THREAD_CHECK_REQUESTS, _ENGINE_CHECK_POINTS
+        ):
+            points.append((sim, n, load_fraction * peak, read_fraction))
+    jobs = {
+        f"{sim.device.name}@{load:.1f}gbps/rf{rf}/vector": (
+            lambda sim=sim, n=n, load=load, rf=rf: [
+                sim.simulate(n, load, read_fraction=rf, engine="vector")
+            ]
+        )
+        for sim, n, load, rf in points
+    }
+    jobs["all-devices/batch"] = lambda: simulate_batch(points)
+    subjects(check_eventsim_thread_identity, len(jobs))
+
+    serial = {name: job() for name, job in jobs.items()}
+    names = list(jobs) * _THREAD_CHECK_ROUNDS
+    with ThreadPoolExecutor(max_workers=_THREAD_CHECK_THREADS) as pool:
+        concurrent = list(pool.map(lambda name: jobs[name](), names))
+
+    def counters(r):
+        return (r.bank_conflicts, r.refresh_collisions, r.link_retries)
+
+    diverged = {}
+    for name, results in zip(names, concurrent):
+        for expected, got in zip(serial[name], results):
+            if not np.array_equal(expected.latencies_ns, got.latencies_ns) \
+                    or counters(expected) != counters(got):
+                diverged[name] = diverged.get(name, 0) + 1
+    for name, count in diverged.items():
+        yield Violation(
+            layer="device",
+            check="eventsim-thread-identity",
+            subject=name,
+            message="a concurrent run diverges from the serial run",
+            context={"diverging_results": count},
+        )
 
 
 @invariant(

@@ -62,7 +62,7 @@ def run(fast: bool = True, engine: str = "auto") -> EventSimComparison:
     """Compare every device at three load points.
 
     ``engine`` selects the event-simulation implementation (``auto`` lets
-    the runtime planner fuse all twelve operating points into batched
+    the runtime engine fuse all twelve operating points into batched
     kernel calls; ``scalar``/``vector`` pin each cell to a solo engine).
     Every engine is bit-identical, so the rendered table does not depend
     on the choice -- only the wall-clock does.

@@ -50,7 +50,7 @@ same contract across stacked cells, enforced by ``eventsim-batch-identity``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,40 +118,6 @@ class VectorTimeline:
     latencies_ns: np.ndarray
     bank_conflicts: int
     refresh_collisions: int
-
-
-class _ScratchArena:
-    """Reusable kernel work buffers (the hot-loop allocation satellite).
-
-    One flat buffer per (name, dtype), grown geometrically and viewed to
-    the requested shape, so repeated kernel calls of similar size stop
-    paying an allocator round-trip per temporary.  Buffers hold stale
-    garbage between calls; every user fully overwrites (or scatter-fills
-    after zeroing) before reading.  Single-threaded by design, like the
-    engines themselves.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: Dict[Tuple[str, object], np.ndarray] = {}
-
-    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        need = 1
-        for dim in shape:
-            need *= int(dim)
-        key = (name, np.dtype(dtype))
-        buf = self._bufs.get(key)
-        if buf is None or buf.size < need:
-            buf = np.empty(max(need, 1), dtype=dtype)
-            self._bufs[key] = buf
-        return buf[:need].reshape(shape)
-
-    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        out = self.take(name, shape, dtype)
-        out[...] = 0
-        return out
-
-
-_SCRATCH = _ScratchArena()
 
 
 def maxplus_scan(
@@ -255,23 +221,23 @@ def bank_recurrence(
     # transpose to round-major so each round reads contiguous rows.
     # Padded slots hold 0.0 -- their (never read back) ``done`` chains
     # stay small-magnitude, keeping the per-round ``% tREFI`` cheap.
-    t_lanes = _SCRATCH.zeros("cell.t_lanes", (n_banks, maxc))
-    s_lanes = _SCRATCH.zeros("cell.s_lanes", (n_banks, maxc))
+    t_lanes = np.zeros((n_banks, maxc))
+    s_lanes = np.zeros((n_banks, maxc))
     for b in range(n_banks):
         lo, hi = bounds[b], bounds[b + 1]
         np.add(entry_s[lo:hi], inp.refresh_phase[b], out=t_lanes[b, : hi - lo])
         s_lanes[b, : hi - lo] = service_s[lo:hi]
-    t_mat = _SCRATCH.take("cell.t_mat", (maxc, n_banks))
-    s_mat = _SCRATCH.take("cell.s_mat", (maxc, n_banks))
+    t_mat = np.empty((maxc, n_banks))
+    s_mat = np.empty((maxc, n_banks))
     np.copyto(t_mat, t_lanes.T)
     np.copyto(s_mat, s_lanes.T)
-    phase_mat = _SCRATCH.take("cell.phase_mat", (maxc, n_banks))
+    phase_mat = np.empty((maxc, n_banks))
     done_mat = np.empty((maxc, n_banks))
 
     done_prev = inp.refresh_phase.copy()  # idle banks: shifted zero
-    busy = _SCRATCH.take("cell.busy", (n_banks,))
-    wait = _SCRATCH.take("cell.wait", (n_banks,))
-    ready = _SCRATCH.take("cell.ready", (n_banks,))
+    busy = np.empty(n_banks)
+    wait = np.empty(n_banks)
+    ready = np.empty(n_banks)
     for r in range(maxc):
         phase = phase_mat[r]
         np.maximum(t_mat[r], done_prev, out=busy)
@@ -375,7 +341,7 @@ def batch_chunks(
 
 
 def _stack_rows(
-    arrays: List[np.ndarray], ns: List[int], nmax: int, pad: float, name: str
+    arrays: List[np.ndarray], ns: List[int], nmax: int, pad: float
 ) -> np.ndarray:
     """Stack per-cell request arrays as (B, nmax) rows.
 
@@ -386,22 +352,20 @@ def _stack_rows(
     B = len(arrays)
     if all(n == nmax for n in ns):
         return np.concatenate(arrays).reshape(B, nmax)
-    mat = _SCRATCH.take(name, (B, nmax))
-    mat[...] = pad
+    mat = np.full((B, nmax), pad)
     for i, a in enumerate(arrays):
         mat[i, : a.size] = a
     return mat
 
 
-def _maxplus_rows(entry: np.ndarray, shift: np.ndarray, name: str) -> np.ndarray:
+def _maxplus_rows(entry: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Row-parallel max-plus scan over a (B, nmax) stack.
 
     ``maximum.accumulate`` over ``axis=1`` evaluates each row's running
     maximum independently and sequentially -- per element, the identical
     IEEE-754 operations :func:`maxplus_scan` performs on the lone cell.
     """
-    tmp = _SCRATCH.take(name, entry.shape)
-    np.subtract(entry, shift, out=tmp)
+    tmp = np.subtract(entry, shift)
     np.maximum.accumulate(tmp, axis=1, out=tmp)
     return np.add(tmp, shift, out=tmp)
 
@@ -429,12 +393,9 @@ def batch_timeline(inputs: Sequence[SimInputs]) -> List[VectorTimeline]:
     equal = all(n == nmax for n in ns)
 
     # ---- serial-resource scans, row-parallel over the stack ----
-    arr = _stack_rows([inp.arrivals for inp in inputs], ns, nmax,
-                      _LANE_PAD, "b.arr")
-    sh_in = _stack_rows([inp.shift_in for inp in inputs], ns, nmax,
-                        0.0, "b.sh_in")
-    sh_mc = _stack_rows([inp.shift_mc for inp in inputs], ns, nmax,
-                        0.0, "b.sh_mc")
+    arr = _stack_rows([inp.arrivals for inp in inputs], ns, nmax, _LANE_PAD)
+    sh_in = _stack_rows([inp.shift_in for inp in inputs], ns, nmax, 0.0)
+    sh_mc = _stack_rows([inp.shift_mc for inp in inputs], ns, nmax, 0.0)
 
     def col(value_of):
         return np.array([value_of(inp) for inp in inputs])[:, None]
@@ -442,11 +403,11 @@ def batch_timeline(inputs: Sequence[SimInputs]) -> List[VectorTimeline]:
     flit_col = col(lambda inp: inp.flit_ns)
     stack_col = col(lambda inp: inp.stack_ns)
 
-    start_in = _maxplus_rows(arr, sh_in, "b.scan_in")
+    start_in = _maxplus_rows(arr, sh_in)
     # Two separate adds, exactly as the per-cell pipeline sequences them.
     mc_entry = np.add(start_in, flit_col, out=start_in)
     np.add(mc_entry, stack_col, out=mc_entry)
-    start_mc = _maxplus_rows(mc_entry, sh_mc, "b.scan_mc")
+    start_mc = _maxplus_rows(mc_entry, sh_mc)
     bank_entry = np.add(start_mc, col(lambda inp: inp.fixed_mc_ns),
                         out=start_mc)
 
@@ -538,21 +499,21 @@ def batch_timeline(inputs: Sequence[SimInputs]) -> List[VectorTimeline]:
     col_of_req = lane_rank[lane_of_req]
     phase_of_req = phase_flat[lane_of_req]
 
-    t_mat = _SCRATCH.take("b.t_mat", (maxc, L))
-    s_mat = _SCRATCH.take("b.s_mat", (maxc, L))
-    done_mat = _SCRATCH.take("b.done_mat", (maxc, L))
+    t_mat = np.empty((maxc, L))
+    s_mat = np.empty((maxc, L))
+    done_mat = np.empty((maxc, L))
     entry_s = entry_flat[order]
     t_mat[round_of_req, col_of_req] = np.add(entry_s, phase_of_req,
                                              out=entry_s)
     s_mat[round_of_req, col_of_req] = service_s
 
     done_prev = phase_perm.copy()  # idle lanes: shifted zero
-    busy = _SCRATCH.take("b.busy", (L,))
-    phase = _SCRATCH.take("b.phase", (L,))
-    wait = _SCRATCH.take("b.wait", (L,))
-    ready = _SCRATCH.take("b.ready", (L,))
-    in_refresh = _SCRATCH.take("b.in_refresh", (L,), dtype=bool)
-    ref_lane = _SCRATCH.zeros("b.ref_lane", (L,))
+    busy = np.empty(L)
+    phase = np.empty(L)
+    wait = np.empty(L)
+    ready = np.empty(L)
+    in_refresh = np.empty(L, dtype=bool)
+    ref_lane = np.zeros(L)
     for r in range(maxc):
         w = widths[r]
         np.maximum(t_mat[r, :w], done_prev[:w], out=busy[:w])
@@ -571,20 +532,17 @@ def batch_timeline(inputs: Sequence[SimInputs]) -> List[VectorTimeline]:
     done_flat[order] = done_s
 
     # ---- outbound link, retries, latency: back in (B, nmax) rows ----
-    sh_out = _stack_rows([inp.shift_out for inp in inputs], ns, nmax,
-                         0.0, "b.sh_out")
-    sv_out = _stack_rows([inp.svc_out for inp in inputs], ns, nmax,
-                         0.0, "b.sv_out")
+    sh_out = _stack_rows([inp.shift_out for inp in inputs], ns, nmax, 0.0)
+    sv_out = _stack_rows([inp.svc_out for inp in inputs], ns, nmax, 0.0)
     if equal:
         done_rows = done_flat.reshape(B, nmax)
     else:
-        done_rows = _SCRATCH.take("b.done_rows", (B, nmax))
-        done_rows[...] = _LANE_PAD
+        done_rows = np.full((B, nmax), _LANE_PAD)
         done_rows[row_sel, col_sel] = done_flat
-    start_out = _maxplus_rows(done_rows, sh_out, "b.scan_out")
+    start_out = _maxplus_rows(done_rows, sh_out)
     t = np.add(start_out, sv_out, out=start_out)
     np.add(t, stack_col, out=t)
-    rd = _SCRATCH.zeros("b.rd", (B, nmax), dtype=bool)
+    rd = np.zeros((B, nmax), dtype=bool)
     if equal:
         rd[...] = np.concatenate(
             [inp.retry_draw for inp in inputs]

@@ -32,10 +32,7 @@ from repro.runtime.executor import (
     CampaignEngine,
     Cell,
     EngineStats,
-    ExecutionPlan,
-    ExecutionPlanner,
     FailedCell,
-    PlannerCosts,
     RetryPolicy,
     SimCell,
 )
@@ -51,10 +48,7 @@ __all__ = [
     "CheckpointState",
     "ENGINE_MODES",
     "EngineStats",
-    "ExecutionPlan",
-    "ExecutionPlanner",
     "FailedCell",
-    "PlannerCosts",
     "RetryPolicy",
     "RunCache",
     "SimCell",

@@ -42,8 +42,8 @@ def configure_runtime(
     ``policy``, which always takes the given value: passing ``None``
     returns to fail-fast execution); the in-memory cache always starts
     fresh (the disk tier, if any, persists).  ``mode`` is the execution
-    strategy (``auto``/``serial``/``batch``, the CLI's
-    ``--engine``); ``auto`` delegates each pending set to the planner.
+    strategy (``auto``/``serial``, the CLI's ``--engine``); ``auto`` runs
+    each all-sim-cell pending set as one fused batch.
     """
     global _engine
     current = get_engine()

@@ -20,15 +20,15 @@ Execution strategy per batch:
 2. deduplicate the misses by content key (submission order preserved, so
    callers that put baseline cells first get baseline-first scheduling and
    dependent cells hit the cache);
-3. ask the :class:`ExecutionPlanner` how to run the unique misses --
-   **batch** (fused kernels, sim cells only) or **serial** -- from a small
-   measured cost model over the cell shapes;
+3. run the unique misses -- as one fused **batch** when every one is a
+   batchable :class:`SimCell` (and the mode is ``auto``), else
+   **serial**ly;
 4. store results and assemble the per-cell list by key lookup.
 
 A cell's result is byte-identical whether it ran serially or batched (the
 ``eventsim-batch-identity`` diag check and the benchmark's pre-timing
-assertion both enforce this), so the planner's choice is pure policy -- it
-can never change campaign output.  The engine never spreads a batch over
+assertion both enforce this), so the strategy is pure policy -- it can
+never change campaign output.  The engine never spreads a batch over
 processes: a campaign reaches more cores only through the lease
 coordinator (:mod:`repro.dist`, the CLI's ``--shards N`` /
 ``--coordinator``).
@@ -85,8 +85,10 @@ from repro.runtime.cache import RunCache, run_key
 from repro.runtime.serialize import FORMAT_VERSION
 from repro.workloads.base import WorkloadSpec
 
-ENGINE_MODES = ("auto", "serial", "batch")
-"""Accepted ``CampaignEngine.mode`` values (the CLI's ``--engine``)."""
+ENGINE_MODES = ("auto", "serial")
+"""Accepted ``CampaignEngine.mode`` values (the CLI's ``--engine``):
+``auto`` batches every all-:class:`SimCell` pending set, ``serial``
+never batches."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,9 @@ class Cell:
 class SimCell:
     """One event-simulation campaign cell: a device at an operating point.
 
-    Unlike :class:`Cell`, a sim cell is *batchable*: the planner can fuse
+    Unlike :class:`Cell`, a sim cell is *batchable*: the engine fuses
     many of them into single kernel invocations.  ``engine`` is a per-cell
-    preference (``auto`` lets the planner decide; ``scalar``/``vector``
+    preference (``auto`` lets the cell join a batch; ``scalar``/``vector``
     force a solo engine and opt the cell out of batching); it is excluded
     from :meth:`key` because every engine returns byte-identical results,
     so all of them collapse onto one cache entry.
@@ -209,116 +211,6 @@ def _execute_cell_attempt(cell: Cell, attempt: int = 1) -> RunResult:
     if chaos is not None:
         chaos.apply(cell.key(), attempt)
     return _execute_cell(cell)
-
-
-@dataclass(frozen=True)
-class PlannerCosts:
-    """Measured per-cell cost constants (seconds) for the planner.
-
-    Calibrated on the reference 1-CPU box (see DESIGN.md): they only need
-    to get the *ordering* of the strategies right, not absolute wall
-    times, and the ordering is robust -- the fused kernels' per-request
-    cost is a stable fraction of the solo kernels'.
-    """
-
-    cell_serial_s: float = 8.6e-4
-    """One analytic pipeline cell (BENCH_campaign cold_serial)."""
-    sim_fixed_s: float = 2.5e-4
-    """Per sim cell: RNG preparation + result assembly (engine-independent)."""
-    sim_serial_req_s: float = 3.5e-7
-    """Solo vector kernels, marginal cost per request."""
-    sim_batch_req_s: float = 1.6e-7
-    """Fused batch kernels, marginal cost per request (cache-resident chunks)."""
-
-    def serial_s(self, cells: Sequence[AnyCell]) -> float:
-        """Estimated serial wall time for ``cells``."""
-        total = 0.0
-        for cell in cells:
-            if isinstance(cell, SimCell):
-                total += self.sim_fixed_s \
-                    + self.sim_serial_req_s * cell.n_requests
-            else:
-                total += self.cell_serial_s
-        return total
-
-    def batch_s(self, cells: Sequence[AnyCell]) -> float:
-        """Estimated fused-batch wall time (sim cells only)."""
-        return sum(
-            self.sim_fixed_s + self.sim_batch_req_s * cell.n_requests
-            for cell in cells
-        )
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """One planning decision for a pending set of cells."""
-
-    choice: str  # "serial" | "batch"
-    cells: int
-    est_s: float
-    est_serial_s: float
-    reason: str
-
-    def summary(self) -> str:
-        """Compact form for the runtime stats line."""
-        return f"{self.choice}({self.reason})"
-
-
-class ExecutionPlanner:
-    """Chooses batch vs serial for each pending set.
-
-    The decision is pure policy: both strategies return byte-identical
-    results, so a wrong estimate costs wall time, never correctness.
-    """
-
-    def __init__(self, costs: Optional[PlannerCosts] = None):
-        self.costs = costs if costs is not None else PlannerCosts()
-
-    @staticmethod
-    def batchable(cells: Sequence[AnyCell]) -> bool:
-        """Whether every pending cell may join one fused batch.
-
-        Mixed sets never batch: analytic cells have no batch kernel, and
-        a sim cell pinned to ``scalar``/``vector`` (or running under a
-        tracer) asked for solo semantics.
-        """
-        return bool(cells) and all(
-            isinstance(cell, SimCell) and cell.batchable for cell in cells
-        )
-
-    def plan(
-        self, cells: Sequence[AnyCell], mode: str = "auto"
-    ) -> ExecutionPlan:
-        """Decide how to execute ``cells``."""
-        if mode not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"unknown engine mode {mode!r}; "
-                f"expected one of {ENGINE_MODES}"
-            )
-        costs = self.costs
-        n = len(cells)
-        est_serial = costs.serial_s(cells)
-        can_batch = self.batchable(cells)
-
-        def mk(choice: str, est: float, reason: str) -> ExecutionPlan:
-            return ExecutionPlan(
-                choice=choice, cells=n,
-                est_s=est, est_serial_s=est_serial, reason=reason,
-            )
-
-        if mode == "serial":
-            return mk("serial", est_serial, "forced")
-        if mode == "batch":
-            if can_batch:
-                return mk("batch", costs.batch_s(cells), "forced")
-            return mk("serial", est_serial, "batch-incompatible")
-
-        # auto: the cheaper estimated strategy.
-        if can_batch:
-            est_batch = costs.batch_s(cells)
-            if est_batch <= est_serial:
-                return mk("batch", est_batch, "cost-model")
-        return mk("serial", est_serial, "cost-model")
 
 
 @dataclass(frozen=True)
@@ -426,16 +318,18 @@ class EngineStats:
     cells_batched: int = 0
     """Cells executed through the fused batch kernels."""
     planner_serial: int = 0
-    """Pending sets the planner resolved to serial execution."""
+    """Pending sets executed serially.  The ``planner_*`` names predate
+    the one batch rule; ``perfbench/tracing.py`` reads them as its
+    ``executor.plan.*`` counters."""
     planner_pool: int = 0
     """Always 0: the engine has no process pool.  Kept because the
     benchmark harness (``perfbench/tracing.py``) reads it through
     ``getattr`` as its ``executor.plan.pool`` counter, and ``perfbench/``
     changes only in a benchmark change of its own; drop both together."""
     planner_batch: int = 0
-    """Pending sets the planner resolved to fused batching."""
+    """Pending sets executed as one fused batch."""
     last_plan: str = ""
-    """The most recent planning decision, e.g. ``batch(cost-model)``."""
+    """How the most recent pending set ran: ``batch`` or ``serial``."""
 
     def runs_per_second(self) -> float:
         """Executed-cell throughput (0 when nothing ran)."""
@@ -508,11 +402,17 @@ class CampaignEngine:
     failed: List[FailedCell] = field(default_factory=list)
     sleep_fn: Callable[[float], None] = time.sleep
     mode: str = "auto"
-    """Execution-strategy override: one of :data:`ENGINE_MODES`."""
-    planner: ExecutionPlanner = field(default_factory=ExecutionPlanner)
+    """Execution strategy: one of :data:`ENGINE_MODES`."""
     _quarantined: Dict[str, FailedCell] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.mode not in ENGINE_MODES:
+            raise ConfigurationError(
+                f"unknown engine mode {self.mode!r}; "
+                f"expected one of {ENGINE_MODES}"
+            )
 
     def restore_quarantine(self, records: Iterable[FailedCell]) -> int:
         """Seed the quarantine ledger (``--resume`` from a checkpoint).
@@ -676,26 +576,26 @@ class CampaignEngine:
         else:
             self.cache.put_memory(key, result)
 
-    def _note_plan(self, plan: ExecutionPlan) -> None:
-        """Record a planning decision in the stats and metrics."""
-        self.stats.last_plan = plan.summary()
-        if plan.choice == "batch":
-            self.stats.planner_batch += 1
-        else:
-            self.stats.planner_serial += 1
-        registry = metrics()
-        if registry.enabled:
-            registry.counter(
-                "runtime.planner_choice", choice=plan.choice
-            ).inc()
-
     def _execute(self, pending: List[AnyCell]) -> List[object]:
+        """Run ``pending``: one fused batch if every cell may join it.
+
+        Mixed sets never batch: analytic cells have no batch kernel, and
+        a sim cell pinned to ``scalar``/``vector`` (or running under a
+        tracer) asked for solo semantics.
+        """
         if not pending:
             return []
-        plan = self.planner.plan(pending, self.mode)
-        self._note_plan(plan)
-        if plan.choice == "batch":
+        batch = self.mode == "auto" and all(
+            isinstance(cell, SimCell) and cell.batchable for cell in pending
+        )
+        self.stats.last_plan = "batch" if batch else "serial"
+        metrics().counter(
+            "runtime.planner_choice", choice=self.stats.last_plan
+        ).inc()
+        if batch:
+            self.stats.planner_batch += 1
             return self._execute_batch(pending)
+        self.stats.planner_serial += 1
         self.stats.cells_serial += len(pending)
         metrics().counter("runtime.cells_serial").inc(len(pending))
         return [_execute_cell(cell) for cell in pending]
@@ -738,7 +638,7 @@ class CampaignEngine:
         worker threads run this path (forking from a thread while other
         threads hold locks risks deadlocking the child), and a CLI
         campaign that must survive crashes or hangs runs on the lease
-        coordinator instead.  Resilient mode never plans a fused batch:
+        coordinator instead.  Resilient mode never runs a fused batch:
         one poisoned cell would take its whole chunk down.  Backoff
         sleeps happen just before a retry runs, via the injectable
         ``sleep_fn``.

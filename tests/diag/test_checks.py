@@ -75,6 +75,31 @@ class TestBrokenModels:
         assert "table1-calibration" in rendered
         assert "validate: all invariants hold" not in rendered
 
+    def test_thread_dependent_kernel_trips_thread_identity(
+        self, monkeypatch
+    ):
+        import threading
+
+        import repro.hw.cxl.eventdevice as eventdevice_mod
+
+        solo = eventdevice_mod.vector_timeline
+
+        def racy(inp):
+            # Stands in for kernels that share buffers across threads.
+            timeline = solo(inp)
+            if threading.current_thread() is not threading.main_thread():
+                timeline.latencies_ns[0] += 1.0
+            return timeline
+
+        monkeypatch.setattr(eventdevice_mod, "vector_timeline", racy)
+        report = run_checks(layers=["device"])
+        assert _failed_checks(report) == {"eventsim-thread-identity"}
+        subjects = {
+            v.subject for v in report.violations
+            if v.check == "eventsim-thread-identity"
+        }
+        assert subjects and all(s.endswith("/vector") for s in subjects)
+
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown diag layer"):
             run_checks(layers=["device", "nope"])

@@ -2,8 +2,8 @@
 
 A campaign cell's result must be byte-identical whether it ran solo
 (scalar or vector engine) or fused into a batch with arbitrary
-neighbours -- otherwise the planner's strategy choice would leak into
-figures.  These tests sweep batched-vs-solo across devices, loads,
+neighbours -- otherwise the engine's batch-or-serial choice would leak
+into figures.  These tests sweep batched-vs-solo across devices, loads,
 read/write mixes, and fault plans, plus the ragged shapes (B=1, mixed
 request counts, a single bank) where padded batch kernels typically go
 wrong.

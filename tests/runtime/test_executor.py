@@ -5,12 +5,7 @@ import pytest
 import repro.runtime.executor as executor_mod
 from repro.cpu.pipeline import PipelineConfig, run_workload
 from repro.runtime.cache import RunCache
-from repro.runtime.executor import (
-    CampaignEngine,
-    Cell,
-    ExecutionPlanner,
-    SimCell,
-)
+from repro.runtime.executor import CampaignEngine, Cell, SimCell
 
 
 @pytest.fixture
@@ -106,10 +101,10 @@ class TestStats:
         assert engine.stats.hit_rate() == 0.5
 
 
-class TestPlanner:
-    """The execution planner's cost-model decisions are pure policy --
-    results are byte-identical either way -- but the decisions themselves
-    carry a hard guarantee: no batch across incompatible cells."""
+class TestBatchRule:
+    """``auto`` runs a pending set as one fused batch exactly when every
+    cell is a batchable sim cell; results are byte-identical either way,
+    but no batch ever groups incompatible cells."""
 
     @pytest.fixture
     def sim_cells(self):
@@ -122,34 +117,45 @@ class TestPlanner:
             for i in range(8)
         ]
 
-    def test_batch_never_groups_incompatible_cells(self, grid, sim_cells):
-        planner = ExecutionPlanner()
-        # Analytic cells have no batch kernel.
-        assert not planner.batchable(grid)
-        # A mixed set never batches.
-        assert not planner.batchable(grid + sim_cells)
-        # A sim cell pinned to a solo engine opts out for the whole set.
+    @staticmethod
+    def _ran(cells):
+        engine = CampaignEngine(cache=RunCache())
+        engine.run_cells(cells)
+        return engine.stats
+
+    def test_analytic_set_never_batches(self, grid):
+        stats = self._ran(grid)
+        assert stats.cells_batched == 0
+        assert (stats.planner_serial, stats.planner_batch) == (1, 0)
+        assert stats.last_plan == "serial"
+
+    def test_mixed_set_never_batches(self, grid, sim_cells):
+        stats = self._ran(grid + sim_cells)
+        assert stats.cells_batched == 0
+        assert stats.cells_serial == len(grid) + len(sim_cells)
+        assert stats.last_plan == "serial"
+
+    def test_engine_pinned_cell_opts_whole_set_out(self, sim_cells):
         pinned = sim_cells[:-1] + [
             SimCell(device=sim_cells[-1].device, n_requests=600,
                     offered_gbps=99.0, engine="scalar")
         ]
-        assert not planner.batchable(pinned)
-        for cells in (grid, grid + sim_cells, pinned):
-            for mode in ("auto", "batch"):
-                plan = planner.plan(cells, mode=mode)
-                assert plan.choice == "serial"
+        stats = self._ran(pinned)
+        assert stats.cells_batched == 0
+        assert stats.last_plan == "serial"
 
-    def test_auto_batches_sim_cells(self, sim_cells):
-        plan = ExecutionPlanner().plan(sim_cells, mode="auto")
-        assert plan.choice == "batch"
-        assert plan.est_s <= plan.est_serial_s
+    def test_all_sim_set_batches(self, sim_cells):
+        stats = self._ran(sim_cells)
+        assert stats.cells_batched == len(sim_cells)
+        assert (stats.planner_serial, stats.planner_batch) == (0, 1)
+        assert stats.last_plan == "batch"
 
-    def test_unknown_mode_rejected(self, grid):
+    @pytest.mark.parametrize("mode", ["fastest", "pool", "batch"])
+    def test_unknown_mode_rejected_at_construction(self, mode):
         from repro.errors import ConfigurationError
 
-        for mode in ("fastest", "pool"):
-            with pytest.raises(ConfigurationError):
-                ExecutionPlanner().plan(grid, mode=mode)
+        with pytest.raises(ConfigurationError, match="unknown engine mode"):
+            CampaignEngine(cache=RunCache(), mode=mode)
 
 
 class TestSimCells:
@@ -271,5 +277,5 @@ class TestSimCells:
     def test_plan_summarized_in_stats_line(self, sim_grid):
         engine = CampaignEngine(cache=RunCache())
         engine.run_cells(sim_grid)
-        assert engine.stats.last_plan == "batch(cost-model)"
-        assert "[plan: batch(cost-model)]" in engine.stats.summary()
+        assert engine.stats.last_plan == "batch"
+        assert "[plan: batch]" in engine.stats.summary()

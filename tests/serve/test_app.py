@@ -97,6 +97,36 @@ class TestCoalescedExecution:
         assert slow.body != fast.body
         assert leads == 2
 
+    def test_concurrent_distinct_cold_queries_match_oneshot(self):
+        """Worker threads computing at once return solo-identical bytes."""
+        queries = [
+            {
+                "device": device,
+                "points": [{"offered_gbps": g, "read_fraction": rf}
+                           for g, rf in ((3.0, 1.0), (9.0, 0.7))],
+                "n_requests": 20_000,
+                "seed": seed,
+            }
+            for device in ("cxl-a", "cxl-b", "cxl-c", "cxl-d")
+            for seed in (21, 22)
+        ]
+
+        async def scenario(app):
+            responses = await asyncio.gather(*(
+                fetch("127.0.0.1", app.port, "POST", "/v1/characterize",
+                      body_of(query))
+                for query in queries
+            ))
+            return responses, app.coalescer.leads
+
+        responses, leads = with_app(
+            ServeConfig(port=0, workers=4), scenario
+        )
+        assert [r.status for r in responses] == [200] * len(queries)
+        assert leads == len(queries)
+        for query, response in zip(queries, responses):
+            assert response.body == run_oneshot(json.dumps(query))
+
     def test_sequential_duplicate_served_from_cache(self):
         async def scenario(app):
             payload = body_of(FAST_QUERY)

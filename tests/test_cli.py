@@ -128,9 +128,11 @@ class TestRuntimeFlags:
         ("campaign", "--jobs", "2"),
         ("figures", "tab01", "--jobs", "2"),
         ("campaign", "--engine", "pool"),
+        ("campaign", "--engine", "batch"),
     ])
     def test_process_pool_options_rejected(self, capsys, argv):
-        """The engine has no process pool; ``--shards N`` fans out."""
+        """Removed engine options exit 2: there is no process pool
+        (``--shards N`` fans out), and ``auto`` already batches."""
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
