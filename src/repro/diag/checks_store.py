@@ -20,7 +20,13 @@ from repro.diag.context import DiagContext
 from repro.diag.registry import invariant, subjects
 from repro.diag.report import Violation
 from repro.runtime.cache import RunCache, run_key
-from repro.store import ResultStore, canonical_document
+from repro.store import (
+    ResultStore,
+    canonical_document,
+    skeleton_ref,
+    split_document,
+)
+from repro.store.store import ROW_FIELDS
 
 
 def _sim_result(ctx: DiagContext):
@@ -39,15 +45,34 @@ def _canonical_json(doc) -> str:
     return json.dumps(canonical_document(doc), sort_keys=True)
 
 
+def _shape(doc) -> str:
+    """Skeleton ref of an analytic document minus its row-held fields."""
+    body = {k: v for k, v in doc.items() if k not in ROW_FIELDS}
+    return skeleton_ref(split_document(body)[0])
+
+
 @invariant(
     name="store-roundtrip",
     layer="store",
     description="event-sim and analytic documents survive the "
-    "segment/manifest round trip bit-identically",
+    "segment/manifest round trip bit-identically, and analytic "
+    "documents of one shape share one skeleton",
 )
 def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
-    """Split/store/reassemble reproduces both result kinds bit-exactly."""
+    """Split/store/reassemble reproduces both result kinds bit-exactly.
+
+    Each sampled workload's run document is written twice: bare (no
+    blob refs) and with the refs ``RunCache.promote_store`` adds.  All
+    of them whose shape agrees once the manifest row's fields are
+    removed -- across workloads and variants -- must commit to one
+    skeleton, or the manifest grows a skeleton per cell.
+    """
     from repro.hw.platform import EMR2S
+    from repro.runtime.serialize import (
+        platform_to_dict,
+        run_result_to_dict,
+        workload_to_dict,
+    )
 
     sim = _sim_result(ctx)
     workloads = ctx.sampled_workloads()
@@ -56,28 +81,31 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
         store = ResultStore(Path(tmp) / "store")
         writer = store.writer("f" * 64)
         expected = {}
+        shapes = {}
         if sim is not None:
             doc = sim.to_dict()
             writer.add("a" * 64, doc)
             expected["a" * 64] = ("eventsim", _canonical_json(doc))
         target = ctx.targets[0]
         config = PipelineConfig(seed=ctx.seed)
+        platform_ref = RunCache._blob_ref(EMR2S, platform_to_dict)
         for index, workload in enumerate(workloads):
-            from repro.runtime.serialize import (
-                platform_to_dict,
-                run_result_to_dict,
-                workload_to_dict,
-            )
-
             result = run_workload(workload, EMR2S, target, config)
-            doc = run_result_to_dict(result, embed_context=False)
-            key = f"{index:064x}"
-            writer.add(
-                key, doc,
-                workload_doc=workload_to_dict(workload),
-                platform_doc=platform_to_dict(EMR2S),
+            bare = run_result_to_dict(result, embed_context=False)
+            with_refs = dict(
+                bare,
+                workload_ref=RunCache._blob_ref(workload, workload_to_dict),
+                platform_ref=platform_ref,
             )
-            expected[key] = (workload.name, _canonical_json(doc))
+            for variant, doc in enumerate((bare, with_refs)):
+                key = f"{2 * index + variant:064x}"
+                writer.add(
+                    key, doc,
+                    workload_doc=workload_to_dict(workload),
+                    platform_doc=platform_to_dict(EMR2S),
+                )
+                expected[key] = (workload.name, _canonical_json(doc))
+                shapes.setdefault(_shape(doc), []).append(key)
         writer.commit()
         store.refresh()
         for key, (subject, reference) in expected.items():
@@ -89,6 +117,19 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
                     subject=str(subject),
                     message="store round trip altered the document",
                     context={"key": key[:16]},
+                )
+        for keys in shapes.values():
+            skeletons = {store.entry_for(key).skeleton for key in keys}
+            if len(skeletons) > 1:
+                yield Violation(
+                    layer="store",
+                    check="store-roundtrip",
+                    subject=",".join(
+                        sorted({expected[key][0] for key in keys})
+                    ),
+                    message=f"{len(keys)} analytic documents of one "
+                    f"shape use {len(skeletons)} skeletons",
+                    context={"skeletons": len(skeletons)},
                 )
 
 

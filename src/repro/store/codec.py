@@ -5,10 +5,17 @@ arrays alike -- as packed binary ``float64``, and everything else (keys,
 strings, booleans, nulls, structure) as a *skeleton*: the same document
 with each numeric leaf replaced by a positional marker.  Reassembly walks
 the skeleton and consumes the vector in order.  Because thousands of
-cells of one campaign share a single document shape, their skeletons are
+cells of one campaign share a few document shapes, their skeletons are
 byte-identical and the manifest stores each distinct skeleton exactly
 once (content-addressed by :func:`skeleton_ref`); the per-cell storage
-cost collapses to the raw numbers.
+cost collapses to the raw numbers.  Per-cell *strings* would break that
+sharing, so :class:`~repro.store.store.StoreWriter` keeps the ones its
+manifest row already records out of analytic skeletons: a non-empty
+string ``target_name``, ``workload_ref`` or ``platform_ref`` lives only
+in the row's column and is written back after the join (an absent or
+empty field stays in the skeleton; manifests written before this rule
+still carry the fields and read unchanged).  This module itself splits
+and joins whatever document it is given.
 
 Bit-exactness argument:
 
@@ -140,10 +147,11 @@ def compile_skeleton(skeleton: Any):
     """Compile a skeleton into a fast ``vector -> document`` function.
 
     :func:`join_document` re-walks the skeleton on every read; in a
-    campaign store thousands of cells share one skeleton, so the walk is
-    pure repeated work.  Compilation does the walk once, recording each
-    marker's vector position, and the returned closure reassembles a
-    document without inspecting the skeleton again.  All scalar slots
+    campaign store thousands of cells share one skeleton (analytic ones
+    too, their row-recorded strings being kept out of it), so the walk
+    is pure repeated work.  Compilation does the walk once, recording
+    each marker's vector position, and the returned closure reassembles
+    a document without inspecting the skeleton again.  All scalar slots
     are gathered with a single fancy-index + ``tolist()`` (one C call
     instead of one mmap ``__getitem__`` per scalar); span markers stay
     zero-copy slices of ``vector``.  The compiled function produces

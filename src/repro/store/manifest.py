@@ -36,8 +36,9 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 MANIFEST_VERSION = 1
-"""Bump on any layout change; mismatched manifests are refused loudly
-(the store is an explicit promotion target, not a best-effort cache)."""
+"""Bump on any layout change; :meth:`Manifest.from_dict` refuses a
+mismatched manifest, so readers count it as corrupt and skip it, and
+the next writer of its (fingerprint, job) replaces it."""
 
 KEY_HEX = 64
 """Cell keys are sha256 hex digests; the fixed width is what lets the
@@ -320,7 +321,7 @@ class Manifest:
         )
         try:
             with open(tmp, "w") as handle:
-                json.dump(self.to_dict(), handle)
+                handle.write(json.dumps(self.to_dict()))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -7,9 +7,10 @@ Layout, under ``<cache_dir>/store/``::
     segments/<writer_id>-<seq>.f64          packed float64 payloads
 
 Reads are O(1): key -> (manifest row) -> ``np.memmap`` slice ->
-:func:`~repro.store.codec.join_document`.  Scans are vectorized over
-the manifest columns and never touch segments except for the latency
-arrays a query actually asks percentiles of.  Manifests of several jobs
+:func:`~repro.store.codec.join_document`, plus the :data:`ROW_FIELDS`
+an analytic row holds instead of its skeleton.  Scans are vectorized
+over the manifest columns and never touch segments except for the
+latency arrays a query actually asks percentiles of.  Manifests of several jobs
 may claim one cell key; the first claim wins and scans skip the
 shadowed rows, so a cell is never reported twice.
 """
@@ -40,6 +41,20 @@ from repro.store.segments import SegmentWriter, open_segment
 
 MANIFEST_DIR = "manifests"
 SEGMENT_DIR = "segments"
+
+ROW_FIELDS = {
+    "target_name": "target",
+    "workload_ref": "workload_ref",
+    "platform_ref": "platform_ref",
+}
+"""Top-level fields of an analytic run document that its manifest row
+records, mapped to the column holding each.  A non-empty string value
+lives only in the row, so the skeleton stays shared across cells."""
+
+
+def _in_row(field: str, value: Any) -> bool:
+    """Whether ``field``'s ``value`` is kept by the row, not the skeleton."""
+    return field in ROW_FIELDS and isinstance(value, str) and value != ""
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,8 @@ class StoreWriter:
 
     Re-opening an existing manifest extends it (new vectors land in
     fresh segment files; prior spans keep pointing where they were), so
-    repeated promotions of one campaign accrete instead of clobbering.
+    repeated promotions of one campaign accrete instead of clobbering;
+    a manifest that cannot be loaded is replaced instead.
     Writers of distinct (fingerprint, job) pairs never share a segment
     file, which is what lets concurrent jobs write safely.
     """
@@ -87,11 +103,16 @@ class StoreWriter:
         self, store: "ResultStore", fingerprint: str, job_id: str = ""
     ) -> None:
         self.store = store
-        path = store.manifest_dir / Manifest(fingerprint, job_id).filename()
-        if path.exists():
-            self.manifest = Manifest.load(path)
-        else:
-            self.manifest = Manifest(fingerprint, job_id)
+        self.manifest = Manifest(fingerprint, job_id)
+        try:
+            self.manifest = Manifest.load(
+                store.manifest_dir / self.manifest.filename()
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            # Absent, or unreadable as in ``ResultStore._load`` (e.g.
+            # truncated): start afresh; commit's atomic replace then
+            # overwrites the damaged file.
+            pass
         writer_id = fingerprint[:12] + (f".{job_id}" if job_id else "")
         self._segments = SegmentWriter(store.segment_dir, writer_id)
 
@@ -110,13 +131,23 @@ class StoreWriter:
 
         ``doc`` is the exact JSON-tier document (event-sim ``to_dict``
         output, or an analytic run document including its blob refs);
-        the split codec guarantees it reassembles bit-identically.
+        it reassembles bit-identically.  An analytic document's
+        :data:`ROW_FIELDS` holding non-empty strings are left out of its
+        skeleton -- the row's columns record them and reads restore
+        them -- so every cell of one document shape shares one
+        skeleton whatever its target and blob refs.  Absent or ``""``
+        fields, and every event-sim field, stay in the skeleton.
         """
-        skeleton, vector = split_document(doc)
+        eventsim = doc.get("kind") == KIND_EVENTSIM
+        body = doc if eventsim else {
+            field: value for field, value in doc.items()
+            if not _in_row(field, value)
+        }
+        skeleton, vector = split_document(body)
         ref = skeleton_ref(skeleton)
         self.manifest.skeletons.setdefault(ref, skeleton)
         segment, offset, length = self._segments.append(vector)
-        if doc.get("kind") == KIND_EVENTSIM:
+        if eventsim:
             entry = ManifestEntry(
                 key=key,
                 kind=KIND_EVENTSIM,
@@ -133,8 +164,12 @@ class StoreWriter:
                 n=len(doc["latencies_ns"]),
             )
         else:
-            workload_ref = doc.get("workload_ref", "")
-            platform_ref = doc.get("platform_ref", "")
+            row = {
+                column: doc.get(field, "")
+                for field, column in ROW_FIELDS.items()
+            }
+            workload_ref = row["workload_ref"]
+            platform_ref = row["platform_ref"]
             if workload_doc is not None and workload_ref:
                 self.manifest.blobs.setdefault(workload_ref, workload_doc)
             if platform_doc is not None and platform_ref:
@@ -142,11 +177,10 @@ class StoreWriter:
             entry = ManifestEntry(
                 key=key,
                 kind=KIND_ANALYTIC,
-                device=doc["target_name"],
+                device=row["target"],
                 workload=(
                     workload_doc.get("name", "") if workload_doc else ""
                 ),
-                target=doc["target_name"],
                 fault_plan=fault_plan,
                 offered_gbps=math.nan,
                 read_fraction=math.nan,
@@ -155,8 +189,7 @@ class StoreWriter:
                 offset=offset,
                 length=length,
                 n=0,
-                workload_ref=workload_ref,
-                platform_ref=platform_ref,
+                **row,
             )
         self.manifest.add(entry)
         return entry
@@ -309,7 +342,16 @@ class ResultStore:
         if join is None:
             join = compile_skeleton(manifest.skeletons[entry.skeleton])
             self._joins[entry.skeleton] = join
-        return join(self._vector(entry))
+        doc = join(self._vector(entry))
+        if entry.kind == KIND_ANALYTIC:
+            # Restore what ``StoreWriter.add`` kept in the row only.  A
+            # skeleton written before that still carries these fields,
+            # with exactly the values its row recorded.
+            for field, column in ROW_FIELDS.items():
+                value = getattr(entry, column)
+                if _in_row(field, value):
+                    doc[field] = value
+        return doc
 
     def get(self, key: str) -> Any:
         """The stored document, reassembled bit-exactly.

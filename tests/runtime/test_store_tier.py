@@ -53,6 +53,33 @@ class TestPromotion:
         assert key_b not in cache.store
 
 
+class TestDamagedManifest:
+    @pytest.fixture(autouse=True)
+    def fresh_runtime(self):
+        from repro.runtime import reset_runtime
+
+        reset_runtime()
+        yield
+        reset_runtime()
+
+    def test_truncated_manifest_replaced_on_promotion(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        from repro.store import Manifest
+
+        args = ["campaign", "--suite", "GAPBS", "--targets", "cxl-a",
+                "--sample", "4", "--cache-dir", str(tmp_path)]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(args + ["--csv", str(first)]) == 0
+        (path,) = (tmp_path / "store" / "manifests").glob("*.json")
+        rows = len(Manifest.load(path))
+        path.write_text('{"truncat')
+        assert main(args + ["--csv", str(second)]) == 0
+        capsys.readouterr()
+        assert second.read_bytes() == first.read_bytes()
+        assert len(Manifest.load(path)) == rows  # rewritten whole
+
+
 def canonical(doc):
     from repro.store import canonical_document
 

@@ -136,6 +136,18 @@ class TestDisk:
         assert loaded.keys() == manifest.keys()
         assert not list(tmp_path.glob("*.tmp.*"))  # no temp debris
 
+    def test_document_is_json_dumps_bytes(self, tmp_path):
+        manifest = Manifest("c" * 64, "shard0of2")
+        manifest.skeletons["s" * 24] = {"latencies_ns": "\x00F10"}
+        manifest.blobs["b" * 32] = {"name": "wl"}
+        manifest.add(entry(0))
+        manifest.add(entry(1, kind="analytic", gbps=math.nan))
+        path = manifest.write(tmp_path)
+        with open(path) as handle:
+            text = handle.read()
+        assert text == json.dumps(manifest.to_dict())
+        assert "NaN" in text
+
     def test_shard_filename_carries_job_id(self, tmp_path):
         manifest = Manifest("c" * 64, "shard1of2")
         path = manifest.write(tmp_path)

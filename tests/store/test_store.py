@@ -14,7 +14,17 @@ from repro.runtime.serialize import (
     run_result_to_dict,
     workload_to_dict,
 )
-from repro.store import ResultStore, canonical_document
+from repro.runtime.cache import RunCache, run_key
+from repro.store import (
+    Manifest,
+    ManifestEntry,
+    ResultStore,
+    SegmentWriter,
+    canonical_document,
+    skeleton_ref,
+    split_document,
+)
+from repro.store.store import ROW_FIELDS
 
 FP = "f" * 64
 
@@ -179,3 +189,145 @@ class TestMergeAndAccretion:
         assert json.dumps(
             run_result_to_dict(reloaded), sort_keys=True
         ) == json.dumps(run_result_to_dict(result), sort_keys=True)
+
+
+def analytic_doc(workload, platform, target, refs=True):
+    """The run document ``RunCache.promote_store`` writes for one run."""
+    doc = run_result_to_dict(
+        run_workload(workload, platform, target), embed_context=False
+    )
+    if refs:
+        doc["workload_ref"] = RunCache._blob_ref(workload, workload_to_dict)
+        doc["platform_ref"] = RunCache._blob_ref(platform, platform_to_dict)
+    return doc
+
+
+def shape_ref(doc):
+    """Skeleton ref of ``doc`` without its row-recorded fields."""
+    body = {k: v for k, v in doc.items() if k not in ROW_FIELDS}
+    return skeleton_ref(split_document(body)[0])
+
+
+class TestSharedSkeletons:
+    @pytest.fixture
+    def workloads(self):
+        from repro.workloads import all_workloads
+
+        return all_workloads()[:4]
+
+    def test_analytic_cells_share_skeletons(self, tmp_path, workloads,
+                                            emr, device_a, device_b):
+        cache = RunCache(str(tmp_path))
+        docs = {}
+        for workload in workloads:
+            for target in (device_a, device_b):
+                key = run_key(workload, emr, target)
+                cache.put(key, run_workload(workload, emr, target))
+                docs[key] = analytic_doc(workload, emr, target)
+        assert cache.promote_store(FP) == len(docs)
+        fresh = ResultStore(tmp_path / "store")
+        (manifest,) = fresh.manifests()
+        assert len(manifest) == len(docs)
+        # one skeleton per document shape, whatever the target and refs
+        assert set(manifest.skeletons) == {
+            shape_ref(doc) for doc in docs.values()
+        }
+        assert len(manifest.skeletons) < len(manifest)
+        for skeleton in manifest.skeletons.values():
+            assert not set(ROW_FIELDS) & set(skeleton)
+        for key, doc in docs.items():
+            assert canonical_document(fresh.get(key)) == \
+                canonical_document(doc)
+            entry = fresh.entry_for(key)
+            assert entry.target == doc["target_name"]
+            assert entry.workload_ref == doc["workload_ref"]
+            result = fresh.get_result(key)
+            assert json.dumps(run_result_to_dict(result),
+                              sort_keys=True) == \
+                json.dumps(run_result_to_dict(cache.get(key)),
+                           sort_keys=True)
+
+    def test_missing_and_empty_fields_round_trip(self, tmp_path, store,
+                                                  simple_workload, emr,
+                                                  device_a):
+        bare = analytic_doc(simple_workload, emr, device_a, refs=False)
+        empty = dict(bare, workload_ref="", platform_ref="")
+        blank = dict(empty, target_name="")
+        one_ref = dict(bare, workload_ref="w" * 32)
+        docs = {key_of(i): doc
+                for i, doc in enumerate((bare, empty, blank, one_ref))}
+        writer = store.writer(FP)
+        for key, doc in docs.items():
+            writer.add(key, doc)
+        writer.commit()
+        fresh = ResultStore(tmp_path / "store")
+        for key, doc in docs.items():
+            got = fresh.get(key)
+            assert sorted(got) == sorted(doc)
+            assert canonical_document(got) == canonical_document(doc)
+
+    def test_older_layout_reads_unchanged_and_extends(
+        self, tmp_path, store, workloads, emr, device_a, device_b
+    ):
+        # A manifest whose skeletons still carry the row fields: the
+        # layout of stores written before analytic skeletons were shared.
+        old_docs = {
+            key_of(i): analytic_doc(workload, emr, device_a)
+            for i, workload in enumerate(workloads)
+        }
+        manifest = Manifest(FP)
+        segments = SegmentWriter(store.segment_dir, "older")
+        for key, doc in old_docs.items():
+            skeleton, vector = split_document(doc)
+            ref = skeleton_ref(skeleton)
+            manifest.skeletons[ref] = skeleton
+            segment, offset, length = segments.append(vector)
+            manifest.add(ManifestEntry(
+                key=key, kind="analytic", device=doc["target_name"],
+                workload="", target=doc["target_name"], fault_plan="",
+                offered_gbps=math.nan, read_fraction=math.nan,
+                skeleton=ref, segment=segment, offset=offset,
+                length=length, n=0, workload_ref=doc["workload_ref"],
+                platform_ref=doc["platform_ref"],
+            ))
+            manifest.blobs[doc["workload_ref"]] = workload_to_dict(
+                workloads[int(key, 16)]
+            )
+            manifest.blobs[doc["platform_ref"]] = platform_to_dict(emr)
+        segments.flush()
+        segments.close()
+        manifest.write(store.manifest_dir)
+        assert len(manifest.skeletons) == len(old_docs)
+
+        def check(reader, docs):
+            for key, doc in docs.items():
+                assert canonical_document(reader.get(key)) == \
+                    canonical_document(doc)
+                result = reader.get_result(key)
+                assert result.target_name == doc["target_name"]
+                assert json.dumps(
+                    run_result_to_dict(result, embed_context=False),
+                    sort_keys=True,
+                ) == json.dumps(
+                    {k: v for k, v in doc.items()
+                     if k not in ("workload_ref", "platform_ref")},
+                    sort_keys=True,
+                )
+
+        check(ResultStore(tmp_path / "store"), old_docs)
+        new_docs = {
+            key_of(100 + i): analytic_doc(workload, emr, device_b)
+            for i, workload in enumerate(workloads)
+        }
+        writer = ResultStore(tmp_path / "store").writer(FP)
+        assert len(writer) == len(old_docs)
+        for key, doc in new_docs.items():
+            writer.add(key, doc,
+                       workload_doc=workload_to_dict(
+                           workloads[int(key, 16) - 100]),
+                       platform_doc=platform_to_dict(emr))
+        writer.commit()
+        fresh = ResultStore(tmp_path / "store")
+        assert len(fresh) == len(old_docs) + len(new_docs)
+        check(fresh, old_docs)
+        check(fresh, new_docs)
