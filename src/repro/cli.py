@@ -33,10 +33,11 @@ of aborting (warning + exit 0; exit 3 under ``--strict-cells``).
 ``--cell-timeout S`` runs the campaign on a local coordinator fleet (see
 below; needs ``--cache-dir``) with S-second leases, so a cell that crashes
 or hangs its worker costs one attempt and a replacement worker carries
-on.  ``--cache-dir`` also checkpoints progress so an interrupted campaign
-restarts from where it stopped with ``--resume``.  ``--fault-plan PATH``
-injects a deterministic CXL RAS fault schedule (see :mod:`repro.faults`)
-into every simulated cell.
+on.  Under ``--cache-dir`` every cell persists the moment it finishes,
+so an interrupted campaign reruns only what was in flight; ``--resume``
+also restores the quarantine ledger from the campaign's checkpoint.
+``--fault-plan PATH`` injects a deterministic CXL RAS fault schedule
+(see :mod:`repro.faults`) into every simulated cell.
 
 Scale (``campaign``): ``--coordinator [HOST:]PORT`` runs the campaign
 through the fault-tolerant lease-based coordinator with
@@ -291,14 +292,15 @@ def cmd_campaign(args) -> int:
 
 
 def _attach_checkpointer(args, engine, campaign):
-    """Create/resume the campaign checkpoint when a cache dir is present.
+    """Create/resume the campaign's quarantine checkpoint (``--cache-dir``).
 
-    ``--job-id`` scopes the checkpoint document to one job, so concurrent
-    runs of the same campaign do not clobber each other.
+    Finished cells need no checkpoint: the run cache already holds each
+    one.  ``--resume`` restores the quarantine ledger, and ``--job-id``
+    scopes the checkpoint document to one job, so concurrent runs of the
+    same campaign do not clobber each other.
     """
     if not args.cache_dir:
         return None
-    from repro.core.melody import campaign_cells
     from repro.runtime import (
         Checkpointer,
         campaign_fingerprint,
@@ -307,27 +309,19 @@ def _attach_checkpointer(args, engine, campaign):
 
     fingerprint = campaign_fingerprint(campaign)
     job_id = getattr(args, "job_id", None) or ""
-    base_workloads, grid, _ = campaign_cells(campaign)
-    total = len(base_workloads) + len(grid)
-    completed = 0
     if args.resume:
         state = load_checkpoint(args.cache_dir, fingerprint, job_id)
         if state is None:
             print(f"no checkpoint for campaign {fingerprint[:12]}; "
-                  "starting fresh")
+                  "finished cells still come from the cache")
         else:
             engine.restore_quarantine(state.failed)
-            completed = state.completed_cells
             print(f"resuming campaign {fingerprint[:12]}: "
-                  f"{state.completed_cells}/{state.total_cells} cells "
-                  f"checkpointed, {len(state.failed)} quarantined")
+                  f"{len(state.failed)} quarantined")
     checkpointer = Checkpointer(
         cache_dir=args.cache_dir,
         fingerprint=fingerprint,
         name=campaign.name,
-        total_cells=total,
-        every=args.checkpoint_every,
-        completed=completed,
         job_id=job_id,
     )
     engine.checkpointer = checkpointer
@@ -1195,12 +1189,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempts per cell before quarantine: retried "
                         "in-process without a fleet, the lease budget "
                         "on one (default: fail fast; 5 on a fleet)")
-    p.add_argument("--checkpoint-every", type=int, default=16, metavar="N",
-                   help="checkpoint campaign progress every N completed "
-                        "cells (needs --cache-dir; default: 16)")
     p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted campaign from its "
-                        "checkpoint in --cache-dir")
+                   help="restore an interrupted campaign's quarantine "
+                        "ledger from its checkpoint in --cache-dir "
+                        "(finished cells always come from the cache)")
     p.add_argument("--strict-cells", action="store_true",
                    help="exit 3 when any cell was quarantined "
                         "(default: warn and exit 0)")

@@ -19,11 +19,12 @@ flaky fleet can do is survivable by construction:
   chaos can waste work but never change what lands in the cache.
 
 Results commit into the shared :class:`~repro.runtime.cache.RunCache`
-via the bit-faithful JSON codec, the final checkpoint is written through
-the PR 9 checkpoint path, and committed runs promote into the columnar
-store -- after which a plain ``repro campaign --resume`` pass over the
-same cache dir assembles exports byte-identical to a solo run.  That
-equivalence is the contract the ``dist`` diag layer enforces.
+via the bit-faithful JSON codec, the final checkpoint (the quarantine
+ledger) is written through :mod:`repro.runtime.checkpoint`, and
+committed runs promote into the columnar store -- after which a plain
+``repro campaign --resume`` pass over the same cache dir assembles
+exports byte-identical to a solo run.  That equivalence is the contract
+the ``dist`` diag layer enforces.
 
 Threading model: an accept thread spawns one thread per worker
 connection; a monitor thread drives lease expiry and liveness; the
@@ -719,14 +720,11 @@ class Coordinator:
             if complete:
                 from repro.runtime.checkpoint import Checkpointer
 
-                checkpointer = Checkpointer(
+                Checkpointer(
                     cache_dir=self.cache_dir,
                     fingerprint=self.fingerprint,
                     name=self.campaign.name,
-                    total_cells=len(table),
-                    completed=len(table.committed_keys()),
-                )
-                checkpointer.finalize(quarantined)
+                ).finalize(quarantined)
                 promoted = self._cache().promote_store(
                     self.fingerprint, keys=table.committed_keys()
                 )

@@ -15,21 +15,19 @@ hashes a canonical fingerprint of the cell; :class:`RunCache` maps keys to
 Disk entries that fail to parse -- truncated writes, stale schema versions
 -- are treated as misses, never as errors.  Hygiene: a corrupt run document
 (or a run document whose referenced blob is corrupt) is *deleted* on
-detection rather than left to fail every future load, temp files from
-interrupted atomic writes are cleaned up on the failure path, and
-:meth:`RunCache.prune` garbage-collects unparseable documents, orphaned
-blobs, and stale temp files from the disk tier.
+detection rather than left to fail every future load, and temp files from
+interrupted atomic writes are cleaned up on the failure path.  A damaged
+row of the columnar store tier falls through to the JSON documents, and
+is counted (``RunCache.store_errors``, ``runtime.store_read_errors``)
+rather than passing for an absent key.
 
 Thread safety: one :class:`RunCache` may be shared by many threads (the
 ``repro serve`` worker pool runs one :class:`CampaignEngine` per query
 against a single cache).  An internal lock guards the memory tier, the
 blob memo, and the hit/miss statistics; temp-file names are unique per
 (process, thread, write) so two threads storing the same key can never
-race each other's ``os.replace``; and :meth:`prune` tolerates entries
-created concurrently by live writers -- it only collects temp files and
-orphaned blobs older than :data:`PRUNE_MIN_AGE_S`, and treats files that
-vanish mid-scan as already collected.  Disk I/O happens outside the lock,
-so a warm disk load never serializes unrelated lookups.
+race each other's ``os.replace``.  Disk I/O happens outside the lock, so
+a warm disk load never serializes unrelated lookups.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import itertools
 import json
 import os
 import threading
-import time
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -72,16 +69,6 @@ def _canonical(payload) -> str:
 _FINGERPRINT_MEMO: Dict[int, Tuple[object, str]] = {}
 _FINGERPRINT_MEMO_CAP = 100_000
 _FINGERPRINT_LOCK = threading.Lock()
-
-PRUNE_MIN_AGE_S = 60.0
-"""How old a temp file or orphaned blob must be before prune collects it.
-
-A *young* temp file is (almost certainly) an atomic write in flight, and a
-young orphaned blob is a ``put`` that has written its blobs but not yet
-its run document; deleting either from under a live writer is the race
-this guard closes.  Sixty seconds is orders of magnitude above any single
-write, and stale garbage is by definition old.
-"""
 
 _TMP_SEQ = itertools.count()
 """Process-wide sequence for temp-file names.
@@ -196,6 +183,8 @@ class RunCache:
         self.memory_hits = 0
         self.disk_hits = 0
         self.store_hits = 0
+        # Store reads that hit a damaged entry (the JSON tier answered).
+        self.store_errors = 0
         self.misses = 0
         self.stores = 0
         self.corrupt_dropped = 0
@@ -281,10 +270,10 @@ class RunCache:
 
         The temp name is unique per (process, thread, write), so
         concurrent stores of the same key each replace their *own* temp
-        file -- last writer wins, nobody crashes.  If a concurrent
-        ``prune`` (or an overzealous external cleaner) unlinks the temp
-        file between the write and the ``os.replace``, the write retries
-        once with a fresh temp name rather than failing the store.
+        file -- last writer wins, nobody crashes.  If an external cleaner
+        unlinks the temp file between the write and the ``os.replace``,
+        the write retries once with a fresh temp name rather than failing
+        the store.
         """
         for attempt in (1, 2):
             tmp = (f"{path}.tmp.{os.getpid()}."
@@ -352,12 +341,17 @@ class RunCache:
                 return hit
         if self.store is not None:
             # A single lookup: get_result raises KeyError for a key the
-            # store never had, which lands in the same handler as a
-            # damaged entry -- both fall through to the JSON tier.
+            # store never had.  A damaged entry (truncated segment,
+            # garbled manifest row) raises something else; it falls
+            # through to the JSON tier too, but visibly.
             try:
                 result = self.store.get_result(key)
-            except (KeyError, ValueError, TypeError, OSError):
+            except KeyError:
                 pass
+            except (ValueError, TypeError, OSError):
+                with self._lock:
+                    self.store_errors += 1
+                metrics().counter("runtime.store_read_errors").inc()
             else:
                 return self._promote(key, result, tier="store")
         path = self._disk_path(key)
@@ -531,78 +525,3 @@ class RunCache:
         """Drop the in-memory tier (the disk tier survives)."""
         with self._lock:
             self._memory.clear()
-
-    @staticmethod
-    def _older_than(path: Path, age_s: float) -> bool:
-        """Whether ``path`` is older than ``age_s`` (False if it vanished)."""
-        try:
-            return (time.time() - path.stat().st_mtime) >= age_s
-        except OSError:
-            return False
-
-    def prune(self, min_age_s: float = PRUNE_MIN_AGE_S) -> Dict[str, int]:
-        """Garbage-collect the disk tier.
-
-        Removes (a) run documents that no longer parse, (b) blob files
-        referenced by no surviving run document, and (c) temp files left by
-        interrupted atomic writes.  Returns counts of what was removed.
-
-        Safe to run while other threads or processes are writing: temp
-        files and orphaned blobs younger than ``min_age_s`` are left alone
-        (a young temp file is an atomic write in flight; a young orphaned
-        blob belongs to a ``put`` whose run document lands moments later),
-        and entries that disappear between the scan and the unlink are
-        treated as already collected, never as errors.
-
-        Each file class is scanned exactly once, in its own pass over
-        its own directory: run documents live only in the two-hex-char
-        shard directories, blobs only in ``blobs/``.  The old
-        implementation ``rglob``-ed the whole cache dir and skipped
-        ``blobs/`` by path test -- a double scan that also swept any
-        *other* JSON under the cache root (checkpoints, store
-        manifests) into the run-document corruption check, where a
-        perfectly healthy checkpoint parses as "no workload_ref" and
-        gets deleted.  Disjoint passes make non-run-document tenants of
-        the cache dir structurally invisible to the collector.
-        """
-        removed = {"documents": 0, "blobs": 0, "temp_files": 0}
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return removed
-        referenced: set = set()
-        hexdigits = set("0123456789abcdef")
-        shards = sorted(
-            child
-            for child in self.cache_dir.iterdir()
-            if child.is_dir()
-            and len(child.name) == 2
-            and set(child.name) <= hexdigits
-        )
-        for shard in shards:
-            for path in sorted(shard.glob("*.json")):
-                try:
-                    data = json.loads(path.read_text())
-                    if isinstance(data, dict) \
-                            and data.get("kind") == "eventsim":
-                        continue  # self-contained: references no blobs
-                    refs = (data["workload_ref"], data["platform_ref"])
-                except OSError:
-                    continue  # vanished mid-scan (concurrent writer)
-                except (ValueError, KeyError, TypeError):
-                    if self._discard(str(path)):
-                        removed["documents"] += 1
-                    continue
-                referenced.update(refs)
-        blob_dir = self.cache_dir / "blobs"
-        if blob_dir.is_dir():
-            for path in sorted(blob_dir.glob("*.json")):
-                if path.stem not in referenced \
-                        and self._older_than(path, min_age_s):
-                    if self._discard(str(path)):
-                        removed["blobs"] += 1
-        for path in sorted(self.cache_dir.rglob("*.tmp.*")):
-            if self._older_than(path, min_age_s):
-                if self._discard(str(path)):
-                    removed["temp_files"] += 1
-        with self._lock:
-            self._blobs_written.clear()
-        return removed

@@ -1,15 +1,16 @@
-"""Campaign checkpointing: crash-tolerant progress records.
+"""Campaign checkpointing: the quarantine ledger a run cache cannot hold.
 
-The disk tier of the :class:`~repro.runtime.cache.RunCache` already
-persists every finished cell, so a killed campaign loses no *results*.
-What it loses without this module is campaign-level state: which campaign
-was running, how far it got, and -- crucially -- which cells were
-**quarantined** (a quarantined cell has no cache entry, so a naive rerun
-would grind through all of its doomed attempts again).  A
-:class:`Checkpointer` persists exactly that, atomically, into
-``<cache_dir>/checkpoints/<fingerprint>.json``; ``repro campaign
---resume`` loads it, restores the quarantine ledger, and lets the run
-cache skip everything that already finished.
+The :class:`~repro.runtime.cache.RunCache` is a campaign's progress
+record: the engine caches every result the moment it exists, so a killed
+campaign loses at most the serial cell or fused batch in flight, and a
+rerun over the same cache dir skips everything that finished.  What the
+cache cannot hold is which cells were **quarantined** (a quarantined
+cell has no cache entry, so a naive rerun would grind through all of its
+doomed attempts again).  A :class:`Checkpointer` persists exactly that,
+atomically, into ``<cache_dir>/checkpoints/<fingerprint>.json``: the
+engine rewrites it whenever it quarantines a cell, and the CLI writes it
+once more at campaign end, marked complete.  ``repro campaign --resume``
+loads it and restores the quarantine ledger.
 
 :func:`campaign_fingerprint` names the checkpoint file by the campaign's
 *content* (platform, baseline, targets, workloads, config, and the active
@@ -21,10 +22,10 @@ Checkpoints are additionally scoped by an optional **job id**: two
 two ``repro serve`` jobs coalescing was unable to merge) share a
 fingerprint, and with a single path they would silently clobber each
 other's atomic checkpoint -- each ``os.replace`` wins the file for a
-progress count the other job immediately overwrites.  A job id gives each
-writer its own document (``<fingerprint>.<job_id>.json``); the empty id
-(the historical single-writer path) is unchanged, so existing checkpoints
-keep resuming.
+quarantine ledger the other job immediately overwrites.  A job id gives
+each writer its own document (``<fingerprint>.<job_id>.json``); the
+empty id (the historical single-writer path) is unchanged, so existing
+checkpoints keep resuming.
 
 Checkpoint documents that fail to parse are deleted on load (counted via
 ``runtime.cache_recovered``, like any other cache-dir recovery) and
@@ -39,7 +40,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
@@ -72,44 +73,24 @@ def campaign_fingerprint(campaign) -> str:
 
 @dataclass
 class Checkpointer:
-    """Periodic, atomic campaign-progress persistence.
+    """Atomic persistence of one campaign's quarantine ledger.
 
-    The engine calls :meth:`tick` once per newly executed cell (or
-    sub-batch); every ``every`` completions the document is rewritten via
-    the same temp-file + ``os.replace`` discipline the run cache uses, so
-    a kill mid-write leaves the previous checkpoint intact.
+    Every write rewrites the whole document via a temp file, ``fsync``
+    and ``os.replace`` (then ``fsync`` of the directory), so a kill
+    mid-write leaves the previous checkpoint intact.
     """
 
     cache_dir: str
     fingerprint: str
     name: str = ""
-    total_cells: int = 0
-    every: int = 16
-    completed: int = 0
     job_id: str = ""
-    writes: int = field(default=0, init=False)
-    _since_write: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ConfigurationError("checkpoint interval must be >= 1")
         _validate_job_id(self.job_id)
 
     @property
     def path(self) -> str:
         return checkpoint_path(self.cache_dir, self.fingerprint, self.job_id)
-
-    def tick(self, completed_cells: int, failed: List[FailedCell]) -> None:
-        """Account newly executed cells; write when the interval elapses."""
-        self.completed += completed_cells
-        self._since_write += completed_cells
-        if self._since_write >= self.every:
-            self.write(failed)
-
-    def flush(self, failed: List[FailedCell]) -> None:
-        """Persist any progress accumulated since the last write."""
-        if self._since_write > 0:
-            self.write(failed)
 
     def finalize(self, failed: List[FailedCell]) -> None:
         """Mark the campaign complete (resume then only serves quarantine)."""
@@ -123,8 +104,6 @@ class Checkpointer:
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
             "name": self.name,
-            "total_cells": self.total_cells,
-            "completed_cells": self.completed,
             "complete": complete,
             "failed": [record.to_dict() for record in failed],
         }
@@ -151,8 +130,6 @@ class Checkpointer:
             except OSError:
                 pass
             raise
-        self._since_write = 0
-        self.writes += 1
         metrics().counter("runtime.checkpoints_written").inc()
 
 
@@ -182,13 +159,13 @@ class CheckpointState:
 
     fingerprint: str
     name: str
-    total_cells: int
-    completed_cells: int
     complete: bool
     failed: tuple
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckpointState":
+        """Parse a document; keys this version does not read are ignored
+        (older writers also recorded completed-cell counts)."""
         if int(data.get("version", -1)) != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {data.get('version')!r}"
@@ -196,8 +173,6 @@ class CheckpointState:
         return cls(
             fingerprint=str(data["fingerprint"]),
             name=str(data.get("name", "")),
-            total_cells=int(data.get("total_cells", 0)),
-            completed_cells=int(data.get("completed_cells", 0)),
             complete=bool(data.get("complete", False)),
             failed=tuple(
                 FailedCell.from_dict(record)

@@ -22,8 +22,8 @@ Execution strategy per batch:
    dependent cells hit the cache);
 3. run the unique misses -- as one fused **batch** when every one is a
    batchable :class:`SimCell` (and the mode is ``auto``), else
-   **serial**ly;
-4. store results and assemble the per-cell list by key lookup.
+   **serial**ly -- caching each result the moment it exists;
+4. assemble the per-cell list by key lookup.
 
 A cell's result is byte-identical whether it ran serially or batched (the
 ``eventsim-batch-identity`` diag check and the benchmark's pre-timing
@@ -41,9 +41,15 @@ clock), and cells that exhaust their attempts are quarantined into
 structured :class:`FailedCell` records instead of aborting the campaign.
 Crashes and hangs are not this module's business: a cell that kills or
 wedges its process is bounded by lease expiry on the coordinator
-(:mod:`repro.dist`, the CLI's ``--cell-timeout``).  A ``checkpointer``
-(see :mod:`repro.runtime.checkpoint`) persists progress periodically so
-a killed campaign can resume.
+(:mod:`repro.dist`, the CLI's ``--cell-timeout``).
+
+The run cache is the campaign's progress record: a serial cell is cached
+as soon as it returns and a fused batch as soon as the batch returns, so
+an error or a kill costs at most the cell or batch in flight and a rerun
+over the same cache skips everything that finished.  The quarantine
+ledger is the one thing the cache cannot hold; an attached
+``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists it
+whenever a cell is quarantined.
 
 Observability: every batch feeds the process-wide metrics registry
 (:mod:`repro.obs`) -- cells requested/run/cached/deduped, batch wall-time
@@ -399,6 +405,8 @@ class CampaignEngine:
     stats: EngineStats = field(default_factory=EngineStats)
     policy: Optional[RetryPolicy] = None
     checkpointer: Optional[object] = None
+    """A :class:`~repro.runtime.checkpoint.Checkpointer`, written on
+    every quarantine."""
     failed: List[FailedCell] = field(default_factory=list)
     sleep_fn: Callable[[float], None] = time.sleep
     mode: str = "auto"
@@ -462,9 +470,7 @@ class CampaignEngine:
         if self.policy is not None:
             ran = self._execute_resilient(pending, pending_keys, resolved)
         else:
-            ran = self._execute_batches(pending, pending_keys, resolved)
-        if self.checkpointer is not None:
-            self.checkpointer.flush(self.failed)
+            ran = self._execute(pending, pending_keys, resolved)
 
         elapsed = time.perf_counter() - start
         cached = len(cells) - len(pending) - dupes - quarantine_hits
@@ -530,40 +536,43 @@ class CampaignEngine:
 
     # -- execution backends ------------------------------------------------
 
-    def _checkpoint_step(self, n_pending: int) -> int:
-        """Sub-batch size for the fail-fast path under a checkpointer."""
-        every = getattr(self.checkpointer, "every", 0) \
-            if self.checkpointer is not None else 0
-        if every and every > 0:
-            return max(1, min(n_pending, int(every)))
-        return max(1, n_pending)
-
-    def _execute_batches(
+    def _execute(
         self,
-        pending: List[Cell],
+        pending: List[AnyCell],
         pending_keys: List[str],
         resolved: Dict[str, Optional[RunResult]],
     ) -> int:
-        """Fail-fast execution, split into checkpoint-sized sub-batches.
+        """Fail-fast execution: one fused batch if every cell may join it.
 
-        Without a checkpointer this is one ``_execute`` call, exactly the
-        historical behaviour; with one, progress persists every ``every``
-        completed cells so ``--resume`` loses at most one sub-batch.
+        Mixed sets never batch: analytic cells have no batch kernel, and
+        a sim cell pinned to ``scalar``/``vector`` (or running under a
+        tracer) asked for solo semantics.  Every result is cached the
+        moment it exists -- a serial cell as soon as it returns, a fused
+        batch as soon as the batch returns -- so a raise or a kill costs
+        at most the cell or batch in flight.
         """
         if not pending:
             return 0
-        step = self._checkpoint_step(len(pending))
-        done = 0
-        for lo in range(0, len(pending), step):
-            chunk = pending[lo:lo + step]
-            chunk_keys = pending_keys[lo:lo + step]
-            for key, result in zip(chunk_keys, self._execute(chunk)):
-                self._store(key, result)
-                resolved[key] = result
-            done += len(chunk)
-            if self.checkpointer is not None:
-                self.checkpointer.tick(len(chunk), self.failed)
-        return done
+        batch = self.mode == "auto" and all(
+            isinstance(cell, SimCell) and cell.batchable for cell in pending
+        )
+        self.stats.last_plan = "batch" if batch else "serial"
+        metrics().counter(
+            "runtime.planner_choice", choice=self.stats.last_plan
+        ).inc()
+        if batch:
+            self.stats.planner_batch += 1
+            results = self._execute_batch(pending)
+        else:
+            self.stats.planner_serial += 1
+            self.stats.cells_serial += len(pending)
+            metrics().counter("runtime.cells_serial").inc(len(pending))
+            # Lazy: zip below stores each cell before the next one runs.
+            results = (_execute_cell(cell) for cell in pending)
+        for key, result in zip(pending_keys, results):
+            self._store(key, result)
+            resolved[key] = result
+        return len(pending)
 
     def _store(self, key: str, result) -> None:
         """Cache one result; sim results memoize in memory only.
@@ -575,30 +584,6 @@ class CampaignEngine:
             self.cache.put(key, result)
         else:
             self.cache.put_memory(key, result)
-
-    def _execute(self, pending: List[AnyCell]) -> List[object]:
-        """Run ``pending``: one fused batch if every cell may join it.
-
-        Mixed sets never batch: analytic cells have no batch kernel, and
-        a sim cell pinned to ``scalar``/``vector`` (or running under a
-        tracer) asked for solo semantics.
-        """
-        if not pending:
-            return []
-        batch = self.mode == "auto" and all(
-            isinstance(cell, SimCell) and cell.batchable for cell in pending
-        )
-        self.stats.last_plan = "batch" if batch else "serial"
-        metrics().counter(
-            "runtime.planner_choice", choice=self.stats.last_plan
-        ).inc()
-        if batch:
-            self.stats.planner_batch += 1
-            return self._execute_batch(pending)
-        self.stats.planner_serial += 1
-        self.stats.cells_serial += len(pending)
-        metrics().counter("runtime.cells_serial").inc(len(pending))
-        return [_execute_cell(cell) for cell in pending]
 
     def _execute_batch(self, pending: List[SimCell]) -> List[object]:
         """Fused execution: all pending sim cells through one batch call.
@@ -659,7 +644,8 @@ class CampaignEngine:
             except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
                 message = f"{type(exc).__name__}: {exc}"
             else:
-                self._complete(key, result, resolved)
+                self._store(key, result)
+                resolved[key] = result
                 self.stats.cells_serial += 1
                 ok += 1
                 continue
@@ -671,23 +657,15 @@ class CampaignEngine:
                 queue.append((cell, key, attempt + 1))
         return ok
 
-    def _complete(
-        self,
-        key: str,
-        result: RunResult,
-        resolved: Dict[str, Optional[RunResult]],
-    ) -> None:
-        """Record one successful cell (cache, result map, checkpoint)."""
-        self._store(key, result)
-        resolved[key] = result
-        if self.checkpointer is not None:
-            self.checkpointer.tick(1, self.failed)
-
     def _quarantine(
         self, cell: AnyCell, key: str, attempts: int, reason: str,
         message: str,
     ) -> None:
-        """Give up on a cell: record it, never cache it, keep going."""
+        """Give up on a cell: record it, never cache it, keep going.
+
+        The quarantine ledger is the one piece of progress the run cache
+        cannot hold, so an attached checkpointer persists it at once.
+        """
         workload, platform, target = _cell_names(cell)
         record = FailedCell(
             key=key,
@@ -702,3 +680,5 @@ class CampaignEngine:
         self._quarantined[key] = record
         self.stats.cells_quarantined += 1
         metrics().counter("runtime.cells_quarantined").inc()
+        if self.checkpointer is not None:
+            self.checkpointer.write(self.failed)

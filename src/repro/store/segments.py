@@ -8,8 +8,10 @@ and the OS page cache is the only cache we need.
 
 Writers never share a segment file: each :class:`SegmentWriter` derives
 its file names from a caller-supplied ``writer_id`` (campaign
-fingerprint + job id), so concurrent writer processes can append
-into one ``segments/`` directory without coordination.
+fingerprint + job id) and creates every file exclusively, stepping to
+the next sequence number when the name is taken -- so concurrent
+writers, even two of one ``writer_id``, append into one ``segments/``
+directory without coordination.
 Files roll at :data:`SEGMENT_ROLL_BYTES` so a million-cell campaign does
 not produce one unwieldy multi-gigabyte file.
 """
@@ -36,8 +38,9 @@ class SegmentWriter:
 
     ``append`` returns the ``(segment_name, offset, length)`` span the
     manifest must record; offsets are in float64 elements, not bytes.
-    The writer keeps one file handle open and rolls to ``<seq>+1`` when
-    the current file would exceed ``roll_bytes``.  Not thread-safe by
+    The writer keeps one file handle open and rolls to a fresh sequence
+    number when the current file would exceed ``roll_bytes``; it only
+    ever appends to files it created.  Not thread-safe by
     itself -- the owning :class:`~repro.store.store.StoreWriter`
     serializes access.
     """
@@ -56,17 +59,6 @@ class SegmentWriter:
         self._seq = 0
         self._handle = None
         self._offset = 0  # elements already in the current file
-        # Resume past files from an interrupted writer instead of
-        # clobbering them: spans in an already-written manifest must
-        # keep pointing at the bytes they named.
-        prefix = f"{writer_id}-"
-        existing = [
-            int(path.stem[len(prefix):])
-            for path in self.directory.glob(f"{prefix}*{SEGMENT_SUFFIX}")
-            if path.stem[len(prefix):].isdigit()
-        ]
-        if existing:
-            self._seq = max(existing) + 1
 
     @property
     def current_segment(self) -> str:
@@ -95,16 +87,29 @@ class SegmentWriter:
             self._handle.flush()
 
     def close(self) -> None:
-        """Close the current segment file handle (reopened on append)."""
+        """Close the current segment file (a later append starts a new one)."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
 
     def _open(self) -> None:
+        """Create the next unused segment file of this writer.
+
+        Exclusive creation is what keeps spans honest: a file left by an
+        earlier writer, or being filled by a concurrent one of the same
+        ``writer_id``, is never appended to, so every span an existing
+        manifest names keeps pointing at the bytes it named.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / self.current_segment
-        self._handle = open(path, "ab")
-        self._offset = path.stat().st_size // FLOAT_BYTES
+        while True:
+            try:
+                self._handle = open(
+                    self.directory / self.current_segment, "xb"
+                )
+                break
+            except FileExistsError:
+                self._seq += 1
+        self._offset = 0
 
     def _roll(self) -> None:
         self.close()

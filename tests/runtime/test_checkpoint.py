@@ -1,4 +1,4 @@
-"""Checkpoint tests: cadence, round trips, recovery, and SIGKILL resume."""
+"""Checkpoint tests: the quarantine ledger, recovery, and SIGKILL resume."""
 
 import json
 import os
@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro.core.melody import Melody
-from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, FaultEpisode, fault_injection
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import (
@@ -33,23 +32,9 @@ def failed_record():
 
 
 class TestCheckpointer:
-    def test_write_cadence(self, tmp_path, failed_record):
-        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
-                            name="t", total_cells=10, every=3)
-        ckpt.tick(1, [])
-        ckpt.tick(1, [])
-        assert ckpt.writes == 0
-        ckpt.tick(1, [failed_record])
-        assert ckpt.writes == 1
-        ckpt.flush([])  # nothing new since the write
-        assert ckpt.writes == 1
-        ckpt.tick(1, [])
-        ckpt.flush([])
-        assert ckpt.writes == 2
-
     def test_document_is_json_dumps_bytes(self, tmp_path, failed_record):
         ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
-                            name="t", total_cells=4, completed=3)
+                            name="t")
         ckpt.write([failed_record])
         with open(ckpt.path) as handle:
             text = handle.read()
@@ -57,8 +42,6 @@ class TestCheckpointer:
             "version": CHECKPOINT_VERSION,
             "fingerprint": "f" * 32,
             "name": "t",
-            "total_cells": 4,
-            "completed_cells": 3,
             "complete": False,
             "failed": [failed_record.to_dict()],
         })
@@ -87,8 +70,7 @@ class TestCheckpointer:
 
         monkeypatch.setattr(os, "open", open_spy)
         monkeypatch.setattr(os, "fsync", fsync_spy)
-        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
-                            total_cells=4)
+        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32)
         ckpt.write([])
         assert len(synced) == 2
         # First the data (the temp-file handle, opened via the builtin,
@@ -124,22 +106,33 @@ class TestCheckpointer:
         )
         _fsync_directory(str(tmp_path))  # silently a no-op
 
-    def test_interval_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="interval"):
-            Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
-                         every=0)
-
     def test_round_trip_with_failed_cells(self, tmp_path, failed_record):
         ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="a" * 32,
-                            name="rt", total_cells=5, every=1)
-        ckpt.tick(4, [failed_record])
+                            name="rt")
+        ckpt.write([failed_record])
         state = load_checkpoint(str(tmp_path), "a" * 32)
-        assert state.completed_cells == 4
-        assert state.total_cells == 5
+        assert state.name == "rt"
         assert not state.complete
         assert state.failed == (failed_record,)
         ckpt.finalize([failed_record])
         assert load_checkpoint(str(tmp_path), "a" * 32).complete
+
+    def test_older_document_resumes_its_quarantine(self, tmp_path,
+                                                    failed_record):
+        # Checkpoints used to carry completed-cell counts as well; the
+        # counts are ignored and the quarantine ledger still restores.
+        path = checkpoint_path(str(tmp_path), "e" * 32)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as handle:
+            json.dump({
+                "version": CHECKPOINT_VERSION, "fingerprint": "e" * 32,
+                "name": "old", "total_cells": 9, "completed_cells": 4,
+                "complete": False, "failed": [failed_record.to_dict()],
+            }, handle)
+        state = load_checkpoint(str(tmp_path), "e" * 32)
+        assert state.failed == (failed_record,)
+        engine = CampaignEngine()
+        assert engine.restore_quarantine(state.failed) == 1
 
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert load_checkpoint(str(tmp_path), "b" * 32) is None
@@ -180,16 +173,49 @@ class TestFingerprint:
         assert disabled == bare  # empty plan is indistinguishable
 
 
+class TestEngineLedger:
+    """The engine writes the checkpoint when, and only when, it
+    quarantines a cell."""
+
+    def test_quarantine_writes_the_ledger(self, tmp_path, simple_workload,
+                                          emr, device_a, device_b):
+        from repro.faults.chaos import ChaosPolicy, chaos_injection
+        from repro.runtime.executor import Cell, RetryPolicy
+
+        cells = [Cell(simple_workload, emr, t) for t in (device_a, device_b)]
+        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="a" * 32)
+        engine = CampaignEngine(
+            cache=RunCache(str(tmp_path)),
+            policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+            checkpointer=ckpt,
+        )
+        with chaos_injection(ChaosPolicy(doomed=(cells[1].key(),))):
+            results = engine.run_cells(cells)
+        assert results[0] is not None and results[1] is None
+        state = load_checkpoint(str(tmp_path), "a" * 32)
+        assert not state.complete
+        assert [record.key for record in state.failed] == [cells[1].key()]
+        assert state.failed[0].attempts == 2
+
+    def test_clean_batch_writes_nothing(self, tmp_path, simple_workload,
+                                        emr, device_a):
+        from repro.runtime.executor import Cell
+
+        ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="b" * 32)
+        engine = CampaignEngine(cache=RunCache(str(tmp_path)),
+                                checkpointer=ckpt)
+        engine.run_cells([Cell(simple_workload, emr, device_a)])
+        assert not os.path.exists(ckpt.path)
+
+
 class TestSigkillResume:
-    """A campaign killed between checkpoints resumes without re-running."""
+    """A campaign killed mid-batch resumes from the cells it finished."""
 
     CHILD = textwrap.dedent("""\
         import os, pickle, sys
         sys.path.insert(0, sys.argv[1])
         cache_dir = sys.argv[2]
-        from repro.runtime import (
-            CampaignEngine, Checkpointer, RunCache, campaign_fingerprint,
-        )
+        from repro.runtime import CampaignEngine, RunCache, executor
         from repro.runtime.executor import Cell
 
         with open(sys.argv[3], "rb") as handle:
@@ -199,16 +225,18 @@ class TestSigkillResume:
             for t in (campaign.platform.local_target(),) + campaign.targets
             for w in campaign.workloads
         ]
-        engine = CampaignEngine(cache=RunCache(cache_dir))
-        engine.checkpointer = Checkpointer(
-            cache_dir=cache_dir,
-            fingerprint=campaign_fingerprint(campaign),
-            name=campaign.name,
-            total_cells=len(cells),
-            every=1,
-        )
-        engine.run_cells(cells[:3])
-        os._exit(9)  # abrupt death, SIGKILL-style: no flush, no finalize
+        real_run, calls = executor.run_workload, []
+
+        def run_workload(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                os._exit(9)  # abrupt death, SIGKILL-style: no cleanup
+            return real_run(*args)
+
+        executor.run_workload = run_workload
+        # Fail-fast and no checkpointer: the run cache alone must keep
+        # the three cells that finished before the kill.
+        CampaignEngine(cache=RunCache(cache_dir)).run_cells(cells)
     """)
 
     def test_resume_after_kill_identical_and_incremental(
@@ -226,17 +254,12 @@ class TestSigkillResume:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 9, proc.stderr
-
         fingerprint = campaign_fingerprint(campaign)
-        state = load_checkpoint(cache_dir, fingerprint)
-        assert state is not None and not state.complete
-        assert state.completed_cells == 3
-        assert state.failed == ()
+        assert load_checkpoint(cache_dir, fingerprint) is None
 
-        # Resume: same cache dir; the three checkpointed cells must be
+        # Resume: same cache dir; the three finished cells must be
         # served from disk, everything else runs fresh.
         engine = CampaignEngine(cache=RunCache(cache_dir))
-        engine.restore_quarantine(state.failed)
         resumed = Melody(engine=engine).run(campaign)
         total_unique = 2 * len(campaign.workloads)  # baseline + device
         assert engine.stats.cells_run == total_unique - 3

@@ -2,11 +2,11 @@
 
 Two jobs running the *same* campaign share a fingerprint; with one
 checkpoint path their atomic writes silently overwrite each other's
-progress.  A ``job_id`` gives each writer its own document.  The SIGKILL
-test reproduces the serve scenario end to end: a process running twin
-same-campaign jobs in two threads dies abruptly, and each job's
-checkpoint survives independently -- then the campaign resumes from one
-of them without re-running its checkpointed cells.
+quarantine ledger.  A ``job_id`` gives each writer its own document.
+The SIGKILL test reproduces the serve scenario end to end: a process
+running twin same-campaign jobs in two threads dies abruptly, each job's
+quarantine ledger survives in its own file, and the campaign resumes
+from the run cache without re-running the cells that finished.
 """
 
 import json
@@ -55,15 +55,13 @@ class TestJobScopedPaths:
 
     def test_document_embeds_the_job_id(self, tmp_path):
         ckpt = Checkpointer(cache_dir=str(tmp_path), fingerprint="f" * 32,
-                            name="t", total_cells=4, every=1,
-                            job_id="job-a")
-        ckpt.tick(1, [])
+                            name="t", job_id="job-a")
+        ckpt.write([])
         with open(ckpt.path) as handle:
             assert json.load(handle)["job_id"] == "job-a"
         # The empty id keeps the historical document shape.
-        bare = Checkpointer(cache_dir=str(tmp_path),
-                            fingerprint="e" * 32, every=1)
-        bare.tick(1, [])
+        bare = Checkpointer(cache_dir=str(tmp_path), fingerprint="e" * 32)
+        bare.write([])
         with open(bare.path) as handle:
             assert "job_id" not in json.load(handle)
 
@@ -72,14 +70,13 @@ class TestJobScopedPaths:
         failure = FailedCell(key="k", workload="w", platform="p",
                              target="t", attempts=2, reason="error")
 
-        def job(job_id, completions, failed):
+        def job(job_id, writes, failed):
             ckpt = Checkpointer(
                 cache_dir=str(tmp_path), fingerprint=fingerprint,
-                name=job_id, total_cells=completions, every=1,
-                job_id=job_id,
+                name=job_id, job_id=job_id,
             )
-            for _ in range(completions):
-                ckpt.tick(1, failed)
+            for _ in range(writes):
+                ckpt.write(failed)
 
         threads = [
             threading.Thread(target=job, args=("job-a", 37, [])),
@@ -92,8 +89,7 @@ class TestJobScopedPaths:
 
         a = load_checkpoint(str(tmp_path), fingerprint, "job-a")
         b = load_checkpoint(str(tmp_path), fingerprint, "job-b")
-        assert a.completed_cells == 37 and a.name == "job-a"
-        assert b.completed_cells == 53 and b.name == "job-b"
+        assert a.name == "job-a" and b.name == "job-b"
         assert a.failed == () and b.failed == (failure,)
         # Neither job ever saw (or overwrote) the unscoped path.
         assert load_checkpoint(str(tmp_path), fingerprint) is None
@@ -106,8 +102,10 @@ class TestSigkillResumeWithTwin:
         import os, pickle, sys, threading
         sys.path.insert(0, sys.argv[1])
         cache_dir = sys.argv[2]
+        from repro.faults.chaos import ChaosPolicy, chaos_injection
         from repro.runtime import (
-            CampaignEngine, Checkpointer, RunCache, campaign_fingerprint,
+            CampaignEngine, Checkpointer, RetryPolicy, RunCache,
+            campaign_fingerprint, executor,
         )
         from repro.runtime.executor import Cell
 
@@ -120,29 +118,41 @@ class TestSigkillResumeWithTwin:
             for w in campaign.workloads
         ]
 
-        def job(job_id, n_cells, result_dir):
-            # Private result caches: a cache hit does not tick the
-            # checkpointer, so sharing one would make counts racy.  The
-            # *checkpoints* directory is shared -- that is the surface
-            # under test.
-            engine = CampaignEngine(cache=RunCache(result_dir))
-            engine.checkpointer = Checkpointer(
-                cache_dir=cache_dir,
-                fingerprint=fingerprint,
-                name=job_id,
-                total_cells=len(cells),
-                every=1,
-                job_id=job_id,
+        def job(job_id, job_cells, result_dir, doomed):
+            # Private result caches keep the twin's cells out of job-a's
+            # resume; the *checkpoints* directory is shared -- that is
+            # the surface under test.  The chaos policy is per thread,
+            # so each job quarantines only its own doomed cell.
+            engine = CampaignEngine(
+                cache=RunCache(result_dir),
+                policy=RetryPolicy(max_attempts=1),
+                checkpointer=Checkpointer(
+                    cache_dir=cache_dir, fingerprint=fingerprint,
+                    name=job_id, job_id=job_id,
+                ),
             )
-            engine.run_cells(cells[:n_cells])
+            with chaos_injection(ChaosPolicy(doomed=(doomed.key(),))):
+                engine.run_cells(job_cells)
 
+        real_run, calls = executor.run_workload, []
+
+        def run_workload(*args):
+            # job-a runs on the main thread and dies inside its 4th
+            # pipeline call, once the twin has finished.
+            if threading.current_thread() is threading.main_thread():
+                calls.append(args)
+                if len(calls) == 4:
+                    twin.join()
+                    os._exit(9)  # abrupt death: no cleanup, no finalize
+            return real_run(*args)
+
+        executor.run_workload = run_workload
         twin = threading.Thread(
-            target=job, args=("job-b", 2, cache_dir + "-twin")
+            target=job,
+            args=("job-b", cells[-3:], cache_dir + "-twin", cells[-1]),
         )
         twin.start()
-        job("job-a", 3, cache_dir)
-        twin.join()
-        os._exit(9)  # abrupt death: no flush, no finalize
+        job("job-a", cells, cache_dir, cells[1])
     """)
 
     def test_both_checkpoints_survive_and_resume_works(
@@ -161,17 +171,27 @@ class TestSigkillResumeWithTwin:
         )
         assert proc.returncode == 9, proc.stderr
 
+        from repro.runtime.executor import Cell
+
+        cells = [
+            Cell(w, campaign.platform, t, campaign.config)
+            for t in (campaign.platform.local_target(),) + campaign.targets
+            for w in campaign.workloads
+        ]
         fingerprint = campaign_fingerprint(campaign)
         a = load_checkpoint(cache_dir, fingerprint, "job-a")
         b = load_checkpoint(cache_dir, fingerprint, "job-b")
-        assert a is not None and a.completed_cells == 3
-        assert b is not None and b.completed_cells == 2
+        assert a is not None and b is not None
         assert a.name == "job-a" and b.name == "job-b"
+        assert not a.complete and not b.complete
+        assert [record.key for record in a.failed] == [cells[1].key()]
+        assert [record.key for record in b.failed] == [cells[-1].key()]
+        assert load_checkpoint(cache_dir, fingerprint) is None
 
-        # Resume job-a: its three checkpointed cells come from its run
-        # cache; results match a fresh single-process run exactly.
+        # Resume job-a's campaign without the chaos that doomed its
+        # cell: the three cells it finished come from its run cache,
+        # and the records match a fresh single-process run exactly.
         engine = CampaignEngine(cache=RunCache(cache_dir))
-        engine.restore_quarantine(a.failed)
         resumed = Melody(engine=engine).run(campaign)
         total_unique = 2 * len(campaign.workloads)
         assert engine.stats.cells_run == total_unique - 3

@@ -68,6 +68,27 @@ class TestRunCells:
         with pytest.raises(RuntimeError):
             engine.run_cells(grid)
 
+    def test_finished_cells_survive_a_failing_batch(self, grid, tmp_path,
+                                                    monkeypatch):
+        # No checkpointer: the run cache alone is the progress record,
+        # so the cells that finished before the 4th raised stay cached.
+        calls = []
+
+        def fourth_fails(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise RuntimeError("a genuine run failure")
+            return run_workload(*args)
+
+        monkeypatch.setattr(executor_mod, "run_workload", fourth_fails)
+        engine = CampaignEngine(cache=RunCache(str(tmp_path)))
+        with pytest.raises(RuntimeError):
+            engine.run_cells(grid)
+        fresh = RunCache(str(tmp_path))
+        assert [fresh.get(cell.key()) is not None for cell in grid] == [
+            True, True, True, False, False, False,
+        ]
+
 
 class TestStats:
     def test_runs_per_second(self, engine, grid):
@@ -224,17 +245,6 @@ class TestSimCells:
             assert a.refresh_collisions == b.refresh_collisions
             assert a.link_retries == b.link_retries
             assert a.engine == b.engine
-
-    def test_sim_documents_survive_prune(self, sim_grid, tmp_path):
-        """prune() must not garbage-collect blob-free eventsim documents."""
-        cache_dir = str(tmp_path / "runs")
-        hot = CampaignEngine(cache=RunCache(cache_dir))
-        hot.run_cells(sim_grid)
-        cache = RunCache(cache_dir)
-        assert cache.prune() == {"documents": 0, "blobs": 0, "temp_files": 0}
-        warm = CampaignEngine(cache=cache)
-        warm.run_cells(sim_grid)
-        assert warm.stats.cells_run == 0
 
     def test_key_excludes_engine(self):
         from repro.hw.cxl import CXL_DEVICES

@@ -157,7 +157,7 @@ class TestDiskTier:
 
 
 class TestHygiene:
-    """Corrupt entries are deleted on detection; prune collects the rest."""
+    """Corrupt entries are deleted on detection."""
 
     def _entry_path(self, tmp_path, key):
         return tmp_path / key[:2] / f"{key}.json"
@@ -189,16 +189,6 @@ class TestHygiene:
             assert counter.value == 1
         finally:
             obs.disable_metrics()
-
-    def test_prune_does_not_count_as_recovery(self, tmp_path, run,
-                                              simple_workload, emr,
-                                              device_a):
-        key = run_key(simple_workload, emr, device_a)
-        cache = RunCache(str(tmp_path))
-        cache.put(key, run)
-        self._entry_path(tmp_path, key).write_text("{not json")
-        cache.prune()
-        assert cache.recovered == 0
 
     def test_corrupt_blob_deleted_on_detection(self, tmp_path, run,
                                                simple_workload, emr,
@@ -236,47 +226,3 @@ class TestHygiene:
         with pytest.raises(TypeError):
             cache._atomic_write(path, {"bad": object()})  # not JSON-safe
         assert list(tmp_path.rglob("*.tmp.*")) == []
-
-    def test_prune_collects_garbage(self, tmp_path, run, simple_workload,
-                                    emr, device_a, device_b):
-        cache = RunCache(str(tmp_path))
-        key_a = run_key(simple_workload, emr, device_a)
-        key_b = run_key(simple_workload, emr, device_b)
-        cache.put(key_a, run)
-        cache.put(key_b, run)
-        # Corrupt one document: its platform/workload blobs stay referenced
-        # by the other document, so only the doc itself is collected ...
-        self._entry_path(tmp_path, key_b).write_text("{not json")
-        # ... plus an orphan blob nobody references and a stale temp file.
-        orphan = tmp_path / "blobs" / ("f" * 32 + ".json")
-        orphan.write_text("{}")
-        stale = tmp_path / key_a[:2] / f"{key_a}.json.tmp.99999"
-        stale.write_text("partial")
-
-        # Freshly created, the orphan and temp file look exactly like a
-        # concurrent writer's in-flight state, so prune must spare them
-        # (the corrupt *document* is deleted regardless: it can never
-        # parse again, age notwithstanding).
-        removed = RunCache(str(tmp_path)).prune()
-        assert removed == {"documents": 1, "blobs": 0, "temp_files": 0}
-        assert orphan.exists() and stale.exists()
-
-        # Backdated past the age guard they are garbage, and collected.
-        import os
-        import time
-
-        old = time.time() - 3600
-        os.utime(orphan, (old, old))
-        os.utime(stale, (old, old))
-        removed = RunCache(str(tmp_path)).prune()
-        assert removed == {"documents": 0, "blobs": 1, "temp_files": 1}
-        assert not orphan.exists() and not stale.exists()
-        # The intact entry still loads afterwards.
-        assert RunCache(str(tmp_path)).get(key_a) == run
-
-    def test_prune_on_empty_cache(self, tmp_path):
-        removed = RunCache(str(tmp_path)).prune()
-        assert removed == {"documents": 0, "blobs": 0, "temp_files": 0}
-        assert RunCache().prune() == {
-            "documents": 0, "blobs": 0, "temp_files": 0,
-        }

@@ -4,9 +4,8 @@ Before the concurrency sweep, two of these failed deterministically:
 same-key writers shared one temp-file name per process, so concurrent
 ``os.replace`` calls raced each other into ``FileNotFoundError``; and
 the memory tier's dict mutated under a concurrent reader.  The tests
-pin both fixes (plus prune-vs-writer coexistence) under a tight thread
-switch interval so they stay honest on GIL schedulers that switch
-rarely.
+pin both fixes under a tight thread switch interval so they stay honest
+on GIL schedulers that switch rarely.
 """
 
 import sys
@@ -78,53 +77,19 @@ class TestDiskTierThreads:
         self, tmp_path, run, simple_workload, emr, device_a, device_b,
         tight_switching,
     ):
+        # The cache no longer prunes; the interleaved writers of two
+        # keys that used to race the prune loop remain.
         cache = RunCache(str(tmp_path))
         keys = [
             run_key(simple_workload, emr, target)
             for target in (device_a, device_b)
         ]
-        stop = threading.Event()
-
-        def prune_loop(index):
-            # Prune's age guard must leave in-flight young writes alone.
-            while not stop.is_set():
-                RunCache(str(tmp_path)).prune()
 
         def write_loop(index):
-            try:
-                for _ in range(150):
-                    cache.put(keys[index % len(keys)], run)
-            finally:
-                stop.set()
+            for _ in range(150):
+                cache.put(keys[index % len(keys)], run)
 
-        errors = []
-        threads = [
-            threading.Thread(target=fn, args=(i,))
-            for i, fn in enumerate(
-                (write_loop, write_loop, prune_loop, prune_loop)
-            )
-        ]
-
-        def guarded(fn):
-            def inner(*args):
-                try:
-                    fn(*args)
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-                    stop.set()
-            return inner
-
-        threads = [
-            threading.Thread(target=guarded(fn), args=(i,))
-            for i, fn in enumerate(
-                (write_loop, write_loop, prune_loop, prune_loop)
-            )
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors[0]
+        _hammer(2, write_loop)
         for key in keys:
             assert RunCache(str(tmp_path)).get(key) == run
 

@@ -1,4 +1,4 @@
-"""Store-tier tests: promotion, warm reads, stats, and prune hygiene."""
+"""Store-tier tests: promotion, warm reads, stats, and read errors."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro import obs
 from repro.cpu.pipeline import run_workload
 from repro.hw.cxl.eventdevice import EventDrivenDevice
 from repro.runtime.cache import RunCache, run_key
-from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.executor import CampaignEngine, Cell
 from repro.runtime.serialize import run_result_to_dict
 
@@ -147,52 +146,26 @@ class TestEngineStats:
             obs.disable_metrics()
 
 
-class TestPruneHygiene:
-    def test_prune_spares_store_and_checkpoints(self, tmp_path,
-                                                simple_workload, emr,
-                                                device_a):
-        """Satellite: prune must never sweep non-run-document tenants."""
-        cache = RunCache(str(tmp_path))
-        key = run_key(simple_workload, emr, device_a)
-        cache.put(key, run_workload(simple_workload, emr, device_a))
-        cache.promote_store(FP)
-        Checkpointer(cache_dir=str(tmp_path), fingerprint="a" * 64,
-                     name="camp", total_cells=3, completed=3).write(
-            [], complete=True)
-        manifest = (
-            tmp_path / "store" / "manifests" / (FP + ".json")
-        )
-        checkpoint = tmp_path / "checkpoints" / ("a" * 64 + ".json")
-        assert manifest.exists() and checkpoint.exists()
+class TestStoreReadErrors:
+    def test_damaged_segment_counted_and_json_serves(self, warm_cache,
+                                                     tmp_path):
+        cache, key = warm_cache
+        reference = run_result_to_dict(cache.get(key))
+        (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
+        segment.write_bytes(segment.read_bytes()[:8])  # truncated
+        registry = obs.MetricsRegistry()
+        obs.enable_metrics(registry)
+        try:
+            fresh = RunCache(str(tmp_path))
+            assert run_result_to_dict(fresh.get(key)) == reference
+            assert fresh.store_errors == 1
+            assert (fresh.store_hits, fresh.disk_hits) == (0, 1)
+            snapshot = json.loads(registry.to_json())
+            assert snapshot["counters"]["runtime.store_read_errors"] == 1
+        finally:
+            obs.disable_metrics()
 
-        removed = RunCache(str(tmp_path)).prune(min_age_s=0.0)
-        assert removed == {"documents": 0, "blobs": 0, "temp_files": 0}
-        assert manifest.exists() and checkpoint.exists()
-        # the run document and its blobs survive too
-        assert RunCache(str(tmp_path), store_tier=False).get(key) \
-            is not None
-
-    def test_prune_scans_populated_blob_dir_once(self, tmp_path,
-                                                 simple_workload, emr,
-                                                 device_a, device_b):
-        """Satellite: blobs/ entries are one pass, not rglob'd twice."""
-        cache = RunCache(str(tmp_path))
-        key_a = run_key(simple_workload, emr, device_a)
-        key_b = run_key(simple_workload, emr, device_b)
-        cache.put(key_a, run_workload(simple_workload, emr, device_a))
-        cache.put(key_b, run_workload(simple_workload, emr, device_b))
-        blob_dir = tmp_path / "blobs"
-        blobs = sorted(blob_dir.glob("*.json"))
-        assert blobs, "expected populated blobs/ directory"
-        orphan = blob_dir / ("0" * 32 + ".json")
-        orphan.write_text("{}")
-
-        removed = RunCache(str(tmp_path)).prune(min_age_s=0.0)
-        # exactly the orphan goes; every referenced blob stays
-        assert removed == {"documents": 0, "blobs": 1, "temp_files": 0}
-        assert not orphan.exists()
-        for blob in blobs:
-            assert blob.exists()
-        fresh = RunCache(str(tmp_path), store_tier=False)
-        assert fresh.get(key_a) is not None
-        assert fresh.get(key_b) is not None
+    def test_absent_key_is_not_an_error(self, warm_cache):
+        cache, _ = warm_cache
+        assert cache.get("0" * 64) is None
+        assert cache.store_errors == 0

@@ -53,6 +53,38 @@ class TestSegmentWriter:
             sb = wb.append(vec(2.0))
         assert sa[0] != sb[0]
 
+    def test_same_id_writers_never_share_a_file(self, tmp_path):
+        with SegmentWriter(tmp_path, "w1") as first, \
+                SegmentWriter(tmp_path, "w1") as second:
+            one = first.append(vec(1.0))
+            two = second.append(vec(2.0))
+        assert one == ("w1-0.f64", 0, 1)
+        assert two == ("w1-1.f64", 0, 1)
+
+    def test_twin_store_writers_keep_their_own_vectors(self, tmp_path):
+        # Two writers of one (fingerprint, job) -- twin campaigns
+        # promoting at once -- interleave their adds and commits.
+        from repro.hw.cxl import cxl_a
+        from repro.hw.cxl.eventdevice import EventDrivenDevice
+        from repro.store import ResultStore
+
+        def doc(gbps):
+            return EventDrivenDevice(cxl_a(), seed=7).simulate(
+                64, gbps
+            ).to_dict()
+
+        fp, k1, k2 = "f" * 64, "1" * 64, "2" * 64
+        w1 = ResultStore(tmp_path).writer(fp)
+        w2 = ResultStore(tmp_path).writer(fp)
+        w1.add(k1, doc(1.0))
+        w2.add(k2, doc(2.0))
+        w1.commit()
+        w2.commit()
+        store = ResultStore(tmp_path)
+        assert store.get(k2)["offered_gbps"] == 2.0
+        for key in store.keys():
+            assert store.get(key)["offered_gbps"] == {k1: 1.0, k2: 2.0}[key]
+
     def test_invalid_writer_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="writer id"):
             SegmentWriter(tmp_path, "bad/id")

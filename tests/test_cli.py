@@ -129,10 +129,12 @@ class TestRuntimeFlags:
         ("figures", "tab01", "--jobs", "2"),
         ("campaign", "--engine", "pool"),
         ("campaign", "--engine", "batch"),
+        ("campaign", "--checkpoint-every", "2"),
     ])
     def test_process_pool_options_rejected(self, capsys, argv):
-        """Removed engine options exit 2: there is no process pool
-        (``--shards N`` fans out), and ``auto`` already batches."""
+        """Removed options exit 2: there is no process pool (``--shards
+        N`` fans out), ``auto`` already batches, and every finished cell
+        is cached at once, so there is no checkpoint interval."""
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -215,8 +217,7 @@ class TestResilienceCLI:
         assert active_fault_plan() is None  # uninstalled on the way out
 
     def test_checkpoint_resume_round_trip(self, capsys, tmp_path):
-        args = (*self.ARGS, "--cache-dir", str(tmp_path),
-                "--checkpoint-every", "2")
+        args = (*self.ARGS, "--cache-dir", str(tmp_path))
         code, cold = run_cli(capsys, *args)
         assert code == 0
         code, warm = run_cli(capsys, *args, "--resume")
@@ -226,6 +227,45 @@ class TestResilienceCLI:
         rows = lambda text: [l for l in text.splitlines()
                              if l.startswith("  ")]
         assert rows(cold) == rows(warm)
+
+    def test_clean_cold_pass_writes_one_checkpoint(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import disable_metrics
+
+        metrics_path = tmp_path / "m.json"
+        try:
+            code, _ = run_cli(capsys, *self.ARGS, "--cache-dir",
+                              str(tmp_path / "cache"), "--metrics",
+                              str(metrics_path))
+        finally:
+            disable_metrics()
+        assert code == 0
+        counters = json.loads(metrics_path.read_text())["counters"]
+        assert counters["runtime.checkpoints_written"] == 1
+
+    def test_resume_restores_the_quarantine(self, capsys, tmp_path):
+        from repro.faults.chaos import ChaosPolicy, chaos_injection
+        from repro.runtime import reset_runtime
+
+        args = (*self.ARGS, "--cache-dir", str(tmp_path),
+                "--cell-retries", "1")
+        with chaos_injection(ChaosPolicy(doomed=(self._doomed_key(),))):
+            code, _ = run_cli(capsys, *args)
+        assert code == 0
+        reset_runtime()
+        # No chaos now, yet the quarantined cell is not re-attempted.
+        code, warm = run_cli(capsys, *args, "--resume")
+        assert code == 0
+        assert ": 1 quarantined" in warm
+        assert "(0 run," in warm
+
+    def test_resume_without_checkpoint_says_cache_serves(self, capsys,
+                                                         tmp_path):
+        code, out = run_cli(capsys, *self.ARGS, "--cache-dir",
+                            str(tmp_path), "--resume")
+        assert code == 0
+        assert "finished cells still come from the cache" in out
 
 
 class TestFitCommand:
