@@ -1,6 +1,6 @@
 """Dist-layer invariants: the coordinator fabric never changes results.
 
-The distributed campaign fabric (:mod:`repro.dist`) makes three promises
+The distributed campaign fabric (:mod:`repro.dist`) makes four promises
 that these checks enforce on every ``repro validate`` run:
 
 * **The lease state machine is sound.**  Attempts are charged at grant,
@@ -13,6 +13,9 @@ that these checks enforce on every ``repro validate`` run:
   seeded chaos transport, one abandoning its socket mid-lease --
   completes and leaves the shared cache assembling records
   bit-identical to a solo run.
+* **A row's digest is its identity.**  One unit executed by two workers
+  yields equal row digests, which the at-most-once commit folds as a
+  duplicate; one flipped vector bit yields a conflict.
 * **Degradation is graceful and honest.**  A cell that fails every
   attempt quarantines as a ``FailedCell`` record, is never cached, the
   rest of the campaign completes around it, and every surviving record
@@ -134,6 +137,67 @@ def check_lease_state_machine(ctx: DiagContext) -> Iterator[Violation]:
         yield bad("terminal", "all units committed must mean done with "
                   "an empty quarantine",
                   progress=str(table.progress()))
+
+
+@invariant(
+    name="dist-row-digest",
+    layer="dist",
+    description="one unit executed by two in-process workers gives "
+    "equal row digests (a duplicate commit); one flipped vector bit "
+    "gives a conflict",
+)
+def check_dist_row_digest(ctx: DiagContext) -> Iterator[Violation]:
+    """Digest equality is what separates duplicates from conflicts."""
+    from repro.dist.coordinator import row_digest, unit_cells
+    from repro.dist.harness import SMOKE_SPEC
+    from repro.dist.worker import Worker
+    from repro.runtime.checkpoint import campaign_fingerprint
+
+    def bad(subject: str, message: str, **context: str):
+        return Violation(
+            layer="dist", check="dist-row-digest", subject=subject,
+            message=message, context=context,
+        )
+
+    campaign = SMOKE_SPEC.build_campaign()
+    fingerprint = campaign_fingerprint(campaign)
+    unit = next(
+        unit for unit, _ in unit_cells(campaign, fingerprint)
+        if unit.kind == "grid"
+    )
+    subjects(check_dist_row_digest, 1)
+    welcome = {
+        "fingerprint": fingerprint,
+        "spec": SMOKE_SPEC.to_dict(),
+        "heartbeat_s": 1.0,
+    }
+    lease = {"lease_id": "L1", "attempt": 1, "unit": unit.descriptor()}
+    digests = []
+    for name in ("w1", "w2"):
+        worker = Worker("127.0.0.1", 0, name=name)
+        worker.adopt_welcome(welcome)
+        entry, vector = worker.run_lease(lease)
+        if vector is None:
+            yield bad("execute", "the worker failed to execute the unit",
+                      worker=name, message=str(entry.get("message")))
+            return
+        digests.append(row_digest(entry["row"], vector))
+    flipped = bytearray(vector)
+    flipped[0] ^= 1
+    table = LeaseTable([unit], lease_s=10.0, clock=_FakeClock())
+    granted = table.acquire("w1")
+    verdicts = [
+        table.commit(unit.unit_id, granted.lease_id, worker, digest)
+        for worker, digest in (
+            ("w1", digests[0]),
+            ("w2", digests[1]),
+            ("w2", row_digest(entry["row"], bytes(flipped))),
+        )
+    ]
+    if verdicts != ["committed", "duplicate", "conflict"]:
+        yield bad("verdicts", "two executions must commit then fold as a "
+                  "duplicate, and a flipped bit must conflict",
+                  verdicts=str(verdicts))
 
 
 @invariant(

@@ -2,8 +2,9 @@
 
 One coordinator (:mod:`repro.dist.coordinator`) owns one campaign,
 split into cell-granular work units and handed to any number of workers
-(:mod:`repro.dist.worker`) over a length-prefixed JSON frame protocol
-(:mod:`repro.dist.frames`) under **time-bounded leases**
+(:mod:`repro.dist.worker`) over a length-prefixed frame protocol --
+JSON headers, results as store rows with a binary vector tail
+(:mod:`repro.dist.frames`) -- under **time-bounded leases**
 (:mod:`repro.dist.lease`).  The design center is a hostile fleet:
 
 * workers may die, hang, disconnect, or reconnect at any point -- lease
@@ -20,7 +21,8 @@ split into cell-granular work units and handed to any number of workers
   to a solo run (the ``dist`` diag layer re-proves this on every
   ``repro validate``).
 
-Nothing here leaves the standard library: sockets, threads and JSON.
+Nothing here leaves the standard library and numpy: sockets, threads,
+JSON, and the store codec's float64 vectors.
 """
 
 from repro.dist.chaos import ChaosTransport
@@ -29,7 +31,8 @@ from repro.dist.coordinator import (
     DistSummary,
     PROTOCOL_VERSION,
     campaign_units,
-    result_digest,
+    row_digest,
+    unit_cells,
 )
 from repro.dist.frames import (
     FrameError,
@@ -61,5 +64,6 @@ __all__ = [
     "encode_frame",
     "encode_payload",
     "resolve_target",
-    "result_digest",
+    "row_digest",
+    "unit_cells",
 ]

@@ -18,18 +18,34 @@ flaky fleet can do is survivable by construction:
   :class:`~repro.dist.lease.LeaseTable` (digest-checked), so network
   chaos can waste work but never change what lands in the cache.
 
-Results commit into the shared :class:`~repro.runtime.cache.RunCache`
-via the bit-faithful JSON codec, the final checkpoint (the quarantine
-ledger) is written through :mod:`repro.runtime.checkpoint`, and
-committed runs promote into the columnar store -- after which a plain
-``repro campaign --resume`` pass over the same cache dir assembles
-exports byte-identical to a solo run.  That equivalence is the contract
-the ``dist`` diag layer enforces.
+A ``results`` entry is one analytic store row (protocol 3, see
+:mod:`repro.dist.frames`): a skeleton ref, the row's ``target_name``,
+``workload_ref`` and ``platform_ref``, and a packed ``<f8`` vector in the
+frame's binary tail.  The coordinator keeps a skeleton body for a
+connection only if it hashes to its ref, and validates every row before
+committing it, from its own objects: the skeleton must be one its
+connection carried, the vector must fill it exactly, the strings must
+be the unit's own target and blob refs, and the joined document must
+rebuild a ``RunResult`` around the campaign's own workload and platform.
+A row that fails charges the attempt like a worker error.  The commit
+digest is sha256 over the row as received, with no re-encode.
+
+A committed row goes into the shared
+:class:`~repro.runtime.cache.RunCache` (the per-cell JSON tier) and,
+still split, into one coordinator :class:`~repro.store.store.StoreWriter`
+that is committed when the campaign settles; only units the cache held
+before the coordinator started are promoted into the store then.  The
+final checkpoint (the quarantine ledger) is written through
+:mod:`repro.runtime.checkpoint` -- after which a plain ``repro campaign
+--resume`` pass over the same cache dir assembles exports
+byte-identical to a solo run.  That equivalence is the contract the
+``dist`` diag layer enforces.
 
 Threading model: an accept thread spawns one thread per worker
 connection; a monitor thread drives lease expiry and liveness; the
 :class:`~repro.dist.lease.LeaseTable` and connection registry are
-guarded by one lock.  The table's clock is injectable for tests.
+guarded by one lock, the store writer by another.  The table's clock is
+injectable for tests.
 """
 
 from __future__ import annotations
@@ -41,21 +57,27 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.dist.frames import (
-    FrameError,
-    FrameTransport,
-    InOrderChannel,
-    encode_payload,
-)
+import numpy as np
+
+from repro.dist.frames import FrameError, FrameTransport, InOrderChannel
 from repro.dist.lease import Lease, LeaseTable, WorkUnit
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
 from repro.obs.events import events
 from repro.obs.metrics import metrics
-from repro.runtime.executor import FailedCell, RetryPolicy
+from repro.runtime.cache import RunCache
+from repro.runtime.executor import Cell, FailedCell, RetryPolicy
+from repro.runtime.serialize import (
+    platform_to_dict,
+    run_result_from_dict,
+    workload_to_dict,
+)
+from repro.store.codec import compile_skeleton, skeleton_ref
+from repro.store.store import ROW_FIELDS
 
-PROTOCOL_VERSION = 2
-"""Bump on any incompatible frame/message change (2: batched grants)."""
+PROTOCOL_VERSION = 3
+"""Bump on any incompatible frame/message change (2: batched grants;
+3: results travel as store rows with a binary vector tail)."""
 
 MAX_GRANT = 32
 """Most leases one ``grant`` frame carries."""
@@ -79,42 +101,50 @@ def baseline_token(fingerprint: str, workload: str) -> str:
     return f"{fingerprint}\x1f{workload}\x1fbaseline\x00"
 
 
-def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
+def unit_cells(campaign, fingerprint: str) -> List[Tuple[WorkUnit, Cell]]:
     """Flatten one campaign into leasable units, baselines first.
 
     Exactly the cells :func:`repro.core.melody.campaign_cells` plans for
-    a solo run (capacity skips never become units).  Unit ids fold the
-    campaign fingerprint with the cell's names, so the coordinator and
-    every worker -- in any process, on any host -- compute the same ids,
-    and two campaigns never share one.
+    a solo run (capacity skips never become units), each paired with
+    the :class:`~repro.runtime.executor.Cell` that computes it.  Unit ids
+    fold the campaign fingerprint with the cell's names, so the
+    coordinator and every worker -- in any process, on any host --
+    compute the same ids, and two campaigns never share one.
     """
     from repro.core.melody import campaign_cells
     from repro.runtime.cache import run_key
 
     base_workloads, grid, _ = campaign_cells(campaign)
     baseline_target = campaign.baseline or campaign.platform.local_target()
-    units: List[WorkUnit] = []
-    for workload in base_workloads:
-        units.append(WorkUnit(
-            unit_id=baseline_token(fingerprint, workload.name),
-            kind="baseline",
-            workload=workload.name,
-            target=baseline_target.name,
-            key=run_key(workload, campaign.platform, baseline_target,
-                        campaign.config),
-            platform=campaign.platform.name,
-        ))
-    for workload, target in grid:
-        units.append(WorkUnit(
-            unit_id=grid_token(fingerprint, workload.name, target.name),
-            kind="grid",
-            workload=workload.name,
-            target=target.name,
-            key=run_key(workload, campaign.platform, target,
-                        campaign.config),
-            platform=campaign.platform.name,
-        ))
-    return units
+    cells = [
+        ("baseline", baseline_token(fingerprint, workload.name),
+         workload, baseline_target)
+        for workload in base_workloads
+    ] + [
+        ("grid", grid_token(fingerprint, workload.name, target.name),
+         workload, target)
+        for workload, target in grid
+    ]
+    return [
+        (
+            WorkUnit(
+                unit_id=unit_id,
+                kind=kind,
+                workload=workload.name,
+                target=target.name,
+                key=run_key(workload, campaign.platform, target,
+                            campaign.config),
+                platform=campaign.platform.name,
+            ),
+            Cell(workload, campaign.platform, target, campaign.config),
+        )
+        for kind, unit_id, workload, target in cells
+    ]
+
+
+def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
+    """The leasable units of :func:`unit_cells`, without their cells."""
+    return [unit for unit, _ in unit_cells(campaign, fingerprint)]
 
 
 def grant_size(pending: int, workers: int) -> int:
@@ -129,13 +159,17 @@ def grant_size(pending: int, workers: int) -> int:
     return max(1, min(MAX_GRANT, share))
 
 
-def result_digest(doc: dict) -> str:
-    """Digest of one result document's canonical bytes.
-
-    Both sides of a duplicate delivery re-encode the *decoded* document,
-    so framing differences can never fake a conflict.
-    """
-    return hashlib.sha256(encode_payload(doc)).hexdigest()
+def row_digest(row: Dict[str, str], vector: bytes) -> str:
+    """Commit digest of one delivered row: sha256 over its skeleton ref,
+    its :data:`~repro.store.store.ROW_FIELDS` strings and its packed
+    vector bytes, exactly as received."""
+    head = "\x1f".join(
+        [row["skeleton"]] + [row[field] for field in ROW_FIELDS]
+    )
+    digest = hashlib.sha256(head.encode("utf-8"))
+    digest.update(b"\x1f")
+    digest.update(vector)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -178,7 +212,8 @@ class DistSummary:
 class _Connection:
     """Per-worker-connection state the coordinator tracks."""
 
-    __slots__ = ("transport", "name", "peer", "last_seen", "goodbye")
+    __slots__ = ("transport", "name", "peer", "last_seen", "goodbye",
+                 "skeletons")
 
     def __init__(self, transport: FrameTransport, peer: str,
                  now: float):
@@ -187,6 +222,9 @@ class _Connection:
         self.peer = peer
         self.last_seen = now
         self.goodbye = False
+        # Skeleton ref -> (body, compiled join), as this connection
+        # carried them; a row may only name a skeleton kept here.
+        self.skeletons: Dict[str, Tuple[object, Callable]] = {}
 
     @property
     def worker_id(self) -> str:
@@ -232,25 +270,40 @@ class Coordinator:
 
             self.campaign = campaign
             self.fingerprint = campaign_fingerprint(campaign)
-            units = campaign_units(campaign, self.fingerprint)
+            pairs = unit_cells(campaign, self.fingerprint)
+        units = [unit for unit, _ in pairs]
+        self._cells: Dict[str, Cell] = {
+            unit.unit_id: cell for unit, cell in pairs
+        }
         self.table = LeaseTable(
             units,
             policy=policy,
             lease_s=lease_s,
             clock=clock,
         )
-        # Eager: connection threads share this one instance, so every
-        # put lands in the memory tier promote_store later reads (a
-        # lazily-raced second instance would silently lose runs).
-        from repro.runtime.cache import RunCache
-
+        # Eager: connection threads share this one instance (a
+        # lazily-raced second instance would split the memory tier).
         self._cache_instance = RunCache(cache_dir)
         # A cached unit is done before any worker connects: it counts as
-        # committed (summary, checkpoint, store promotion) but is never
-        # leased, so resuming a finished campaign grants nothing.
+        # committed (summary, checkpoint) but is never leased, so
+        # resuming a finished campaign grants nothing.  Only these
+        # units are promoted into the store at the end: every other
+        # committed row is appended to the store as it commits.
+        self._precached: List[str] = []
         for unit in units:
             if self._cache_instance.get(unit.key) is not None:
                 self.table.commit_cached(unit.unit_id)
+                self._precached.append(unit.key)
+        self._fault_plan_key = (
+            self._plan.key()
+            if self._plan is not None and self._plan.enabled else ""
+        )
+        # The store writer appending committed rows, opened by the
+        # first commit and committed by _finalize; blob documents are
+        # built once per ref.  Both are guarded by _store_lock.
+        self._store_lock = threading.Lock()
+        self._writer = None
+        self._blob_docs: Dict[str, dict] = {}
         self._lock = threading.Lock()
         self._connections: Dict[int, _Connection] = {}
         self._conn_counter = 0
@@ -578,19 +631,97 @@ class Coordinator:
     def _handle_results(self, conn: _Connection, message: dict) -> bool:
         """Settle one grant's results frame, entry by entry, in order."""
         entries = message.get("results")
+        skeletons = message.get("skeletons", {})
+        tail = message.get("tail", [])
         if not isinstance(entries, list) \
-                or not all(isinstance(entry, dict) for entry in entries):
+                or not all(isinstance(entry, dict) for entry in entries) \
+                or not isinstance(skeletons, dict) \
+                or not isinstance(tail, list):
             events().emit(
                 "dist.protocol.error", level="warn",
-                worker=conn.worker_id, kind="results-not-a-list",
+                worker=conn.worker_id, kind="results-malformed",
             )
             return False
+        for ref, body in skeletons.items():
+            self._adopt_skeleton(conn, ref, body)
         for entry in entries:
-            if not self._handle_result(conn, entry):
+            if not self._handle_result(conn, entry, tail):
                 return False
         return True
 
-    def _handle_result(self, conn: _Connection, message: dict) -> bool:
+    def _adopt_skeleton(self, conn: _Connection, ref: str, body) -> None:
+        """Keep one skeleton body for ``conn`` if it hashes to ``ref``.
+
+        A body that does not is dropped, so every row naming its ref
+        fails validation as an unknown skeleton (and is charged).
+        """
+        try:
+            if skeleton_ref(body) != ref:
+                raise ValueError("body does not hash to its ref")
+            join = compile_skeleton(body)
+        except (ValueError, TypeError) as exc:
+            events().emit(
+                "dist.protocol.error", level="warn",
+                worker=conn.worker_id, kind="skeleton-invalid",
+                ref=str(ref)[:24], reason=str(exc)[:200],
+            )
+            return
+        conn.skeletons[ref] = (body, join)
+
+    def _decode_row(
+        self, conn: _Connection, unit_id: str, message: dict, tail: list
+    ):
+        """Validate one ``ok`` entry; returns (row, vector bytes,
+        result).
+
+        Everything is checked against the coordinator's own objects:
+        the connection's skeletons, the unit's cell and its blob refs.
+        Raises on anything it cannot commit.
+        """
+        cell = self._cells.get(unit_id)
+        if cell is None:
+            raise ValueError(f"no unit {unit_id[-40:]!r} in this campaign")
+        row = message.get("row")
+        if not isinstance(row, dict) or not all(
+            isinstance(row.get(field), str)
+            for field in ("skeleton", *ROW_FIELDS)
+        ):
+            raise ValueError("entry carries no well-formed row")
+        known = conn.skeletons.get(row["skeleton"])
+        if known is None:
+            raise ValueError(
+                f"row names skeleton {row['skeleton'][:24]!r}, which "
+                "this connection never carried"
+            )
+        index = message.get("vector")
+        if type(index) is not int or not 0 <= index < len(tail):
+            raise ValueError(f"row vector index {index!r} is not in the tail")
+        expected = {
+            "target_name": cell.target.name,
+            "workload_ref": RunCache._blob_ref(
+                cell.workload, workload_to_dict
+            ),
+            "platform_ref": RunCache._blob_ref(
+                cell.platform, platform_to_dict
+            ),
+        }
+        for field, value in expected.items():
+            if row[field] != value:
+                raise ValueError(
+                    f"row {field} {row[field][:32]!r} is not the unit's "
+                    f"{value[:32]!r}"
+                )
+        raw = tail[index]
+        doc = known[1](np.frombuffer(raw, dtype="<f8"))
+        doc.update(expected)  # the row fields the skeleton leaves out
+        result = run_result_from_dict(
+            doc, workload=cell.workload, platform=cell.platform
+        )
+        return row, raw, result
+
+    def _handle_result(
+        self, conn: _Connection, message: dict, tail: list
+    ) -> bool:
         """Settle one entry of a results frame; False closes the link."""
         unit_id = str(message.get("unit_id", ""))
         lease_id = str(message.get("lease_id", ""))
@@ -614,36 +745,30 @@ class Coordinator:
                     reason=reason, message=message_text[:200],
                 )
             return True
-        doc = message.get("doc")
-        if not isinstance(doc, dict):
-            events().emit(
-                "dist.protocol.error", level="warn",
-                worker=conn.worker_id, kind="result-without-doc",
-            )
-            return False
-        # Deserialize BEFORE committing: commit is terminal in the lease
-        # table, so accepting a doc the codec then rejects would leave a
-        # unit "completed" with no result in the cache.  A doc that does
-        # not deserialize is a broken worker delivery -- charge it like
-        # any other worker error report so the unit retries elsewhere.
-        from repro.runtime.serialize import run_result_from_dict
-
+        # Validate BEFORE committing: commit is terminal in the lease
+        # table, so accepting a row that then fails to store would leave
+        # a unit "completed" with no result in the cache.  A row that
+        # does not validate is a broken worker delivery -- charge it
+        # like any other worker error report so the unit retries.
         try:
-            result = run_result_from_dict(doc)
+            row, raw, result = self._decode_row(
+                conn, unit_id, message, tail
+            )
         except Exception as exc:
             with self._lock:
                 charged = self.table.fail(
                     unit_id, lease_id, conn.worker_id, "error",
-                    f"undeserializable result document: {exc}",
+                    f"invalid result row: {exc}",
                 )
             registry.counter("dist.result_decode_errors").inc()
             events().emit(
                 "dist.protocol.error", level="warn",
-                worker=conn.worker_id, kind="result-doc-invalid",
+                worker=conn.worker_id, kind="result-row-invalid",
                 unit=unit_id[-40:], charged=charged,
+                reason=str(exc)[:200],
             )
             return True
-        digest = result_digest(doc)
+        digest = row_digest(row, raw)
         elapsed = message.get("elapsed_s")
         with self._lock:
             verdict = self.table.commit(
@@ -651,7 +776,12 @@ class Coordinator:
             )
             done = self.table.done
         if verdict in ("committed", "late", "resurrected"):
-            self._cache().put(self.table.unit(unit_id).key, result)
+            key = self.table.unit(unit_id).key
+            self._cache().put(key, result)
+            self._append_row(
+                key, conn.skeletons[row["skeleton"]][0], row, raw,
+                self._cells[unit_id],
+            )
             registry.counter("dist.units_committed").inc()
             if isinstance(elapsed, (int, float)):
                 registry.histogram("dist.unit_seconds").observe(
@@ -674,6 +804,30 @@ class Coordinator:
         if done:
             self._done.set()
         return True
+
+    def _append_row(
+        self, key: str, skeleton, row: dict, raw: bytes, cell: Cell
+    ) -> None:
+        """Append one committed row, as received, to the store writer."""
+        with self._store_lock:
+            if self._writer is None:
+                self._writer = self._cache().store.writer(
+                    self.fingerprint
+                )
+            blobs = self._blob_docs
+            for ref, obj, to_dict in (
+                (row["workload_ref"], cell.workload, workload_to_dict),
+                (row["platform_ref"], cell.platform, platform_to_dict),
+            ):
+                if ref not in blobs:
+                    blobs[ref] = to_dict(obj)
+            self._writer.add_row(
+                key, row["skeleton"], skeleton,
+                np.frombuffer(raw, dtype="<f8"), row,
+                workload_doc=blobs[row["workload_ref"]],
+                platform_doc=blobs[row["platform_ref"]],
+                fault_plan=self._fault_plan_key,
+            )
 
     def _cache(self):
         return self._cache_instance
@@ -713,8 +867,12 @@ class Coordinator:
     # -- finalization ------------------------------------------------------
 
     def _finalize(self, complete: bool) -> DistSummary:
-        """Checkpoint, promote, and summarize the finished campaign."""
+        """Commit the store rows, checkpoint, and summarize."""
         table = self.table
+        with self._store_lock:
+            writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.commit()
         with self._plan_installed():
             quarantined = table.quarantined()
             if complete:
@@ -725,8 +883,10 @@ class Coordinator:
                     fingerprint=self.fingerprint,
                     name=self.campaign.name,
                 ).finalize(quarantined)
+                # After the writer's commit: promotion extends the
+                # manifest that commit wrote.
                 promoted = self._cache().promote_store(
-                    self.fingerprint, keys=table.committed_keys()
+                    self.fingerprint, keys=self._precached
                 )
                 metrics().counter("dist.store_promoted").inc(promoted)
         summary = DistSummary(

@@ -1,12 +1,23 @@
-"""Length-prefixed JSON framing for the coordinator/worker protocol.
+"""Length-prefixed framing for the coordinator/worker protocol.
 
 One frame is a 4-byte big-endian payload length followed by that many
-bytes of canonical JSON (sorted keys, compact separators, UTF-8).  The
-canonical encoding matters beyond tidiness: the coordinator hashes the
-bytes it *re-encodes* from a decoded result document, so two workers
-delivering the same result always produce the same digest -- that digest
-equality is what lets the at-most-once commit distinguish a harmless
-duplicate delivery from a genuine conflict.
+payload bytes, in one of two forms:
+
+* **bare** -- canonical JSON (sorted keys, compact separators, UTF-8).
+  Every frame except ``results`` is bare, exactly as in protocol 2, so
+  a protocol-2 worker's ``hello`` still parses and is answered with a
+  ``reject`` it can read;
+* **tailed** -- a 4-byte big-endian header length, that many bytes of
+  canonical JSON header, then a binary *tail*: the chunks a message
+  carries under its ``"tail"`` key (a list of ``bytes``), concatenated.
+  The header records each chunk's length under ``"tail"``, and those
+  lengths must account for every payload byte after the header, or
+  the frame is a :class:`FrameError`.  A ``results`` frame ships each
+  row's packed ``<f8`` vector this way, with no text round trip.
+
+The two forms never collide: a header length is below
+:data:`MAX_FRAME_BYTES`, so a tailed payload starts with a zero byte,
+and a bare one with ``{``.
 
 :class:`FrameTransport` wraps a connected socket.  Sends are serialized
 under a lock (the worker's heartbeat thread shares the transport with
@@ -21,7 +32,9 @@ Within one connection a frame is never silently lost: the chaos
 transport only duplicates, delays, reorders or *truncates-and-drops* --
 and a truncated frame kills the connection, which releases the worker's
 leases.  That invariant is why a bounded reorder window is safe: a gap
-that never fills means the peer is broken, not the network.
+that never fills means the peer is broken, not the network.  It is
+also why a skeleton body need cross one connection only once: every
+later frame of that connection arrives after it.
 """
 
 from __future__ import annotations
@@ -35,7 +48,10 @@ from typing import Dict, List, Optional
 from repro.errors import MelodyError
 
 MAX_FRAME_BYTES = 8 << 20
-"""Upper bound on one frame's payload (a result document is ~10 KB)."""
+"""Upper bound on one frame's payload.  The largest frame is a grant's
+``results``: per row a ~0.3 KB header entry and a ~0.5 KB packed vector,
+plus each skeleton body (~2 KB) once per connection -- under 30 KB for a
+full grant of the shipped campaign, far below this bound."""
 
 REORDER_WINDOW = 64
 """Out-of-order frames held before the channel declares the peer broken."""
@@ -47,15 +63,27 @@ class FrameError(MelodyError):
     """A malformed, oversized, or unsequenceable frame."""
 
 
-def encode_payload(message: Dict[str, object]) -> bytes:
-    """Canonical JSON bytes of one message (no length prefix)."""
+def _json(message: Dict[str, object]) -> bytes:
     return json.dumps(
         message, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
 
 
+def encode_payload(message: Dict[str, object]) -> bytes:
+    """Payload bytes of one message (no length prefix).
+
+    A message with a ``"tail"`` (a list of ``bytes``) encodes tailed,
+    any other bare.
+    """
+    tail = message.get("tail")
+    if tail is None:
+        return _json(message)
+    header = _json(dict(message, tail=[len(chunk) for chunk in tail]))
+    return b"".join([_LENGTH.pack(len(header)), header, *tail])
+
+
 def encode_frame(message: Dict[str, object]) -> bytes:
-    """One wire frame: length prefix + canonical JSON payload."""
+    """One wire frame: length prefix + payload."""
     payload = encode_payload(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
@@ -65,10 +93,9 @@ def encode_frame(message: Dict[str, object]) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> Dict[str, object]:
-    """Parse one frame payload back into a message dict."""
+def _parse_json(data: bytes) -> Dict[str, object]:
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(data.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise FrameError(f"frame payload is not valid JSON: {exc}")
     if not isinstance(message, dict):
@@ -76,6 +103,43 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
             f"frame payload must be an object, got "
             f"{type(message).__name__}"
         )
+    return message
+
+
+def decode_payload(payload: bytes) -> Dict[str, object]:
+    """Parse one frame payload back into a message dict.
+
+    A tailed payload comes back with its chunks, as ``bytes``, under
+    ``"tail"``; any disagreement between the header's tail lengths and
+    the payload length is a :class:`FrameError`.
+    """
+    if payload[:1] != b"\x00":
+        return _parse_json(payload)
+    if len(payload) < _LENGTH.size:
+        raise FrameError("tailed frame shorter than its header length")
+    (size,) = _LENGTH.unpack_from(payload)
+    start = _LENGTH.size + size
+    if start > len(payload):
+        raise FrameError(
+            f"frame header claims {size} bytes, only "
+            f"{len(payload) - _LENGTH.size} follow"
+        )
+    message = _parse_json(payload[_LENGTH.size:start])
+    lengths = message.get("tail")
+    if not isinstance(lengths, list) or not all(
+        type(n) is int and n >= 0 for n in lengths
+    ):
+        raise FrameError(f"frame tail lengths malformed: {lengths!r}")
+    if start + sum(lengths) != len(payload):
+        raise FrameError(
+            f"frame tail lengths sum to {sum(lengths)} bytes, the "
+            f"frame carries {len(payload) - start}"
+        )
+    tail = []
+    for length in lengths:
+        tail.append(payload[start:start + length])
+        start += length
+    message["tail"] = tail
     return message
 
 

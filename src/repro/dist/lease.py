@@ -35,9 +35,9 @@ the unit quarantines, instead of the campaign ping-ponging forever.
 
 **At-most-once commit.**  The first result delivered for a unit wins
 and is committed exactly once; every later delivery is compared by
-digest of the canonical result document.  Identical digest -- a
-duplicate (chaos redelivery, a reassigned unit finishing twice) -- is
-counted and dropped.  Divergent digest is a **conflict**: two workers
+digest of the delivered row (the coordinator's ``row_digest``).
+Identical digest -- a duplicate (chaos redelivery, a reassigned unit
+finishing twice) -- is counted and dropped.  Divergent digest is a **conflict**: two workers
 disagreeing about deterministic work means one of them is broken, and
 the table records it loudly instead of letting either result silently
 win the cache.
@@ -209,7 +209,7 @@ class LeaseTable:
         return self._units[unit_id].unit
 
     def committed_keys(self) -> List[str]:
-        """Run keys of every committed unit (for store promotion)."""
+        """Run keys of every committed unit."""
         return [
             state.unit.key for state in self._states
             if state.status == "committed"

@@ -6,7 +6,13 @@ from the :class:`~repro.dist.spec.CampaignSpec` in the welcome frame
 loops: fetch a grant of leases, execute its cells in order through the
 very same ``_execute_cell_attempt`` path the solo engine uses -- fault
 plan installed, host chaos policy honored -- and deliver every result
-document of the grant in one ``results`` frame.
+of the grant in one ``results`` frame.  A result travels as the analytic
+store row :class:`~repro.store.store.StoreWriter` would write
+(:func:`encode_row`): a JSON header entry naming its skeleton ref,
+``target_name``, ``workload_ref`` and ``platform_ref``, and the packed
+``<f8`` vector in the frame's binary tail.  Each skeleton body rides
+along the first time its connection needs it; the shipped campaign's
+1325 rows share five.
 
 Everything about the worker is built to be killed:
 
@@ -19,10 +25,11 @@ Everything about the worker is built to be killed:
   a long cell still proves liveness -- only a worker that *hangs past
   its lease* loses the unit, and only a worker whose process dies goes
   silent;
-* results are memoized per unit within the worker, so a reconnect that
-  re-leases a unit this worker already finished re-delivers the cached
-  document instead of re-running the cell (the coordinator folds the
-  duplicate away);
+* rows are memoized per unit within the worker, so a reconnect that
+  re-leases a unit this worker already finished re-delivers the row
+  instead of re-running the cell -- with every skeleton the new
+  connection has not carried yet (the coordinator folds a duplicate
+  away);
 * ``die_after=N`` arms a self-destruct on lease ``N+1`` for chaos
   harnesses -- usually mid-grant, so the grant's results are never
   delivered and every unit in it is released: ``hard_exit`` makes it a
@@ -41,10 +48,10 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.dist.chaos import ChaosTransport
-from repro.dist.coordinator import PROTOCOL_VERSION, campaign_units
+from repro.dist.coordinator import PROTOCOL_VERSION, unit_cells
 from repro.dist.frames import FrameError, FrameTransport
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
@@ -74,6 +81,36 @@ def _nothing():
         yield None
 
     return scope()
+
+
+def encode_row(
+    result, skeletons: Dict[str, Any]
+) -> Tuple[Dict[str, str], bytes]:
+    """One run as the store row a ``results`` entry carries.
+
+    Splits the JSON tier's document exactly as
+    :meth:`~repro.store.store.StoreWriter.add` does and returns
+    ``(row, vector bytes)``: ``row`` holds the skeleton ref and the
+    :data:`~repro.store.store.ROW_FIELDS` strings, the vector is packed
+    little-endian float64.  ``skeletons`` maps the refs of the shapes
+    seen so far to their bodies; a new shape is added to it.
+    """
+    from repro.runtime.cache import run_document
+    from repro.store.codec import skeleton_ref
+    from repro.store.store import split_row
+
+    row, skeleton, vector = split_row(run_document(result))
+    # A skeleton's only literals are strings, bools, None and ints
+    # beyond 2**53, so equal skeletons dump to equal canonical JSON:
+    # one compare per known shape replaces a canonical dump per cell.
+    for ref, known in skeletons.items():
+        if known == skeleton:
+            break
+    else:
+        ref = skeleton_ref(skeleton)
+        skeletons[ref] = skeleton
+    row["skeleton"] = ref
+    return row, vector.astype("<f8", copy=False).tobytes()
 
 
 class _SelfDestruct(Exception):
@@ -110,8 +147,11 @@ class Worker:
         self.reconnect_attempts = reconnect_attempts
         self.connect_timeout_s = connect_timeout_s
         self.sleep = sleep
-        # Per-unit result memo: a re-leased unit re-delivers, not re-runs.
-        self._results: Dict[str, dict] = {}
+        # Per-unit row memo: a re-leased unit re-delivers, not re-runs.
+        self._rows: Dict[str, Tuple[Dict[str, str], bytes]] = {}
+        # Skeleton bodies by ref, and the refs this connection carried.
+        self._skeletons: Dict[str, Any] = {}
+        self._carried: Set[str] = set()
         self._leases_taken = 0
         self._welcomed = False
         self.units_executed = 0
@@ -185,6 +225,7 @@ class Worker:
     def _session(self, conn_index: int) -> int:
         """One connection's lifetime; returns an exit code when final."""
         transport = self._connect(conn_index)
+        self._carried = set()
         stop_heartbeat = threading.Event()
         try:
             transport.send({
@@ -204,7 +245,7 @@ class Worker:
                 raise FrameError(
                     f"expected welcome, got {welcome.get('type')!r}"
                 )
-            self._adopt_welcome(welcome)
+            self.adopt_welcome(welcome)
             self._welcomed = True
             heartbeat = threading.Thread(
                 target=self._heartbeat_loop,
@@ -220,7 +261,7 @@ class Worker:
             stop_heartbeat.set()
             transport.close()
 
-    def _adopt_welcome(self, welcome: dict) -> None:
+    def adopt_welcome(self, welcome: dict) -> None:
         """Rebuild the campaign from the spec; refuse on fingerprint skew."""
         self._heartbeat_s = float(welcome.get("heartbeat_s", 2.0))
         fingerprint = str(welcome.get("fingerprint", ""))
@@ -239,7 +280,6 @@ class Worker:
 
             install_fault_plan(plan)
         from repro.runtime.checkpoint import campaign_fingerprint
-        from repro.runtime.executor import Cell
 
         campaign = spec.build_campaign()
         local = campaign_fingerprint(campaign)
@@ -251,19 +291,8 @@ class Worker:
             )
         self._spec = spec
         self._fingerprint = fingerprint
-        baseline_target = (
-            campaign.baseline or campaign.platform.local_target()
-        )
-        targets = {t.name: t for t in campaign.targets}
-        targets[baseline_target.name] = baseline_target
-        workloads = {w.name: w for w in campaign.workloads}
-        for unit in campaign_units(campaign, fingerprint):
-            self._cells[unit.unit_id] = Cell(
-                workloads[unit.workload],
-                campaign.platform,
-                targets[unit.target],
-                campaign.config,
-            )
+        for unit, cell in unit_cells(campaign, fingerprint):
+            self._cells[unit.unit_id] = cell
         events().emit(
             "dist.worker.adopted", worker=self.name,
             fingerprint=fingerprint[:12], units=len(self._cells),
@@ -298,7 +327,7 @@ class Worker:
             leases = reply.get("leases")
             if not isinstance(leases, list):
                 raise FrameError("grant frame carries no lease list")
-            results = []
+            entries, tail, skeletons = [], [], {}
             for lease in leases:
                 self._leases_taken += 1
                 if self.die_after is not None \
@@ -310,11 +339,20 @@ class Worker:
                     if self.hard_exit:
                         os._exit(EXIT_SELF_DESTRUCT)
                     raise _SelfDestruct()
-                results.append(self._run_lease(lease))
-            transport.send({"type": "results", "results": results})
-            self.units_delivered += sum(
-                1 for entry in results if entry["status"] == "ok"
-            )
+                entry, vector = self.run_lease(lease)
+                if vector is not None:
+                    ref = entry["row"]["skeleton"]
+                    if ref not in self._carried:
+                        skeletons[ref] = self._skeletons[ref]
+                    entry["vector"] = len(tail)
+                    tail.append(vector)
+                entries.append(entry)
+            transport.send({
+                "type": "results", "results": entries,
+                "skeletons": skeletons, "tail": tail,
+            })
+            self._carried.update(skeletons)
+            self.units_delivered += len(tail)
 
     def _recv_reply(self, transport: FrameTransport) -> dict:
         """The next coordinator reply (replies travel clean and in order)."""
@@ -325,8 +363,15 @@ class Worker:
             raise ConnectionResetError("coordinator hung up")
         return reply
 
-    def _run_lease(self, lease: dict) -> dict:
-        """Execute one granted unit; returns its results-frame entry."""
+    def run_lease(
+        self, lease: dict
+    ) -> Tuple[Dict[str, Any], Optional[bytes]]:
+        """Execute one granted unit (or recall its memoized row).
+
+        Returns its results-frame entry and, for an ``ok`` entry, the
+        row's packed vector (``None`` for an error entry); the caller
+        places the vector in the frame's tail.
+        """
         unit = lease.get("unit") or {}
         unit_id = str(unit.get("unit_id", ""))
         lease_id = str(lease.get("lease_id", ""))
@@ -337,13 +382,13 @@ class Worker:
             return dict(
                 entry, status="error", reason="error",
                 message=f"worker has no cell for unit {unit_id!r}",
-            )
-        doc = self._results.get(unit_id)
+            ), None
+        memo = self._rows.get(unit_id)
         elapsed = 0.0
-        if doc is None:
+        if memo is None:
             start = time.perf_counter()
             try:
-                doc = self._execute(cell, attempt)
+                memo = self._execute(cell, attempt)
             except Exception as exc:
                 metrics().counter("dist.worker_cell_errors").inc()
                 events().emit(
@@ -354,21 +399,22 @@ class Worker:
                 return dict(
                     entry, status="error", reason="error",
                     message=f"{type(exc).__name__}: {exc}",
-                )
+                ), None
             elapsed = time.perf_counter() - start
             self.units_executed += 1
-            self._results[unit_id] = doc
+            self._rows[unit_id] = memo
+        row, vector = memo
         return dict(
-            entry, status="ok", doc=doc,
+            entry, status="ok", row=row,
             elapsed_s=round(float(elapsed), 6),
-        )
+        ), vector
 
-    def _execute(self, cell, attempt: int) -> dict:
+    def _execute(self, cell, attempt: int) -> Tuple[Dict[str, str], bytes]:
         from repro.runtime.executor import _execute_cell_attempt
-        from repro.runtime.serialize import run_result_to_dict
 
-        result = _execute_cell_attempt(cell, attempt)
-        return run_result_to_dict(result)
+        return encode_row(
+            _execute_cell_attempt(cell, attempt), self._skeletons
+        )
 
 
 class _FingerprintMismatch(MelodyError):

@@ -145,6 +145,23 @@ def run_key(
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
+def run_document(result: RunResult) -> Dict[str, object]:
+    """The JSON tier's document of one run: its context-free dict plus
+    the content refs of its workload and platform blobs.
+
+    :meth:`RunCache.put` writes the same document (and the blobs), the
+    columnar tier stores it split, and a dist worker ships it split.
+    """
+    doc = run_result_to_dict(result, embed_context=False)
+    doc["workload_ref"] = RunCache._blob_ref(
+        result.workload, workload_to_dict
+    )
+    doc["platform_ref"] = RunCache._blob_ref(
+        result.platform, platform_to_dict
+    )
+    return doc
+
+
 class RunCache:
     """Two-tier (memory + optional disk) store of finished runs.
 
@@ -208,9 +225,9 @@ class RunCache:
     def _blob_ref(obj, to_dict) -> str:
         """Content ref of one workload/platform blob.
 
-        Shared by the JSON tier's blob writes and the columnar tier's
-        promotion path, so a promoted run document carries exactly the
-        refs its JSON twin does.
+        Shared by the JSON tier's blob writes and :func:`run_document`,
+        so a stored or shipped run document carries exactly the refs
+        its JSON twin does.
         """
         return hashlib.sha256(
             _memoized(obj, to_dict).encode("utf-8")
@@ -502,16 +519,9 @@ class RunCache:
                 continue
             if not isinstance(result, RunResult):
                 continue  # unserializable ad-hoc result: memory-only
-            doc = run_result_to_dict(result, embed_context=False)
-            doc["workload_ref"] = self._blob_ref(
-                result.workload, workload_to_dict
-            )
-            doc["platform_ref"] = self._blob_ref(
-                result.platform, platform_to_dict
-            )
             writer.add(
                 key,
-                doc,
+                run_document(result),
                 workload_doc=workload_to_dict(result.workload),
                 platform_doc=platform_to_dict(result.platform),
                 fault_plan=plan_key,

@@ -57,6 +57,26 @@ def _in_row(field: str, value: Any) -> bool:
     return field in ROW_FIELDS and isinstance(value, str) and value != ""
 
 
+def split_row(
+    doc: Dict[str, Any]
+) -> Tuple[Dict[str, Any], Any, np.ndarray]:
+    """Split an analytic run document as the store keeps it.
+
+    Returns ``(row, skeleton, vector)``: ``row`` maps each
+    :data:`ROW_FIELDS` document field to its value (``""`` when absent),
+    and the skeleton leaves out the fields the row holds.  A dist
+    worker ships exactly this split, so the coordinator appends the row
+    it received without splitting again.
+    """
+    row = {field: doc.get(field, "") for field in ROW_FIELDS}
+    body = {
+        field: value for field, value in doc.items()
+        if not _in_row(field, value)
+    }
+    skeleton, vector = split_document(body)
+    return row, skeleton, vector
+
+
 @dataclass(frozen=True)
 class ScanHit:
     """One row matched by :meth:`ResultStore.scan`.
@@ -131,66 +151,84 @@ class StoreWriter:
 
         ``doc`` is the exact JSON-tier document (event-sim ``to_dict``
         output, or an analytic run document including its blob refs);
-        it reassembles bit-identically.  An analytic document's
-        :data:`ROW_FIELDS` holding non-empty strings are left out of its
-        skeleton -- the row's columns record them and reads restore
-        them -- so every cell of one document shape shares one
-        skeleton whatever its target and blob refs.  Absent or ``""``
-        fields, and every event-sim field, stay in the skeleton.
+        it reassembles bit-identically.  An analytic document is split
+        by :func:`split_row` and stored through :meth:`add_row`; every
+        event-sim field stays in the skeleton.
         """
-        eventsim = doc.get("kind") == KIND_EVENTSIM
-        body = doc if eventsim else {
-            field: value for field, value in doc.items()
-            if not _in_row(field, value)
-        }
-        skeleton, vector = split_document(body)
+        if doc.get("kind") != KIND_EVENTSIM:
+            row, skeleton, vector = split_row(doc)
+            return self.add_row(
+                key, skeleton_ref(skeleton), skeleton, vector, row,
+                workload_doc=workload_doc, platform_doc=platform_doc,
+                fault_plan=fault_plan,
+            )
+        skeleton, vector = split_document(doc)
         ref = skeleton_ref(skeleton)
         self.manifest.skeletons.setdefault(ref, skeleton)
         segment, offset, length = self._segments.append(vector)
-        if eventsim:
-            entry = ManifestEntry(
-                key=key,
-                kind=KIND_EVENTSIM,
-                device=doc["device"],
-                workload="",
-                target=doc["device"],
-                fault_plan=doc.get("fault_plan") or "",
-                offered_gbps=float(doc["offered_gbps"]),
-                read_fraction=float(doc["read_fraction"]),
-                skeleton=ref,
-                segment=segment,
-                offset=offset,
-                length=length,
-                n=len(doc["latencies_ns"]),
-            )
-        else:
-            row = {
-                column: doc.get(field, "")
-                for field, column in ROW_FIELDS.items()
-            }
-            workload_ref = row["workload_ref"]
-            platform_ref = row["platform_ref"]
-            if workload_doc is not None and workload_ref:
-                self.manifest.blobs.setdefault(workload_ref, workload_doc)
-            if platform_doc is not None and platform_ref:
-                self.manifest.blobs.setdefault(platform_ref, platform_doc)
-            entry = ManifestEntry(
-                key=key,
-                kind=KIND_ANALYTIC,
-                device=row["target"],
-                workload=(
-                    workload_doc.get("name", "") if workload_doc else ""
-                ),
-                fault_plan=fault_plan,
-                offered_gbps=math.nan,
-                read_fraction=math.nan,
-                skeleton=ref,
-                segment=segment,
-                offset=offset,
-                length=length,
-                n=0,
-                **row,
-            )
+        entry = ManifestEntry(
+            key=key,
+            kind=KIND_EVENTSIM,
+            device=doc["device"],
+            workload="",
+            target=doc["device"],
+            fault_plan=doc.get("fault_plan") or "",
+            offered_gbps=float(doc["offered_gbps"]),
+            read_fraction=float(doc["read_fraction"]),
+            skeleton=ref,
+            segment=segment,
+            offset=offset,
+            length=length,
+            n=len(doc["latencies_ns"]),
+        )
+        self.manifest.add(entry)
+        return entry
+
+    def add_row(
+        self,
+        key: str,
+        ref: str,
+        skeleton: Any,
+        vector: np.ndarray,
+        row: Dict[str, Any],
+        workload_doc: Optional[Dict[str, Any]] = None,
+        platform_doc: Optional[Dict[str, Any]] = None,
+        fault_plan: str = "",
+    ) -> ManifestEntry:
+        """Store one analytic row already split by :func:`split_row`.
+
+        ``ref`` must be ``skeleton_ref(skeleton)``.  The row's
+        :data:`ROW_FIELDS` values land in their columns, so every cell
+        of one document shape shares one skeleton whatever its target
+        and blob refs; ``workload_doc``/``platform_doc`` are embedded
+        under the row's blob refs the first time the manifest sees them.
+        """
+        self.manifest.skeletons.setdefault(ref, skeleton)
+        segment, offset, length = self._segments.append(vector)
+        columns = {
+            column: row[field] for field, column in ROW_FIELDS.items()
+        }
+        workload_ref = columns["workload_ref"]
+        platform_ref = columns["platform_ref"]
+        if workload_doc is not None and workload_ref:
+            self.manifest.blobs.setdefault(workload_ref, workload_doc)
+        if platform_doc is not None and platform_ref:
+            self.manifest.blobs.setdefault(platform_ref, platform_doc)
+        entry = ManifestEntry(
+            key=key,
+            kind=KIND_ANALYTIC,
+            device=columns["target"],
+            workload=workload_doc.get("name", "") if workload_doc else "",
+            fault_plan=fault_plan,
+            offered_gbps=math.nan,
+            read_fraction=math.nan,
+            skeleton=ref,
+            segment=segment,
+            offset=offset,
+            length=length,
+            n=0,
+            **columns,
+        )
         self.manifest.add(entry)
         return entry
 

@@ -14,7 +14,15 @@ import subprocess
 import sys
 import threading
 
-from repro.dist import FrameTransport, PROTOCOL_VERSION, campaign_units
+import pytest
+
+from repro import obs
+from repro.dist import (
+    FrameTransport,
+    PROTOCOL_VERSION,
+    campaign_units,
+    unit_cells,
+)
 from repro.dist.coordinator import MAX_GRANT, Coordinator, grant_size
 from repro.dist.harness import (
     SMOKE_SPEC,
@@ -24,11 +32,14 @@ from repro.dist.harness import (
     solo_records,
 )
 from repro.dist.lease import LeaseTable
-from repro.dist.worker import Worker
-from repro.faults.chaos import ChaosPolicy
+from repro.dist.worker import Worker, encode_row
+from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import load_checkpoint
-from repro.runtime.executor import RetryPolicy
+from repro.runtime.executor import RetryPolicy, _execute_cell_attempt
+from repro.store import ResultStore
+from repro.store.codec import skeleton_ref
+from repro.store.store import ROW_FIELDS, split_row
 
 
 class TestCleanCampaign:
@@ -81,27 +92,157 @@ class TestCacheResume:
         coordinator.stop()
 
 
-class TestHostileFleet:
-    def test_chaos_plus_mid_lease_death_is_bit_identical(self, tmp_path):
-        outcome = run_dist_campaign(
-            str(tmp_path),
-            workers=(
-                WorkerPlan(name="chaotic", net_chaos_seed=7),
-                WorkerPlan(name="mortal", die_after=1),
-            ),
+    def test_resumed_campaign_stores_every_unit_in_one_manifest(
+        self, tmp_path
+    ):
+        # Nine units come from the cache (promoted at the end), one from
+        # a worker (appended as it commits): the promotion must extend
+        # the manifest the coordinator's writer committed, not race it.
+        units = campaign_units(
+            SMOKE_SPEC.build_campaign(), "unused-fingerprint"
         )
-        summary = outcome.summary
+        solo_records(SMOKE_SPEC, str(tmp_path))  # JSON tier only
+        os.unlink(RunCache(str(tmp_path))._disk_path(units[-1].key))
+        outcome = run_dist_campaign(
+            str(tmp_path), workers=(WorkerPlan(name="w0"),)
+        )
+        assert outcome.summary.complete
+        assert outcome.workers[0].units_executed == 1
+        store = ResultStore(tmp_path / "store")
+        assert sorted(store.keys()) == sorted(unit.key for unit in units)
+        assert len(store.manifests()) == 1
+
+
+class TestHostileFleet:
+    def test_chaos_plus_mid_lease_death_is_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # The chaotic worker starts only once the mortal one holds its
+        # first grant: alone at that fetch, the mortal worker is granted
+        # half the campaign, so it always dies on its second lease.
+        mortal_granted = threading.Event()
+        acquire_many = LeaseTable.acquire_many
+
+        def gated(table, worker, limit):
+            leases = acquire_many(table, worker, limit)
+            if worker == "mortal" and leases:
+                mortal_granted.set()
+            return leases
+
+        monkeypatch.setattr(LeaseTable, "acquire_many", gated)
+        coordinator = Coordinator(
+            SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
+            heartbeat_s=0.25,
+            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0,
+                               backoff_max_s=0.05),
+        )
+        port = coordinator.start()
+        codes = {}
+        threads = []
+
+        def launch(worker):
+            thread = threading.Thread(
+                target=lambda: codes.__setitem__(worker.name, worker.run()),
+                daemon=True,
+            )
+            thread.start()
+            threads.append(thread)
+
+        try:
+            launch(Worker("127.0.0.1", port, name="mortal", die_after=1))
+            assert mortal_granted.wait(timeout=30.0)
+            launch(Worker("127.0.0.1", port, name="chaotic",
+                          net_chaos=NetChaosPolicy.from_seed(7)))
+            summary = coordinator.run(timeout=120.0)
+        finally:
+            coordinator.stop()
+        for thread in threads:
+            thread.join(timeout=5.0)
         assert summary.complete
         assert summary.conflicts == []
         assert summary.quarantined == []
         # The mortal worker really did die mid-lease.  The chaos worker
         # usually hears "done" (0), but a sever racing the coordinator's
         # shutdown can leave it disconnected (3) -- never an error code.
-        assert outcome.worker_codes[1] == 9
-        assert outcome.worker_codes[0] in (0, 3)
+        assert codes["mortal"] == 9
+        assert codes["chaotic"] in (0, 3)
         assembled = solo_records(SMOKE_SPEC, str(tmp_path))
         reference = solo_records(SMOKE_SPEC, None)
         assert assembled == reference
+
+
+class TestReconnect:
+    def test_severed_worker_redelivers_memoized_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # The second results frame never leaves the worker: the link
+        # dies after that grant executed, and after the first frame
+        # carried its skeletons.  The worker reconnects and, as its
+        # released units come back, re-delivers the memoized rows --
+        # with every skeleton the new connection has not carried yet --
+        # instead of running the cells again.
+        sent = []
+        severed = []
+
+        class Severing(FrameTransport):
+            def __init__(self, sock, index):
+                super().__init__(sock)
+                self.index = index
+
+            def send(self, message):
+                if message.get("type") == "results" and not severed \
+                        and any(m["type"] == "results" for _, m in sent):
+                    severed.append(self.index)
+                    self.close()
+                    raise ConnectionResetError("severed after a grant")
+                sent.append((self.index, message))
+                return super().send(message)
+
+        def connect(worker, conn_index):
+            sock = socket.create_connection(
+                (worker.host, worker.port), timeout=5.0
+            )
+            sock.settimeout(None)
+            return Severing(sock, conn_index)
+
+        monkeypatch.setattr(Worker, "_connect", connect)
+        coordinator = Coordinator(
+            SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
+            heartbeat_s=0.25,
+            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
+        )
+        port = coordinator.start()
+        worker = Worker("127.0.0.1", port, name="flaky")
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(worker.run()), daemon=True
+        )
+        try:
+            thread.start()
+            summary = coordinator.run(timeout=60.0)
+        finally:
+            coordinator.stop()
+        thread.join(timeout=10.0)
+        assert severed == [1]
+        assert codes == [0]
+        assert summary.complete and summary.conflicts == []
+        assert summary.committed == summary.units
+        assert summary.released >= 3  # the severed grant came back
+        # Every cell ran exactly once: re-leased units were re-delivered.
+        assert worker.units_executed == summary.units
+        carried = {1: set(), 2: set()}
+        for index, message in sent:
+            if message["type"] != "results":
+                continue
+            carried[index].update(message["skeletons"])
+            named = {
+                entry["row"]["skeleton"] for entry in message["results"]
+                if entry["status"] == "ok"
+            }
+            assert named <= carried[index]
+        assert carried[1] and carried[2]
+        assert solo_records(SMOKE_SPEC, str(tmp_path)) \
+            == solo_records(SMOKE_SPEC, None)
 
 
 class TestGrantCrashes:
@@ -211,15 +352,53 @@ class TestQuarantine:
         assert [f.key for f in state.failed] == [doomed]
 
 
+def _tamper_doc(row, vector, skeletons):
+    """A row whose skeleton is sound but whose document is no run."""
+    bad, skeleton, values = split_row({
+        "version": -1, "garbage": True,
+        **{field: row[field] for field in ROW_FIELDS},
+    })
+    bad["skeleton"] = skeleton_ref(skeleton)
+    return bad, values.astype("<f8").tobytes(), {bad["skeleton"]: skeleton}
+
+
+def _unknown_skeleton(row, vector, skeletons):
+    return row, vector, {}
+
+
+def _skeleton_off_its_ref(row, vector, skeletons):
+    ref = row["skeleton"]
+    return row, vector, {ref: dict(skeletons[ref], forged=True)}
+
+
+def _vector_too_long(row, vector, skeletons):
+    return row, vector + vector[:8], skeletons
+
+
+def _foreign_workload(row, vector, skeletons):
+    return dict(row, workload_ref="0" * 32), vector, skeletons
+
+
+def _foreign_platform(row, vector, skeletons):
+    return dict(row, platform_ref="0" * 32), vector, skeletons
+
+
 class TestResultValidation:
-    def test_malformed_doc_charges_attempt_and_retries(self, tmp_path):
-        # A result doc that is a dict but fails deserialization must NOT
-        # terminally commit the unit (checkpoint would then claim a cell
-        # that has no cached result): it counts as a failed attempt and
-        # the unit is re-leased.
+    """A delivered row that fails validation never commits: the attempt
+    is charged, ``dist.result_decode_errors`` counts it, nothing reaches
+    the cache or the store, and the unit comes back alone at attempt 2."""
+
+    def _deliver_bad_row(self, tmp_path, tamper):
+        registry = obs.MetricsRegistry()
+        obs.enable_metrics(registry)
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=str(tmp_path),
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+        )
+        cells = dict(
+            (unit.unit_id, cell) for unit, cell in unit_cells(
+                SMOKE_SPEC.build_campaign(), coordinator.fingerprint
+            )
         )
         port = coordinator.start()
         try:
@@ -237,15 +416,23 @@ class TestResultValidation:
                 assert grant["type"] == "grant"
                 lease = grant["leases"][0]
                 unit_id = lease["unit"]["unit_id"]
-                transport.send({"type": "results", "results": [{
-                    "status": "ok",
-                    "unit_id": unit_id, "lease_id": lease["lease_id"],
-                    "doc": {"version": -1, "garbage": True},
-                }]})
+                skeletons = {}
+                row, vector = encode_row(
+                    _execute_cell_attempt(cells[unit_id], 1), skeletons
+                )
+                row, vector, skeletons = tamper(row, vector, skeletons)
+                transport.send({
+                    "type": "results", "skeletons": skeletons,
+                    "results": [{
+                        "status": "ok", "unit_id": unit_id,
+                        "lease_id": lease["lease_id"], "row": row,
+                        "vector": 0,
+                    }],
+                    "tail": [vector],
+                })
                 transport.send({"type": "fetch"})
                 retry = transport.recv(timeout=5.0)
                 assert retry["type"] == "grant"
-                # The charged unit comes back alone, at attempt 2.
                 assert [entry["unit"]["unit_id"]
                         for entry in retry["leases"]] == [unit_id]
                 assert retry["leases"][0]["attempt"] == 2
@@ -253,7 +440,25 @@ class TestResultValidation:
             finally:
                 transport.close()
         finally:
-            coordinator.stop()
+            coordinator.run(timeout=0.0)  # stops, commits store rows
+            obs.disable_metrics()
+        assert registry.counter("dist.result_decode_errors").value == 1
+        key = coordinator.table.unit(unit_id).key
+        assert RunCache(str(tmp_path)).get(key) is None
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    def test_malformed_doc_charges_attempt_and_retries(self, tmp_path):
+        # A row whose joined document fails deserialization must NOT
+        # terminally commit the unit (checkpoint would then claim a cell
+        # that has no cached result).
+        self._deliver_bad_row(tmp_path, _tamper_doc)
+
+    @pytest.mark.parametrize("tamper", [
+        _unknown_skeleton, _skeleton_off_its_ref, _vector_too_long,
+        _foreign_workload, _foreign_platform,
+    ], ids=lambda fn: fn.__name__.strip("_"))
+    def test_bad_row_charges_attempt_and_retries(self, tmp_path, tamper):
+        self._deliver_bad_row(tmp_path, tamper)
 
 
 class TestGrantSize:
@@ -286,6 +491,31 @@ class TestProtocolEdges:
                 assert "proto" in reply["reason"]
             finally:
                 transport.close()
+        finally:
+            coordinator.stop()
+
+    def test_protocol_2_worker_rejected_at_hello(self, tmp_path):
+        # A protocol-2 worker frames its hello as bare JSON -- which is
+        # still the bare form -- and can read the bare reject it gets.
+        coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
+        port = coordinator.start()
+        try:
+            sock = socket.create_connection(("127.0.0.1", port),
+                                            timeout=5.0)
+            try:
+                hello = json.dumps({
+                    "type": "hello", "name": "old", "proto": 2, "seq": 1,
+                }).encode("utf-8")
+                sock.sendall(len(hello).to_bytes(4, "big") + hello)
+                length = int.from_bytes(sock.recv(4), "big")
+                payload = b""
+                while len(payload) < length:
+                    payload += sock.recv(length - len(payload))
+                reply = json.loads(payload)
+                assert reply["type"] == "reject"
+                assert "protocol 2 unsupported" in reply["reason"]
+            finally:
+                sock.close()
         finally:
             coordinator.stop()
 

@@ -1,6 +1,8 @@
 """Frame-layer tests: canonical encoding, transport semantics, re-sequencing."""
 
+import json
 import socket
+import struct
 import threading
 
 import pytest
@@ -14,6 +16,8 @@ from repro.dist.frames import (
     encode_frame,
     encode_payload,
 )
+from repro.store.codec import skeleton_ref
+from repro.store.store import split_row
 
 
 def transport_pair():
@@ -221,3 +225,145 @@ class TestInOrderChannel:
             channel.feed({"type": "fetch"})
         with pytest.raises(FrameError):
             channel.feed({"seq": 0})
+
+
+def _row(target, cycles):
+    """One synthetic analytic row: (row with skeleton ref, skeleton,
+    packed vector bytes)."""
+    row, skeleton, vector = split_row({
+        "version": 1,
+        "target_name": target,
+        "workload_ref": "a" * 32,
+        "platform_ref": "b" * 32,
+        "cycles": cycles,
+        "instructions": 10 ** 9,
+        "counters": {"l3_miss": cycles / 7.0, "stalls": 0.25},
+        "phases": [{"label": "main", "weight": 1.0, "ok": True}],
+    })
+    row["skeleton"] = skeleton_ref(skeleton)
+    return row, skeleton, vector.astype("<f8").tobytes()
+
+
+def _corpus():
+    """hello, grant, and a results frame carrying a skeleton, two rows
+    and an error entry -- each stamped as the transport would."""
+    row_a, skeleton, vector_a = _row("CXL-A", 1.5e9)
+    row_b, _, vector_b = _row("CXL-B", 2.25e9)
+    results = {
+        "type": "results", "seq": 3,
+        "skeletons": {row_a["skeleton"]: skeleton},
+        "results": [
+            {"unit_id": "u1", "lease_id": "L1", "status": "ok",
+             "row": row_a, "vector": 0, "elapsed_s": 0.001},
+            {"unit_id": "u2", "lease_id": "L2", "status": "error",
+             "reason": "error", "message": "boom"},
+            {"unit_id": "u3", "lease_id": "L3", "status": "ok",
+             "row": row_b, "vector": 1, "elapsed_s": 0.002},
+        ],
+        "tail": [vector_a, vector_b],
+    }
+    return [
+        {"type": "hello", "seq": 1, "name": "w0", "proto": 3},
+        {"type": "grant", "seq": 2, "re": 1, "lease_s": 10.0,
+         "leases": [{"lease_id": "L1", "attempt": 1,
+                     "unit": {"unit_id": "u1", "kind": "grid",
+                              "workload": "bfs", "target": "CXL-A"}}]},
+        results,
+    ]
+
+
+def _tailed(header, tail):
+    """A tailed payload with a hand-written header."""
+    text = json.dumps(header).encode("utf-8")
+    return struct.pack(">I", len(text)) + text + tail
+
+
+class _ScriptedSocket:
+    """A socket stand-in replaying a script of recv outcomes: a bytes
+    chunk, ``TIMEOUT`` (raise ``socket.timeout``) or ``b""`` (EOF)."""
+
+    TIMEOUT = object()
+
+    def __init__(self, script):
+        self._script = list(script)
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        if not self._script:
+            return b""
+        step = self._script.pop(0)
+        if step is self.TIMEOUT:
+            raise socket.timeout("scripted")
+        return step
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestTailedFrames:
+    """Protocol 3: a ``results`` frame carries its vectors as a binary
+    tail after the JSON header."""
+
+    def test_roundtrip_keeps_tail_bytes(self):
+        for message in _corpus():
+            assert decode_payload(encode_payload(message)) == message
+
+    def test_only_tailed_messages_leave_the_bare_form(self):
+        hello, grant, results = _corpus()
+        assert encode_payload(hello).startswith(b"{")
+        assert encode_payload(grant).startswith(b"{")
+        payload = encode_payload(results)
+        assert payload[:1] == b"\x00"
+        # The vectors ride raw at the end: no text round trip.
+        assert payload.endswith(b"".join(results["tail"]))
+
+    def test_split_delivery_with_timeout_resumes(self):
+        for message in _corpus():
+            frame = encode_frame(message)
+            for cut in range(1, len(frame)):
+                sock = _ScriptedSocket([
+                    frame[:cut], _ScriptedSocket.TIMEOUT, frame[cut:],
+                ])
+                transport = FrameTransport(sock)
+                with pytest.raises(socket.timeout):
+                    transport.recv(timeout=0.01)
+                assert transport.recv(timeout=0.01) == message
+
+    def test_truncation_at_every_offset_is_a_frame_error(self):
+        for message in _corpus():
+            frame = encode_frame(message)
+            for cut in range(1, len(frame)):
+                transport = FrameTransport(_ScriptedSocket([frame[:cut]]))
+                with pytest.raises(FrameError):
+                    transport.recv(timeout=0.01)
+            payload = frame[4:]
+            for cut in range(len(payload)):
+                with pytest.raises(FrameError):
+                    decode_payload(payload[:cut])
+
+    @pytest.mark.parametrize("lengths", [[3, 4], [2, 5], [3, 2], [7], []])
+    def test_tail_lengths_must_match_the_frame(self, lengths):
+        payload = _tailed({"type": "results", "tail": lengths}, b"x" * 6)
+        with pytest.raises(FrameError):
+            decode_payload(payload)
+        frame = struct.pack(">I", len(payload)) + payload
+        transport = FrameTransport(_ScriptedSocket([frame]))
+        with pytest.raises(FrameError):
+            transport.recv(timeout=0.01)
+
+    @pytest.mark.parametrize("lengths", [[-1, 7], "6", [6.0], [True] * 6])
+    def test_malformed_tail_lengths_rejected(self, lengths):
+        payload = _tailed({"type": "results", "tail": lengths}, b"x" * 6)
+        with pytest.raises(FrameError):
+            decode_payload(payload)
+
+    def test_header_length_past_the_frame_rejected(self):
+        with pytest.raises(FrameError):
+            decode_payload(struct.pack(">I", 99) + b"{}")
+        with pytest.raises(FrameError):
+            decode_payload(b"\x00\x00")
