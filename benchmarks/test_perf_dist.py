@@ -26,8 +26,8 @@ from pathlib import Path
 
 from repro.dist.harness import (
     SMOKE_SPEC,
-    WorkerPlan,
     run_dist_campaign,
+    run_hostile_fleet,
     solo_records,
 )
 
@@ -49,13 +49,9 @@ def test_perf_dist_overhead(tmp_path):
     clean, clean_s = _timed(lambda: run_dist_campaign(clean_dir))
 
     chaos_dir = str(tmp_path / "chaos")
-    chaos, chaos_s = _timed(lambda: run_dist_campaign(
-        chaos_dir,
-        workers=(
-            WorkerPlan(name="chaotic", net_chaos_seed=13),
-            WorkerPlan(name="mortal", die_after=1),
-        ),
-    ))
+    chaos, chaos_s = _timed(
+        lambda: run_hostile_fleet(chaos_dir, net_chaos_seed=13)
+    )
 
     # Correctness before speed: both dist runs completed, never
     # disagreed, and assemble the exact solo records.
@@ -109,5 +105,5 @@ def test_perf_dist_overhead(tmp_path):
 
     if not SMOKE:
         # The mortal worker died, so recovery machinery demonstrably ran.
-        assert chaos.worker_codes[1] == 9
+        assert chaos.worker_codes[0] == 9
         assert chaos.summary.released + chaos.summary.expired >= 1

@@ -61,13 +61,11 @@ from repro.errors import ConfigurationError, MelodyError
 
 
 def _configure_runtime(args):
-    """Apply --cache-dir/--engine (and any resilience flags) to the engine."""
+    """Apply --cache-dir (and any resilience flags) to the engine."""
     from repro.runtime import configure_runtime
 
     return configure_runtime(
-        cache_dir=args.cache_dir,
-        policy=_retry_policy(args),
-        mode=getattr(args, "engine", None),
+        cache_dir=args.cache_dir, policy=_retry_policy(args)
     )
 
 
@@ -1164,12 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every Nth workload")
     p.add_argument("--csv", default=None, help="export dataset CSV")
     p.add_argument("--json", default=None, help="export dataset JSON")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "serial"],
-                   help="cell execution strategy: auto fuses a pending "
-                   "set into batch kernels when every cell is a "
-                   "batchable simulation cell; serial never batches "
-                   "(results are byte-identical either way)")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk run cache shared across invocations")
     p.add_argument("--strict", action="store_true",

@@ -211,20 +211,13 @@ def check_dist_campaign_identity(ctx: DiagContext) -> Iterator[Violation]:
     """The end-to-end proof: sockets + chaos + death change nothing."""
     from repro.dist.harness import (
         SMOKE_SPEC,
-        WorkerPlan,
-        run_dist_campaign,
+        run_hostile_fleet,
         solo_records,
     )
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        outcome = run_dist_campaign(
-            cache_dir,
-            workers=(
-                WorkerPlan(name="chaotic", net_chaos_seed=ctx.seed),
-                WorkerPlan(name="mortal", die_after=1),
-            ),
-            lease_s=10.0,
-            deadline_s=300.0,
+        outcome = run_hostile_fleet(
+            cache_dir, net_chaos_seed=ctx.seed, deadline_s=300.0
         )
         subjects(check_dist_campaign_identity, outcome.summary.units)
         if not outcome.summary.complete:
@@ -255,7 +248,7 @@ def check_dist_campaign_identity(ctx: DiagContext) -> Iterator[Violation]:
                     ]),
                 },
             )
-        if outcome.worker_codes[1] != 9:
+        if outcome.worker_codes[0] != 9:
             yield Violation(
                 layer="dist", check="dist-campaign-identity",
                 subject="harness",

@@ -12,10 +12,12 @@ JSON headers, results as store rows with a binary vector tail
   retries with seeded backoff reassign it, and a unit that fails its
   whole budget quarantines into the same ``FailedCell`` records the
   solo engine writes (graceful degradation, never a wedged campaign);
-* the network may drop, duplicate, reorder, delay, or truncate frames
-  -- the seeded chaos transport (:mod:`repro.dist.chaos`) injects all
-  of it, and sequence-stamped frames plus digest-checked at-most-once
-  commit make every schedule converge to the same campaign output;
+* the network may drop connections, delay frames, or truncate them
+  mid-write -- the seeded chaos transport (:mod:`repro.dist.chaos`)
+  injects all of it, and digest-checked at-most-once commit makes every
+  schedule converge to the same campaign output (within one connection
+  TCP delivers frames whole, once and in order, so frames carry no
+  sequence numbers);
 * the proof obligation is **bit-identity**: a campaign run through the
   coordinator under any chaos schedule produces exports byte-identical
   to a solo run (the ``dist`` diag layer re-proves this on every
@@ -37,7 +39,6 @@ from repro.dist.coordinator import (
 from repro.dist.frames import (
     FrameError,
     FrameTransport,
-    InOrderChannel,
     decode_payload,
     encode_frame,
     encode_payload,
@@ -53,7 +54,6 @@ __all__ = [
     "DistSummary",
     "FrameError",
     "FrameTransport",
-    "InOrderChannel",
     "Lease",
     "LeaseTable",
     "PROTOCOL_VERSION",

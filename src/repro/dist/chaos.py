@@ -4,10 +4,6 @@
 .FrameTransport` whose *outgoing* path consults a
 :class:`~repro.faults.chaos.NetChaosPolicy` per frame:
 
-* ``dup``     -- the frame ships twice (the receiver's
-  :class:`~repro.dist.frames.InOrderChannel` drops the second copy);
-* ``reorder`` -- the frame is held back and ships *after* the next one
-  (the channel buffers the early frame until the gap fills);
 * ``delay``   -- a latency spike before the send;
 * ``partial`` -- half the frame ships, a beat passes, then either the
   rest follows (exercising TCP reassembly) or the connection dies with
@@ -16,10 +12,8 @@
 
 Both lethal outcomes surface as :class:`ConnectionError` to the sending
 worker, whose reconnect loop treats them exactly like a real link flap.
-A held (reordered) frame is flushed on :meth:`close`, preserving the
-no-silent-loss invariant for clean shutdowns; an abrupt worker death
-with a held frame is indistinguishable from dying a frame earlier,
-which the lease machinery already covers.
+Nothing here duplicates or reorders a frame: one connection is one TCP
+stream, which never does either.
 
 Chaos lives on the worker side only.  Coordinator replies travel clean,
 which keeps the sabotage surface where the interesting recovery logic
@@ -31,7 +25,6 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Optional
 
 from repro.dist.frames import FrameTransport
 from repro.faults.chaos import NET_ACTIONS, NetChaosPolicy
@@ -55,7 +48,6 @@ class ChaosTransport(FrameTransport):
         self._stream = stream
         self._sleep = sleep
         self._frame_index = 0
-        self._held: Optional[bytes] = None
         self.actions_taken = {name: 0 for name in NET_ACTIONS}
 
     def _sever(self, reason: str) -> None:
@@ -63,24 +55,15 @@ class ChaosTransport(FrameTransport):
         self.close()
         raise ConnectionResetError(f"net chaos: {reason}")
 
-    def _ship(self, data: bytes, seq: int) -> None:
+    def _ship(self, data: bytes) -> None:
         self._frame_index += 1
         index = self._frame_index
         action = self._policy.action(self._stream, index)
         self.actions_taken[action] += 1
-        held, self._held = self._held, None
         if action == "drop":
             self._sever(f"connection dropped before frame {index}")
         if action == "delay":
             self._sleep(self._policy.delay_s)
-        if action == "reorder":
-            # Hold this frame; it ships right after the next one (or on
-            # close).  Anything already held ships now -- at most one
-            # frame is ever in flight backwards.
-            self._held = data
-            if held is not None:
-                self._sock.sendall(held)
-            return
         if action == "partial":
             half = max(1, len(data) // 2)
             self._sock.sendall(data[:half])
@@ -90,17 +73,3 @@ class ChaosTransport(FrameTransport):
             self._sock.sendall(data[half:])
         else:
             self._sock.sendall(data)
-        if action == "dup":
-            self._sock.sendall(data)
-        if held is not None:
-            self._sock.sendall(held)
-
-    def close(self) -> None:
-        """Flush any held reordered frame, then close: no silent loss."""
-        held, self._held = self._held, None
-        if held is not None:
-            try:
-                self._sock.sendall(held)
-            except OSError:
-                pass
-        super().close()

@@ -14,9 +14,10 @@ flaky fleet can do is survivable by construction:
   the seeded :class:`~repro.runtime.executor.RetryPolicy` backoff until
   its budget quarantines it into a PR 5 ``FailedCell`` record -- the
   campaign always completes, degraded at worst, never wedged;
-* duplicate and late deliveries fold into the at-most-once commit of
-  :class:`~repro.dist.lease.LeaseTable` (digest-checked), so network
-  chaos can waste work but never change what lands in the cache.
+* redeliveries after a reconnect and late commits fold into the
+  at-most-once commit of :class:`~repro.dist.lease.LeaseTable`
+  (digest-checked), so network chaos can waste work but never change
+  what lands in the cache.
 
 A ``results`` entry is one analytic store row (protocol 3, see
 :mod:`repro.dist.frames`): a skeleton ref, the row's ``target_name``,
@@ -59,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dist.frames import FrameError, FrameTransport, InOrderChannel
+from repro.dist.frames import FrameError, FrameTransport
 from repro.dist.lease import Lease, LeaseTable, WorkUnit
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
@@ -75,9 +76,10 @@ from repro.runtime.serialize import (
 from repro.store.codec import compile_skeleton, skeleton_ref
 from repro.store.store import ROW_FIELDS
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 """Bump on any incompatible frame/message change (2: batched grants;
-3: results travel as store rows with a binary vector tail)."""
+3: results travel as store rows with a binary vector tail; 4: frames
+carry no sequence numbers, replies no request echo)."""
 
 MAX_GRANT = 32
 """Most leases one ``grant`` frame carries."""
@@ -442,7 +444,6 @@ class Coordinator:
                 thread.start()
 
     def _serve_connection(self, conn_id: int, conn: _Connection) -> None:
-        channel = InOrderChannel()
         registry = metrics()
         try:
             while not self._stopping.is_set():
@@ -461,38 +462,25 @@ class Coordinator:
                     return
                 conn.last_seen = self.clock()
                 try:
-                    ready = channel.feed(frame)
-                except FrameError as exc:
+                    keep = self._handle(conn, frame)
+                except Exception as exc:
+                    # Fail loudly, not silently: closing the connection
+                    # (the finally below) releases the worker's leases
+                    # so its units retry elsewhere.
                     events().emit(
-                        "dist.conn.error", level="warn",
-                        worker=conn.worker_id, reason=str(exc),
+                        "dist.conn.error", level="error",
+                        worker=conn.worker_id,
+                        reason=f"handler failure: {exc}",
                     )
-                    registry.counter("dist.frame_errors").inc()
+                    registry.counter("dist.handler_errors").inc()
                     return
-                for message in ready:
-                    try:
-                        keep = self._handle(conn, message)
-                    except Exception as exc:
-                        # Fail loudly, not silently: closing the
-                        # connection (the finally below) releases the
-                        # worker's leases so its units retry elsewhere.
-                        events().emit(
-                            "dist.conn.error", level="error",
-                            worker=conn.worker_id,
-                            reason=f"handler failure: {exc}",
-                        )
-                        registry.counter("dist.handler_errors").inc()
-                        return
-                    if not keep:
-                        return
+                if not keep:
+                    return
         finally:
             conn.transport.close()
             with self._lock:
                 self._connections.pop(conn_id, None)
             self._release(conn)
-            registry.counter("dist.duplicate_frames").inc(
-                channel.duplicates
-            )
 
     def _monitor_loop(self) -> None:
         """Reap expired leases; close connections that stopped talking."""
@@ -531,16 +519,15 @@ class Coordinator:
     # -- message handling --------------------------------------------------
 
     def _handle(self, conn: _Connection, message: dict) -> bool:
-        """Dispatch one in-order message; False closes the connection."""
+        """Dispatch one message; False closes the connection."""
         kind = message.get("type")
-        seq = message.get("seq")
         if kind == "hello":
-            return self._handle_hello(conn, message, seq)
+            return self._handle_hello(conn, message)
         if kind == "heartbeat":
             metrics().counter("dist.heartbeats").inc()
             return True
         if kind == "fetch":
-            return self._handle_fetch(conn, seq)
+            return self._handle_fetch(conn)
         if kind == "results":
             return self._handle_results(conn, message)
         if kind == "goodbye":
@@ -552,13 +539,11 @@ class Coordinator:
         )
         return False
 
-    def _handle_hello(
-        self, conn: _Connection, message: dict, seq
-    ) -> bool:
+    def _handle_hello(self, conn: _Connection, message: dict) -> bool:
         proto = message.get("proto")
         if proto != PROTOCOL_VERSION:
             conn.transport.send({
-                "type": "reject", "re": seq,
+                "type": "reject",
                 "reason": f"protocol {proto!r} unsupported "
                           f"(coordinator speaks {PROTOCOL_VERSION})",
             })
@@ -570,7 +555,6 @@ class Coordinator:
         )
         conn.transport.send({
             "type": "welcome",
-            "re": seq,
             "proto": PROTOCOL_VERSION,
             "fingerprint": self.fingerprint,
             "spec": self.spec.to_dict(),
@@ -579,11 +563,11 @@ class Coordinator:
         })
         return True
 
-    def _handle_fetch(self, conn: _Connection, seq) -> bool:
+    def _handle_fetch(self, conn: _Connection) -> bool:
         with self._lock:
             table = self.table
             if table.done:
-                reply: dict = {"type": "done", "re": seq}
+                reply: dict = {"type": "done"}
             else:
                 leases = table.acquire_many(
                     conn.worker_id,
@@ -597,13 +581,12 @@ class Coordinator:
                         # Everything is leased out; poll for reassignment.
                         wait = min(1.0, table.lease_s / 4.0)
                     reply = {
-                        "type": "wait", "re": seq,
+                        "type": "wait",
                         "for_s": round(max(wait, _TICK_S), 4),
                     }
                 else:
                     reply = {
                         "type": "grant",
-                        "re": seq,
                         "lease_s": table.lease_s,
                         "leases": [
                             {

@@ -21,20 +21,17 @@ and a bare one with ``{``.
 
 :class:`FrameTransport` wraps a connected socket.  Sends are serialized
 under a lock (the worker's heartbeat thread shares the transport with
-its fetch/execute loop) and every outgoing frame is stamped with a
-monotonically increasing ``seq`` before it hits the wire.  The receive
-side never trusts wire order: :class:`InOrderChannel` re-sequences
-frames by ``seq``, dropping duplicates and holding early arrivals until
-the gap fills, which is exactly what makes the network chaos layer's
-duplicate and reordered deliveries harmless at the protocol level.
+its fetch/execute loop), so frames from concurrent senders never
+interleave on the wire.  Frames carry no sequence numbers: one
+connection is one TCP stream, which never duplicates or reorders, so
+the receiver handles frames in the order ``recv`` returns them.
 
 Within one connection a frame is never silently lost: the chaos
-transport only duplicates, delays, reorders or *truncates-and-drops* --
-and a truncated frame kills the connection, which releases the worker's
-leases.  That invariant is why a bounded reorder window is safe: a gap
-that never fills means the peer is broken, not the network.  It is
-also why a skeleton body need cross one connection only once: every
-later frame of that connection arrives after it.
+transport only delays a frame, stalls it halfway, or kills the
+connection before or mid-frame -- and a killed connection releases the
+worker's leases.  That invariant is why a skeleton body need cross one
+connection only once: every later frame of that connection arrives
+after it.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import json
 import socket
 import struct
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import MelodyError
 
@@ -53,14 +50,11 @@ MAX_FRAME_BYTES = 8 << 20
 plus each skeleton body (~2 KB) once per connection -- under 30 KB for a
 full grant of the shipped campaign, far below this bound."""
 
-REORDER_WINDOW = 64
-"""Out-of-order frames held before the channel declares the peer broken."""
-
 _LENGTH = struct.Struct(">I")
 
 
 class FrameError(MelodyError):
-    """A malformed, oversized, or unsequenceable frame."""
+    """A malformed or oversized frame."""
 
 
 def _json(message: Dict[str, object]) -> bytes:
@@ -146,35 +140,30 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
 class FrameTransport:
     """Framed, thread-safe messaging over one connected socket.
 
-    ``send`` stamps each outgoing message with the next ``seq`` (starting
-    at 1) under the send lock, so concurrent senders (the worker's
-    heartbeat thread) interleave whole frames with strictly increasing
-    sequence numbers.  ``recv`` returns one decoded message, ``None`` on
-    a clean EOF, raises :class:`FrameError` on garbage, and lets
-    ``socket.timeout`` propagate so pollers can check stop flags.  A
-    timeout mid-frame keeps the partial parse state (pending length and
-    buffered bytes) on the transport, so the next ``recv`` resumes the
-    same frame instead of misreading payload bytes as a header.
+    ``send`` frames and ships each message under the send lock, so
+    concurrent senders (the worker's heartbeat thread) interleave whole
+    frames, each thread's in its own send order.  ``recv`` returns one
+    decoded message, ``None`` on a clean EOF, raises :class:`FrameError`
+    on garbage, and lets ``socket.timeout`` propagate so pollers can
+    check stop flags.  A timeout mid-frame keeps the partial parse state
+    (pending length and buffered bytes) on the transport, so the next
+    ``recv`` resumes the same frame instead of misreading payload bytes
+    as a header.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._seq = 0
         self._recv_buffer = b""
         self._pending_length: Optional[int] = None
 
-    def send(self, message: Dict[str, object]) -> int:
-        """Frame, stamp and ship one message; returns its ``seq``."""
+    def send(self, message: Dict[str, object]) -> None:
+        """Frame and ship one message."""
+        data = encode_frame(message)
         with self._send_lock:
-            self._seq += 1
-            seq = self._seq
-            stamped = dict(message)
-            stamped["seq"] = seq
-            self._ship(encode_frame(stamped), seq)
-        return seq
+            self._ship(data)
 
-    def _ship(self, data: bytes, seq: int) -> None:
+    def _ship(self, data: bytes) -> None:
         """Put one encoded frame on the wire (chaos overrides this)."""
         self._sock.sendall(data)
 
@@ -233,47 +222,3 @@ class FrameTransport:
             self._sock.close()
         except OSError:
             pass
-
-
-class InOrderChannel:
-    """Re-sequences received frames by their ``seq`` stamp.
-
-    ``feed`` returns the frames that became deliverable, in sequence
-    order: duplicates (``seq`` already delivered) are dropped, early
-    arrivals are buffered until the gap fills.  A buffer exceeding
-    ``REORDER_WINDOW`` distinct pending frames means a sequence number
-    went missing without the connection dying -- the peer violated the
-    no-silent-loss invariant -- and is reported as a
-    :class:`FrameError`.
-    """
-
-    def __init__(self, max_window: int = REORDER_WINDOW):
-        self._next = 1
-        self._pending: Dict[int, Dict[str, object]] = {}
-        self._max_window = max_window
-        self.duplicates = 0
-        self.reordered = 0
-
-    def feed(self, frame: Dict[str, object]) -> List[Dict[str, object]]:
-        """Accept one raw frame; return the now-deliverable messages."""
-        seq = frame.get("seq")
-        if not isinstance(seq, int) or seq < 1:
-            raise FrameError(f"frame carries no valid seq: {seq!r}")
-        if seq < self._next or seq in self._pending:
-            self.duplicates += 1
-            return []
-        if seq != self._next:
-            self.reordered += 1
-            self._pending[seq] = frame
-            if len(self._pending) > self._max_window:
-                raise FrameError(
-                    f"reorder window exceeded ({len(self._pending)} "
-                    f"frames pending, expecting seq {self._next})"
-                )
-            return []
-        ready = [frame]
-        self._next += 1
-        while self._next in self._pending:
-            ready.append(self._pending.pop(self._next))
-            self._next += 1
-        return ready

@@ -26,6 +26,7 @@ death is exercised by the CI ``dist-smoke`` job.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,6 +68,78 @@ class DistOutcome:
     spec: CampaignSpec
 
 
+class _Fleet:
+    """One coordinator on a loopback port plus its worker threads."""
+
+    def __init__(
+        self,
+        cache_dir: str,
+        spec: CampaignSpec,
+        lease_s: float,
+        heartbeat_s: float,
+        policy: Optional[RetryPolicy],
+    ):
+        if policy is None:
+            policy = RetryPolicy(
+                max_attempts=4, backoff_base_s=0.0, backoff_max_s=0.05
+            )
+        self.cache_dir = cache_dir
+        self.spec = spec
+        self.coordinator = Coordinator(
+            spec,
+            cache_dir=cache_dir,
+            lease_s=lease_s,
+            heartbeat_s=heartbeat_s,
+            policy=policy,
+        )
+        self.port = self.coordinator.start()
+        self.workers: List[Worker] = []
+        self.codes: List[int] = []
+        self.threads: List[threading.Thread] = []
+
+    def launch(self, plan: WorkerPlan) -> None:
+        """Start one worker thread following ``plan``."""
+        index = len(self.workers)
+        net_chaos = (
+            NetChaosPolicy.from_seed(plan.net_chaos_seed)
+            if plan.net_chaos_seed is not None else None
+        )
+        worker = Worker(
+            host="127.0.0.1",
+            port=self.port,
+            name=plan.name or f"hw{index}",
+            net_chaos=net_chaos,
+            cell_chaos=plan.cell_chaos,
+            die_after=plan.die_after,
+            hard_exit=False,
+        )
+        self.workers.append(worker)
+        self.codes.append(-1)
+
+        def body() -> None:
+            self.codes[index] = worker.run()
+
+        thread = threading.Thread(
+            target=body, name=f"dist-harness-w{index}", daemon=True
+        )
+        self.threads.append(thread)
+        thread.start()
+
+    def settle(self, deadline_s: float) -> DistOutcome:
+        """Run the coordinator to the end; join workers with a grace."""
+        summary = self.coordinator.run(timeout=deadline_s)
+        for thread in self.threads:
+            thread.join(timeout=5.0)
+        return DistOutcome(
+            summary=summary,
+            worker_codes=tuple(self.codes),
+            workers=tuple(self.workers),
+            cache_dir=self.cache_dir,
+            fingerprint=self.coordinator.fingerprint,
+            spec=self.spec,
+        )
+
+
 def run_dist_campaign(
     cache_dir: str,
     spec: CampaignSpec = SMOKE_SPEC,
@@ -82,57 +155,34 @@ def run_dist_campaign(
     settles; a worker parked in a chaos hang is abandoned (daemon
     thread) rather than waited for -- its exit code reports ``-1``.
     """
-    if policy is None:
-        policy = RetryPolicy(
-            max_attempts=4, backoff_base_s=0.0, backoff_max_s=0.05
-        )
-    coordinator = Coordinator(
-        spec,
-        cache_dir=cache_dir,
-        lease_s=lease_s,
-        heartbeat_s=heartbeat_s,
-        policy=policy,
-    )
-    port = coordinator.start()
-    built: List[Worker] = []
-    codes: List[int] = [-1] * len(workers)
-    threads: List[threading.Thread] = []
-    for index, plan in enumerate(workers):
-        net_chaos = (
-            NetChaosPolicy.from_seed(plan.net_chaos_seed)
-            if plan.net_chaos_seed is not None else None
-        )
-        worker = Worker(
-            host="127.0.0.1",
-            port=port,
-            name=plan.name or f"hw{index}",
-            net_chaos=net_chaos,
-            cell_chaos=plan.cell_chaos,
-            die_after=plan.die_after,
-            hard_exit=False,
-        )
-        built.append(worker)
+    fleet = _Fleet(cache_dir, spec, lease_s, heartbeat_s, policy)
+    for plan in workers:
+        fleet.launch(plan)
+    return fleet.settle(deadline_s)
 
-        def body(i: int = index, w: Worker = worker) -> None:
-            codes[i] = w.run()
 
-        thread = threading.Thread(
-            target=body, name=f"dist-harness-w{index}", daemon=True
-        )
-        threads.append(thread)
-    for thread in threads:
-        thread.start()
-    summary = coordinator.run(timeout=deadline_s)
-    for thread in threads:
-        thread.join(timeout=5.0)
-    return DistOutcome(
-        summary=summary,
-        worker_codes=tuple(codes),
-        workers=tuple(built),
-        cache_dir=cache_dir,
-        fingerprint=coordinator.fingerprint,
-        spec=spec,
-    )
+def run_hostile_fleet(
+    cache_dir: str, net_chaos_seed: int, deadline_s: float = 120.0
+) -> DistOutcome:
+    """The smoke campaign through a worker that dies mid-lease and a
+    worker behind the chaos transport; ``worker_codes`` is
+    ``(mortal, chaotic)``.
+
+    The mortal worker (``die_after=1``) starts alone, so its first
+    fetch is granted the fair share of the whole campaign (5 of ~10
+    units) and it always dies on its second lease.  The chaotic worker
+    starts only once the coordinator's lease table shows that grant:
+    started together, it could drain the campaign before the mortal
+    worker ever fetched.
+    """
+    fleet = _Fleet(cache_dir, SMOKE_SPEC, 10.0, 0.25, None)
+    table = fleet.coordinator.table
+    fleet.launch(WorkerPlan(name="mortal", die_after=1))
+    give_up = time.monotonic() + deadline_s
+    while not table.counters["granted"] and time.monotonic() < give_up:
+        time.sleep(0.005)
+    fleet.launch(WorkerPlan(name="chaotic", net_chaos_seed=net_chaos_seed))
+    return fleet.settle(deadline_s)
 
 
 def solo_records(

@@ -36,11 +36,11 @@ the unit quarantines, instead of the campaign ping-ponging forever.
 **At-most-once commit.**  The first result delivered for a unit wins
 and is committed exactly once; every later delivery is compared by
 digest of the delivered row (the coordinator's ``row_digest``).
-Identical digest -- a duplicate (chaos redelivery, a reassigned unit
-finishing twice) -- is counted and dropped.  Divergent digest is a **conflict**: two workers
-disagreeing about deterministic work means one of them is broken, and
-the table records it loudly instead of letting either result silently
-win the cache.
+Identical digest -- a duplicate (a row redelivered after a reconnect,
+a reassigned unit finishing twice) -- is counted and dropped.  Divergent
+digest is a **conflict**: two workers disagreeing about deterministic
+work means one of them is broken, and the table records it loudly
+instead of letting either result silently win the cache.
 
 **Grants.**  :meth:`LeaseTable.acquire_many` fills one grant of up to
 ``limit`` leases in a single scan, in submission order.  A worker runs

@@ -65,7 +65,7 @@ def campaign_melody(config: Optional[PipelineConfig] = None) -> Melody:
     Every experiment driver builds its Melody here, so their campaigns
     memoize against each other: the Figure 8a device sweep populates the
     run cache that the Spa / prefetch / breakdown figures then reuse, and
-    CLI-level ``--cache-dir`` / ``--engine`` settings apply to all of them.
+    the CLI-level ``--cache-dir`` setting applies to all of them.
     Under ``--strict`` the returned Melody validates every campaign result
     against the diag invariants before handing it back.
     """

@@ -10,10 +10,10 @@ Two halves, both seeded and content-addressed:
 * **Host chaos** (:mod:`repro.faults.chaos`) -- worker kills, injected
   errors, and hangs against campaign cells (which the resilient engine
   retries or quarantines, and the lease coordinator survives), plus
-  seeded per-frame sabotage (drops, duplicates, reordering, latency
-  spikes, partial writes) of the :mod:`repro.dist` coordinator/worker
-  wire, which the lease protocol must absorb without ever changing
-  campaign output.
+  seeded per-frame sabotage (dropped connections, latency spikes,
+  partial writes) of the :mod:`repro.dist` coordinator/worker wire,
+  which the lease protocol must absorb without ever changing campaign
+  output.
 
 Importing this package is free of side effects: with no plan installed
 every fault-free code path is byte-identical to a build without the

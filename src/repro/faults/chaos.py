@@ -13,9 +13,9 @@ in two flavors that share one decision rule:
   CLI kills a local worker that overruns its lease -- and hands the
   unit to a live or replacement worker.
 * :class:`NetChaosPolicy` sabotages the **wire** between a dist worker
-  and its coordinator: connections that drop mid-send, frames that
-  arrive twice or swapped, latency spikes, and writes that stall halfway
-  through a frame (then either complete or take the connection down).
+  and its coordinator: connections that drop before a send, latency
+  spikes, and writes that stall halfway through a frame (then either
+  complete or take the connection down).
 
 Every decision is one seeded uniform draw split across the action
 probabilities (:func:`_split_draw`), keyed by ``(seed, cell key,
@@ -30,8 +30,9 @@ count), so a replayed campaign sabotages byte-for-byte the same sends.
 Net chaos never *silently* loses a frame: ``drop`` and the dropping half
 of ``partial`` kill the whole connection (the peer sees EOF or a
 truncated frame; leases release; the worker reconnects), while
-``dup``/``reorder``/``delay`` keep every frame alive.  The protocol's
-sequence numbers and at-most-once commit absorb everything that remains.
+``delay`` and a completing ``partial`` keep every frame alive.  Nor does
+it duplicate or reorder one, which TCP never does within a connection;
+redelivery across reconnects is absorbed by the at-most-once commit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 from repro.errors import MelodyError
 from repro.rng import generator_for
 
-NET_ACTIONS = ("drop", "dup", "reorder", "delay", "partial", "none")
+NET_ACTIONS = ("drop", "delay", "partial", "none")
 """Everything :meth:`NetChaosPolicy.action` can decide for one frame."""
 
 
@@ -137,8 +138,6 @@ class NetChaosPolicy:
     """Seeded per-frame sabotage schedule for one worker's connections."""
 
     drop_prob: float = 0.0
-    dup_prob: float = 0.0
-    reorder_prob: float = 0.0
     delay_prob: float = 0.0
     partial_prob: float = 0.0
     delay_s: float = 0.02
@@ -146,8 +145,7 @@ class NetChaosPolicy:
 
     def __post_init__(self) -> None:
         _check_probabilities("net chaos", (
-            self.drop_prob, self.dup_prob, self.reorder_prob,
-            self.delay_prob, self.partial_prob,
+            self.drop_prob, self.delay_prob, self.partial_prob,
         ))
         if self.delay_s < 0:
             raise MelodyError("delay_s must be >= 0")
@@ -156,15 +154,13 @@ class NetChaosPolicy:
     def from_seed(cls, seed: int) -> "NetChaosPolicy":
         """The standard drill mix (the CLI's ``--net-chaos SEED``).
 
-        Mostly-benign sabotage (dup/reorder/delay) with a real but
-        modest rate of connection loss, so a drilled campaign exercises
-        reconnection and lease recovery without spending most of its
-        wall time reconnecting.
+        Latency spikes and stalled writes with a real but modest rate
+        of connection loss, so a drilled campaign exercises reconnection
+        and lease recovery without spending most of its wall time
+        reconnecting.
         """
         return cls(
             drop_prob=0.04,
-            dup_prob=0.10,
-            reorder_prob=0.12,
             delay_prob=0.08,
             partial_prob=0.06,
             seed=seed,
@@ -174,8 +170,7 @@ class NetChaosPolicy:
         """The sabotage for frame ``index`` of connection ``stream``."""
         return _split_draw(
             self.seed, ("netchaos", stream, str(index)),
-            (("drop", self.drop_prob), ("dup", self.dup_prob),
-             ("reorder", self.reorder_prob), ("delay", self.delay_prob),
+            (("drop", self.drop_prob), ("delay", self.delay_prob),
              ("partial", self.partial_prob)),
         )
 

@@ -6,9 +6,9 @@ memoize *across* experiments: the Figure 8a device campaign populates the
 cache that Figures 11/12/14/15 then read.
 
 The default engine is memory-only.  ``configure_runtime`` replaces it
-(the CLI calls this for ``--cache-dir`` / ``--engine`` and the resilience
-flags); the ``REPRO_CACHE_DIR`` environment variable seeds the default for
-embedders that never touch the CLI.
+(the CLI calls this for ``--cache-dir`` and the resilience flags); the
+``REPRO_CACHE_DIR`` environment variable seeds the default for embedders
+that never touch the CLI.
 """
 
 from __future__ import annotations
@@ -34,16 +34,13 @@ def get_engine() -> CampaignEngine:
 def configure_runtime(
     cache_dir: Optional[str] = None,
     policy: Optional["RetryPolicy"] = None,
-    mode: Optional[str] = None,
 ) -> CampaignEngine:
     """Replace the shared engine with one using the given settings.
 
-    Settings left as ``None`` keep the current engine's value (except
-    ``policy``, which always takes the given value: passing ``None``
-    returns to fail-fast execution); the in-memory cache always starts
-    fresh (the disk tier, if any, persists).  ``mode`` is the execution
-    strategy (``auto``/``serial``, the CLI's ``--engine``); ``auto`` runs
-    each all-sim-cell pending set as one fused batch.
+    A ``cache_dir`` left as ``None`` keeps the current engine's;
+    ``policy`` always takes the given value (passing ``None`` returns to
+    fail-fast execution).  The in-memory cache always starts fresh (the
+    disk tier, if any, persists).
     """
     global _engine
     current = get_engine()
@@ -52,7 +49,6 @@ def configure_runtime(
                        else (str(current.cache.cache_dir)
                              if current.cache.cache_dir else None)),
         policy=policy,
-        mode=mode if mode is not None else current.mode,
     )
     return _engine
 

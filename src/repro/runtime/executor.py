@@ -92,9 +92,9 @@ from repro.runtime.serialize import FORMAT_VERSION
 from repro.workloads.base import WorkloadSpec
 
 ENGINE_MODES = ("auto", "serial")
-"""Accepted ``CampaignEngine.mode`` values (the CLI's ``--engine``):
-``auto`` batches every all-:class:`SimCell` pending set, ``serial``
-never batches."""
+"""Accepted ``CampaignEngine.mode`` values: ``auto`` batches every
+all-:class:`SimCell` pending set, ``serial`` never batches (the
+reference the batch-identity checks compare against)."""
 
 
 @dataclass(frozen=True)

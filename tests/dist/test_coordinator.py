@@ -29,11 +29,12 @@ from repro.dist.harness import (
     WorkerPlan,
     doomed_key,
     run_dist_campaign,
+    run_hostile_fleet,
     solo_records,
 )
 from repro.dist.lease import LeaseTable
 from repro.dist.worker import Worker, encode_row
-from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
+from repro.faults.chaos import ChaosPolicy
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import load_checkpoint
 from repro.runtime.executor import RetryPolicy, _execute_cell_attempt
@@ -114,58 +115,21 @@ class TestCacheResume:
 
 
 class TestHostileFleet:
-    def test_chaos_plus_mid_lease_death_is_bit_identical(
-        self, tmp_path, monkeypatch
-    ):
-        # The chaotic worker starts only once the mortal one holds its
-        # first grant: alone at that fetch, the mortal worker is granted
-        # half the campaign, so it always dies on its second lease.
-        mortal_granted = threading.Event()
-        acquire_many = LeaseTable.acquire_many
-
-        def gated(table, worker, limit):
-            leases = acquire_many(table, worker, limit)
-            if worker == "mortal" and leases:
-                mortal_granted.set()
-            return leases
-
-        monkeypatch.setattr(LeaseTable, "acquire_many", gated)
-        coordinator = Coordinator(
-            SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
-            heartbeat_s=0.25,
-            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0,
-                               backoff_max_s=0.05),
-        )
-        port = coordinator.start()
-        codes = {}
-        threads = []
-
-        def launch(worker):
-            thread = threading.Thread(
-                target=lambda: codes.__setitem__(worker.name, worker.run()),
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-
-        try:
-            launch(Worker("127.0.0.1", port, name="mortal", die_after=1))
-            assert mortal_granted.wait(timeout=30.0)
-            launch(Worker("127.0.0.1", port, name="chaotic",
-                          net_chaos=NetChaosPolicy.from_seed(7)))
-            summary = coordinator.run(timeout=120.0)
-        finally:
-            coordinator.stop()
-        for thread in threads:
-            thread.join(timeout=5.0)
+    def test_chaos_plus_mid_lease_death_is_bit_identical(self, tmp_path):
+        # The fleet the dist-campaign-identity diag check runs: the
+        # chaotic worker starts only once the mortal one holds its first
+        # grant, so the mortal worker always dies on its second lease.
+        outcome = run_hostile_fleet(str(tmp_path), net_chaos_seed=7)
+        summary = outcome.summary
         assert summary.complete
         assert summary.conflicts == []
         assert summary.quarantined == []
-        # The mortal worker really did die mid-lease.  The chaos worker
-        # usually hears "done" (0), but a sever racing the coordinator's
-        # shutdown can leave it disconnected (3) -- never an error code.
-        assert codes["mortal"] == 9
-        assert codes["chaotic"] in (0, 3)
+        # The chaos worker usually hears "done" (0), but a sever racing
+        # the coordinator's shutdown can leave it disconnected (3) --
+        # never an error code.
+        mortal, chaotic = outcome.worker_codes
+        assert mortal == 9
+        assert chaotic in (0, 3)
         assembled = solo_records(SMOKE_SPEC, str(tmp_path))
         reference = solo_records(SMOKE_SPEC, None)
         assert assembled == reference
@@ -494,9 +458,11 @@ class TestProtocolEdges:
         finally:
             coordinator.stop()
 
-    def test_protocol_2_worker_rejected_at_hello(self, tmp_path):
-        # A protocol-2 worker frames its hello as bare JSON -- which is
-        # still the bare form -- and can read the bare reject it gets.
+    @pytest.mark.parametrize("proto", [2, 3])
+    def test_older_protocol_worker_rejected_at_hello(self, tmp_path, proto):
+        # A protocol-2 or -3 worker frames its hello as bare JSON, with
+        # a seq stamp -- still the bare form -- and can read the bare
+        # reject it gets.
         coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
         port = coordinator.start()
         try:
@@ -504,7 +470,8 @@ class TestProtocolEdges:
                                             timeout=5.0)
             try:
                 hello = json.dumps({
-                    "type": "hello", "name": "old", "proto": 2, "seq": 1,
+                    "type": "hello", "name": "old", "proto": proto,
+                    "seq": 1,
                 }).encode("utf-8")
                 sock.sendall(len(hello).to_bytes(4, "big") + hello)
                 length = int.from_bytes(sock.recv(4), "big")
@@ -513,7 +480,7 @@ class TestProtocolEdges:
                     payload += sock.recv(length - len(payload))
                 reply = json.loads(payload)
                 assert reply["type"] == "reject"
-                assert "protocol 2 unsupported" in reply["reason"]
+                assert f"protocol {proto} unsupported" in reply["reason"]
             finally:
                 sock.close()
         finally:

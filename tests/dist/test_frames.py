@@ -1,4 +1,4 @@
-"""Frame-layer tests: canonical encoding, transport semantics, re-sequencing."""
+"""Frame-layer tests: canonical encoding, transport, tailed frames."""
 
 import json
 import socket
@@ -11,7 +11,6 @@ from repro.dist.frames import (
     MAX_FRAME_BYTES,
     FrameError,
     FrameTransport,
-    InOrderChannel,
     decode_payload,
     encode_frame,
     encode_payload,
@@ -56,18 +55,6 @@ class TestEncoding:
 
 
 class TestFrameTransport:
-    def test_send_stamps_increasing_seq(self):
-        sender, receiver = transport_pair()
-        try:
-            for expect in (1, 2, 3):
-                assert sender.send({"type": "heartbeat"}) == expect
-            for expect in (1, 2, 3):
-                frame = receiver.recv(timeout=2.0)
-                assert frame["seq"] == expect
-        finally:
-            sender.close()
-            receiver.close()
-
     def test_clean_eof_returns_none(self):
         sender, receiver = transport_pair()
         sender.close()
@@ -79,7 +66,7 @@ class TestFrameTransport:
     def test_mid_frame_eof_raises(self):
         a, b = socket.socketpair()
         receiver = FrameTransport(b)
-        frame = encode_frame({"type": "fetch", "seq": 1})
+        frame = encode_frame({"type": "fetch"})
         a.sendall(frame[: len(frame) - 2])
         a.close()
         try:
@@ -94,7 +81,7 @@ class TestFrameTransport:
         # reassembled, not misparsed (payload bytes read as a header).
         a, b = socket.socketpair()
         receiver = FrameTransport(b)
-        frame = encode_frame({"type": "result", "seq": 1, "n": 42})
+        frame = encode_frame({"type": "result", "n": 42})
         try:
             a.sendall(frame[:6])  # whole header + 2 payload bytes
             with pytest.raises(socket.timeout):
@@ -102,14 +89,10 @@ class TestFrameTransport:
             with pytest.raises(socket.timeout):
                 receiver.recv(timeout=0.05)  # still starved: state kept
             a.sendall(frame[6:])
-            assert receiver.recv(timeout=2.0) == {
-                "type": "result", "seq": 1, "n": 42
-            }
+            assert receiver.recv(timeout=2.0) == {"type": "result", "n": 42}
             # Framing is still aligned for the next frame.
-            a.sendall(encode_frame({"type": "fetch", "seq": 2}))
-            assert receiver.recv(timeout=2.0) == {
-                "type": "fetch", "seq": 2
-            }
+            a.sendall(encode_frame({"type": "fetch"}))
+            assert receiver.recv(timeout=2.0) == {"type": "fetch"}
         finally:
             a.close()
             receiver.close()
@@ -117,15 +100,13 @@ class TestFrameTransport:
     def test_timeout_mid_header_resumes_same_frame(self):
         a, b = socket.socketpair()
         receiver = FrameTransport(b)
-        frame = encode_frame({"type": "heartbeat", "seq": 1})
+        frame = encode_frame({"type": "heartbeat"})
         try:
             a.sendall(frame[:2])  # half the length prefix
             with pytest.raises(socket.timeout):
                 receiver.recv(timeout=0.05)
             a.sendall(frame[2:])
-            assert receiver.recv(timeout=2.0) == {
-                "type": "heartbeat", "seq": 1
-            }
+            assert receiver.recv(timeout=2.0) == {"type": "heartbeat"}
         finally:
             a.close()
             receiver.close()
@@ -135,7 +116,7 @@ class TestFrameTransport:
         # buffered: still a mid-frame EOF, never a clean None.
         a, b = socket.socketpair()
         receiver = FrameTransport(b)
-        frame = encode_frame({"type": "fetch", "seq": 1})
+        frame = encode_frame({"type": "fetch"})
         a.sendall(frame[:4])
         a.close()
         try:
@@ -157,7 +138,8 @@ class TestFrameTransport:
 
     def test_concurrent_senders_interleave_whole_frames(self):
         # The worker's heartbeat thread shares the transport with its
-        # lease loop; frames must never interleave mid-wire.
+        # lease loop; frames must never interleave mid-wire, and each
+        # thread's frames keep that thread's send order.
         sender, receiver = transport_pair()
         per_thread = 50
 
@@ -173,58 +155,16 @@ class TestFrameTransport:
                 thread.start()
             for thread in threads:
                 thread.join()
-            seqs = []
+            received = {"a": [], "b": []}
             for _ in range(2 * per_thread):
                 frame = receiver.recv(timeout=5.0)
                 assert frame["type"] == "spam"
-                seqs.append(frame["seq"])
-            assert sorted(seqs) == list(range(1, 2 * per_thread + 1))
+                received[frame["tag"]].append(frame["i"])
+            expected = list(range(per_thread))
+            assert received == {"a": expected, "b": expected}
         finally:
             sender.close()
             receiver.close()
-
-
-class TestInOrderChannel:
-    def test_in_order_passthrough(self):
-        channel = InOrderChannel()
-        out = []
-        for seq in (1, 2, 3):
-            out.extend(channel.feed({"seq": seq}))
-        assert [f["seq"] for f in out] == [1, 2, 3]
-        assert channel.duplicates == 0 and channel.reordered == 0
-
-    def test_duplicate_dropped(self):
-        channel = InOrderChannel()
-        assert channel.feed({"seq": 1}) == [{"seq": 1}]
-        assert channel.feed({"seq": 1}) == []
-        assert channel.duplicates == 1
-
-    def test_early_arrival_buffered_until_gap_fills(self):
-        channel = InOrderChannel()
-        assert channel.feed({"seq": 2}) == []
-        delivered = channel.feed({"seq": 1})
-        assert [f["seq"] for f in delivered] == [1, 2]
-        assert channel.reordered == 1
-
-    def test_pending_duplicate_dropped(self):
-        channel = InOrderChannel()
-        assert channel.feed({"seq": 3}) == []
-        assert channel.feed({"seq": 3}) == []
-        assert channel.duplicates == 1
-
-    def test_window_overflow_means_broken_peer(self):
-        channel = InOrderChannel(max_window=4)
-        for seq in range(2, 6):
-            assert channel.feed({"seq": seq}) == []
-        with pytest.raises(FrameError):
-            channel.feed({"seq": 6})
-
-    def test_missing_seq_rejected(self):
-        channel = InOrderChannel()
-        with pytest.raises(FrameError):
-            channel.feed({"type": "fetch"})
-        with pytest.raises(FrameError):
-            channel.feed({"seq": 0})
 
 
 def _row(target, cycles):
@@ -246,11 +186,11 @@ def _row(target, cycles):
 
 def _corpus():
     """hello, grant, and a results frame carrying a skeleton, two rows
-    and an error entry -- each stamped as the transport would."""
+    and an error entry."""
     row_a, skeleton, vector_a = _row("CXL-A", 1.5e9)
     row_b, _, vector_b = _row("CXL-B", 2.25e9)
     results = {
-        "type": "results", "seq": 3,
+        "type": "results",
         "skeletons": {row_a["skeleton"]: skeleton},
         "results": [
             {"unit_id": "u1", "lease_id": "L1", "status": "ok",
@@ -263,8 +203,8 @@ def _corpus():
         "tail": [vector_a, vector_b],
     }
     return [
-        {"type": "hello", "seq": 1, "name": "w0", "proto": 3},
-        {"type": "grant", "seq": 2, "re": 1, "lease_s": 10.0,
+        {"type": "hello", "name": "w0", "proto": 4},
+        {"type": "grant", "lease_s": 10.0,
          "leases": [{"lease_id": "L1", "attempt": 1,
                      "unit": {"unit_id": "u1", "kind": "grid",
                               "workload": "bfs", "target": "CXL-A"}}]},
@@ -306,8 +246,8 @@ class _ScriptedSocket:
 
 
 class TestTailedFrames:
-    """Protocol 3: a ``results`` frame carries its vectors as a binary
-    tail after the JSON header."""
+    """Since protocol 3, a ``results`` frame carries its vectors as a
+    binary tail after the JSON header."""
 
     def test_roundtrip_keeps_tail_bytes(self):
         for message in _corpus():

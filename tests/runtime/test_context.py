@@ -37,14 +37,14 @@ class TestGetEngine:
 
 class TestConfigureRuntime:
     def test_replaces_shared_engine(self, tmp_path):
-        engine = configure_runtime(cache_dir=str(tmp_path), mode="serial")
-        assert get_engine() is engine
-        assert engine.mode == "serial"
+        before = get_engine()
+        engine = configure_runtime(cache_dir=str(tmp_path))
+        assert get_engine() is engine is not before
+        assert str(engine.cache.cache_dir) == str(tmp_path)
 
     def test_none_keeps_current_values(self, tmp_path):
-        configure_runtime(cache_dir=str(tmp_path), mode="serial")
+        configure_runtime(cache_dir=str(tmp_path))
         engine = configure_runtime()
-        assert engine.mode == "serial"
         assert str(engine.cache.cache_dir) == str(tmp_path)
 
     def test_stats_accessor(self):

@@ -94,7 +94,7 @@ class TestFiguresExport:
 class TestRuntimeFlags:
     @pytest.fixture(autouse=True)
     def fresh_runtime(self):
-        # --cache-dir/--engine reconfigure the process-wide engine; keep that
+        # --cache-dir reconfigures the process-wide engine; keep that
         # from leaking into (or out of) other tests.
         from repro.runtime import reset_runtime
 
@@ -129,12 +129,14 @@ class TestRuntimeFlags:
         ("figures", "tab01", "--jobs", "2"),
         ("campaign", "--engine", "pool"),
         ("campaign", "--engine", "batch"),
+        ("campaign", "--engine", "serial"),
         ("campaign", "--checkpoint-every", "2"),
     ])
     def test_process_pool_options_rejected(self, capsys, argv):
         """Removed options exit 2: there is no process pool (``--shards
-        N`` fans out), ``auto`` already batches, and every finished cell
-        is cached at once, so there is no checkpoint interval."""
+        N`` fans out), campaign cells never batch, so there is no
+        engine to pick, and every finished cell is cached at once, so
+        there is no checkpoint interval."""
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
