@@ -40,10 +40,11 @@ also restores the quarantine ledger from the campaign's checkpoint.
 (see :mod:`repro.faults`) into every simulated cell.
 
 Scale (``campaign``): ``--coordinator [HOST:]PORT`` runs the campaign
-through the fault-tolerant lease-based coordinator with
-``--dist-workers`` worker subprocesses sharing ``--cache-dir``, then
-assembles the final dataset byte-identically to a single-process run,
-surviving worker death, hangs and network chaos.  ``--shards N`` is
+through the fault-tolerant lease-based coordinator with a supervised
+fleet (:mod:`repro.dist.fleet`) of ``--dist-workers`` worker processes
+sharing ``--cache-dir``, then assembles the final dataset
+byte-identically to a single-process run, surviving worker death, hangs
+and network chaos.  ``--shards N`` is
 shorthand for a loopback coordinator with N workers, and so is
 ``--cell-timeout`` (with ``--dist-workers`` workers).  ``repro
 coordinate`` and ``repro worker`` are the standalone halves for real
@@ -335,68 +336,6 @@ def _promote_to_store(args, engine, campaign) -> int:
     return engine.cache.promote_store(campaign_fingerprint(campaign))
 
 
-def _subprocess_env():
-    """The child environment for fleet subprocesses (src on PYTHONPATH)."""
-    import os
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        f"{src_root}{os.pathsep}{existing}" if existing else src_root
-    )
-    return env
-
-
-class _fleet_cleanup:
-    """Terminate leftover fleet children on any exit path.
-
-    A ``KeyboardInterrupt`` (or a SIGTERM, which this context remaps to
-    one in the main thread) mid-fleet must not orphan worker
-    subprocesses: whatever is still running is terminated, given a grace
-    period, then killed.  Children that already exited are reaped
-    without further ceremony.
-    """
-
-    def __init__(self):
-        self.procs = []
-
-    def add(self, proc) -> None:
-        self.procs.append(proc)
-
-    def __enter__(self):
-        import signal
-        import threading
-
-        self._previous = None
-        if threading.current_thread() is threading.main_thread():
-            def _terminate(signum, frame):
-                raise KeyboardInterrupt()
-
-            self._previous = signal.signal(signal.SIGTERM, _terminate)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        import signal
-        import subprocess
-        import threading
-
-        if self._previous is not None and \
-                threading.current_thread() is threading.main_thread():
-            signal.signal(signal.SIGTERM, self._previous)
-        leftovers = [p for p in self.procs if p.poll() is None]
-        for proc in leftovers:
-            proc.terminate()
-        for proc in leftovers:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        return False
-
-
 def _parse_endpoint(text: str, default_host: str = "127.0.0.1"):
     """Parse ``[HOST:]PORT`` into (host, port)."""
     host, _, port_text = text.rpartition(":")
@@ -414,28 +353,19 @@ def _parse_endpoint(text: str, default_host: str = "127.0.0.1"):
 def _run_dist_fleet(args, campaign) -> int:
     """Drive ``--coordinator``: in-process coordinator + worker children.
 
-    The coordinator binds the requested endpoint and ``--dist-workers``
-    ``repro worker`` subprocesses dial it (optionally through the seeded
-    ``--dist-net-chaos`` transport).  ``--cell-timeout`` is the lease
-    length -- granted one unit at a time, so it bounds every cell and a
-    worker's death charges only the cell it was running -- and
-    ``--cell-retries`` the attempt budget per unit.  Success
-    leaves every cell warm in ``--cache-dir`` and a complete checkpoint,
-    so the caller's follow-up resume pass assembles exports
-    byte-identical to a solo run.  This is also what ``--shards N`` and
-    a bare ``--cell-timeout`` run.  Workers that hang past a lease are
-    killed, and workers that die holding leases are replaced
-    (:func:`_supervise_fleet`); children are terminated on any
-    exit path, interrupts included.  If every child exits while units
-    are still unsettled and none was replaced, the coordinator stops
-    instead of waiting for workers that will never come, and the fleet
-    fails with exit code 2.
+    ``--dist-workers`` ``repro worker`` subprocesses (a supervised
+    :class:`~repro.dist.fleet.Fleet`) dial the coordinator, optionally
+    through the seeded ``--dist-net-chaos`` transport.
+    ``--cell-timeout`` is the lease length, granted one unit at a time
+    so it bounds every cell, and ``--cell-retries`` the attempt budget
+    per unit.  Success leaves every cell warm in ``--cache-dir``, so the
+    caller's resume pass exports byte-identically to a solo run.  Exit
+    code 2 on commit conflicts, or when the deadline elapses or every
+    child exits before every unit settled.
     """
-    import subprocess
-    import threading
-
     from repro.dist import Coordinator
     from repro.dist.coordinator import DEFAULT_LEASE_S, MAX_GRANT
+    from repro.dist.fleet import Fleet, subprocess_spawner
     from repro.dist.spec import CampaignSpec
 
     host, port = _parse_endpoint(args.coordinator)
@@ -458,31 +388,15 @@ def _run_dist_fleet(args, campaign) -> int:
     print(f"dist campaign {coordinator.fingerprint[:12]}: "
           f"{len(coordinator.table)} units on {host}:{bound}, "
           f"{workers} worker(s)")
-    env = _subprocess_env()
-    finished = threading.Event()
+    endpoint = f"{host}:{bound}"
     try:
-        with _fleet_cleanup() as fleet:
-            def spawn() -> None:
-                index = len(fleet.procs)
-                fleet.add(subprocess.Popen(
-                    _fleet_worker_argv(args, f"{host}:{bound}", index),
-                    env=env,
-                ))
-
+        with Fleet(coordinator, subprocess_spawner(
+            lambda index: _fleet_worker_argv(args, endpoint, index)
+        )) as fleet:
             for _ in range(workers):
-                spawn()
-            supervisor = threading.Thread(
-                target=_supervise_fleet,
-                args=(fleet, spawn, coordinator, finished),
-                name="dist-fleet-supervisor", daemon=True,
-            )
-            supervisor.start()
-            try:
-                summary = coordinator.run(timeout=args.dist_deadline)
-            finally:
-                finished.set()
-                supervisor.join()
-            exit_codes = [proc.poll() for proc in fleet.procs]
+                fleet.launch()
+            summary = fleet.run(timeout=args.dist_deadline)
+            exit_codes = [handle.poll() for handle in fleet.handles]
     finally:
         coordinator.stop()
     print(summary.render())
@@ -492,9 +406,7 @@ def _run_dist_fleet(args, campaign) -> int:
         return 2
     if not summary.complete:
         if exit_codes and None not in exit_codes:
-            codes = ", ".join(
-                f"dw{index}={code}" for index, code in enumerate(exit_codes)
-            )
+            codes = ", ".join(f"dw{i}={c}" for i, c in enumerate(exit_codes))
             print(f"error: every dist worker exited before every unit "
                   f"settled (exit codes: {codes})", file=sys.stderr)
         else:
@@ -502,10 +414,6 @@ def _run_dist_fleet(args, campaign) -> int:
                   "unit settled", file=sys.stderr)
         return 2
     return 0
-
-
-_SUPERVISE_S = 0.1
-"""How often the fleet supervisor polls its worker processes."""
 
 
 def _fleet_worker_argv(args, endpoint: str, index: int) -> list:
@@ -518,42 +426,6 @@ def _fleet_worker_argv(args, endpoint: str, index: int) -> list:
     if args.dist_net_chaos is not None:
         argv += ["--net-chaos", str(args.dist_net_chaos + index)]
     return argv
-
-
-def _supervise_fleet(fleet, spawn, coordinator, finished) -> None:
-    """Kill hung workers, replace lost ones; stop a fleet that is gone.
-
-    A worker ``dw<i>`` still running after one of its leases expired is
-    hung (or too slow for the lease): it is killed.  Only local workers
-    are; a remote ``repro worker`` that overruns delivers late instead.
-    When a worker exits, its leases are settled by name at once.  If it
-    lost at least one attempt -- a lease released at its death, or one
-    that expired under it -- a replacement under a fresh name starts.
-    Every replacement therefore follows a charged attempt, so the lease
-    table's attempt budget bounds them; the fresh name keeps a late
-    settlement of the dead worker's name from touching the
-    replacement's leases.  Once no worker is left and units are still
-    unsettled, nothing can settle them: the coordinator stops.  Workers
-    exit on their own only after hearing ``done``, dying, or exhausting
-    their reconnects.
-    """
-    table = coordinator.table
-    alive = set(range(len(fleet.procs)))
-    while alive and not finished.wait(_SUPERVISE_S):
-        for index in sorted(alive):
-            proc, name = fleet.procs[index], f"dw{index}"
-            if proc.poll() is None:
-                if not table.overruns.get(name, 0):
-                    continue
-                proc.kill()
-                proc.wait()
-            alive.discard(index)
-            coordinator.release_worker(name)
-            if table.lost.get(name, 0) and not table.done:
-                spawn()
-                alive.add(len(fleet.procs) - 1)
-    if not alive and not table.done:
-        coordinator.stop()
 
 
 def cmd_coordinate(args) -> int:

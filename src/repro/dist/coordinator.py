@@ -55,6 +55,7 @@ import hashlib
 import socket
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -285,7 +286,7 @@ class Coordinator:
         )
         # Eager: connection threads share this one instance (a
         # lazily-raced second instance would split the memory tier).
-        self._cache_instance = RunCache(cache_dir)
+        self._cache = RunCache(cache_dir)
         # A cached unit is done before any worker connects: it counts as
         # committed (summary, checkpoint) but is never leased, so
         # resuming a finished campaign grants nothing.  Only these
@@ -293,7 +294,7 @@ class Coordinator:
         # committed row is appended to the store as it commits.
         self._precached: List[str] = []
         for unit in units:
-            if self._cache_instance.get(unit.key) is not None:
+            if self._cache.get(unit.key) is not None:
                 self.table.commit_cached(unit.unit_id)
                 self._precached.append(unit.key)
         self._fault_plan_key = (
@@ -321,16 +322,10 @@ class Coordinator:
 
     def _plan_installed(self):
         """Context manager scoping the spec's fault plan installation."""
-        from contextlib import contextmanager
-
         from repro.faults import fault_injection
 
-        @contextmanager
-        def nothing():
-            yield None
-
         return fault_injection(self._plan) if self._plan is not None \
-            else nothing()
+            else nullcontext()
 
     def start(self) -> int:
         """Bind, listen, spin up accept + monitor threads; returns port."""
@@ -760,7 +755,7 @@ class Coordinator:
             done = self.table.done
         if verdict in ("committed", "late", "resurrected"):
             key = self.table.unit(unit_id).key
-            self._cache().put(key, result)
+            self._cache.put(key, result)
             self._append_row(
                 key, conn.skeletons[row["skeleton"]][0], row, raw,
                 self._cells[unit_id],
@@ -794,7 +789,7 @@ class Coordinator:
         """Append one committed row, as received, to the store writer."""
         with self._store_lock:
             if self._writer is None:
-                self._writer = self._cache().store.writer(
+                self._writer = self._cache.store.writer(
                     self.fingerprint
                 )
             blobs = self._blob_docs
@@ -812,15 +807,12 @@ class Coordinator:
                 fault_plan=self._fault_plan_key,
             )
 
-    def _cache(self):
-        return self._cache_instance
-
     def release_worker(self, name: str) -> List[Lease]:
         """Settle every lease worker ``name`` holds (as crashes).
 
-        A closing connection settles its worker's leases here; a local
-        fleet supervisor calls it too, as soon as a worker process
-        exits, so the supervisor never has to wait for the socket to
+        A closing connection settles its worker's leases here; a
+        :class:`~repro.dist.fleet.Fleet` calls it too, as soon as one of
+        its workers exits, so it never has to wait for the socket to
         notice the death.  Whichever call comes second finds nothing.
         """
         with self._lock:
@@ -868,7 +860,7 @@ class Coordinator:
                 ).finalize(quarantined)
                 # After the writer's commit: promotion extends the
                 # manifest that commit wrote.
-                promoted = self._cache().promote_store(
+                promoted = self._cache.promote_store(
                     self.fingerprint, keys=self._precached
                 )
                 metrics().counter("dist.store_promoted").inc(promoted)

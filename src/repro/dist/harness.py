@@ -3,8 +3,8 @@
 Used by the ``dist`` diag layer (``repro validate --layer dist``), the
 dist test suite, and the dist benchmark.  The harness runs a small real
 campaign through a real :class:`~repro.dist.coordinator.Coordinator`
-listening on a loopback socket, with N :class:`~repro.dist.worker
-.Worker` instances on threads -- optionally speaking through the seeded
+listening on a loopback socket, with :class:`~repro.dist.worker.Worker`
+instances on threads -- optionally speaking through the seeded
 :class:`~repro.dist.chaos.ChaosTransport`, sabotaged by a cell-level
 :class:`~repro.faults.chaos.ChaosPolicy`, or armed to abandon their
 socket mid-lease (``die_after``) -- and hands back everything the
@@ -16,21 +16,22 @@ survival invariants inspect:
   run of the same campaign, which is what makes downstream exports
   byte-identical.
 
-In-process workers must not use ``kill``-probability cell chaos (that
-is a literal ``os._exit``): abrupt worker death is modeled by
-``die_after`` (the worker abandons the socket, exactly what the
-coordinator observes when a remote process is SIGKILLed); real process
-death is exercised by the CI ``dist-smoke`` job.
+The threads are a :class:`~repro.dist.fleet.Fleet`, supervised as the
+CLI's worker processes are.  In-process workers must not use
+``kill``-probability cell chaos (a literal ``os._exit``): worker death is
+``die_after`` or the fleet's kill, which abandon the socket -- all the
+coordinator sees of a SIGKILLed process.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.dist.coordinator import Coordinator, DistSummary
+from repro.dist.fleet import Fleet, thread_spawner
 from repro.dist.spec import CampaignSpec
 from repro.dist.worker import Worker
 from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
@@ -68,76 +69,42 @@ class DistOutcome:
     spec: CampaignSpec
 
 
-class _Fleet:
-    """One coordinator on a loopback port plus its worker threads."""
+def _run_fleet(cache_dir, spec, plans, lease_s, heartbeat_s, policy,
+               deadline_s, launch: Callable[[Fleet], None]) -> DistOutcome:
+    """A loopback coordinator and a thread :class:`Fleet` run to the end;
+    ``launch`` starts the first workers.  Worker ``i`` follows
+    ``plans[i]``; workers beyond them are healthy replacements."""
+    coordinator = Coordinator(
+        spec, cache_dir=cache_dir, lease_s=lease_s, heartbeat_s=heartbeat_s,
+        policy=policy or RetryPolicy(
+            max_attempts=4, backoff_base_s=0.0, backoff_max_s=0.05
+        ),
+    )
+    port = coordinator.start()
 
-    def __init__(
-        self,
-        cache_dir: str,
-        spec: CampaignSpec,
-        lease_s: float,
-        heartbeat_s: float,
-        policy: Optional[RetryPolicy],
-    ):
-        if policy is None:
-            policy = RetryPolicy(
-                max_attempts=4, backoff_base_s=0.0, backoff_max_s=0.05
-            )
-        self.cache_dir = cache_dir
-        self.spec = spec
-        self.coordinator = Coordinator(
-            spec,
-            cache_dir=cache_dir,
-            lease_s=lease_s,
-            heartbeat_s=heartbeat_s,
-            policy=policy,
+    def make_worker(index: int) -> Worker:
+        plan = plans[index] if index < len(plans) else WorkerPlan()
+        seed = plan.net_chaos_seed
+        return Worker(
+            "127.0.0.1", port, name=plan.name or f"hw{index}",
+            net_chaos=None if seed is None else NetChaosPolicy.from_seed(seed),
+            cell_chaos=plan.cell_chaos, die_after=plan.die_after,
         )
-        self.port = self.coordinator.start()
-        self.workers: List[Worker] = []
-        self.codes: List[int] = []
-        self.threads: List[threading.Thread] = []
 
-    def launch(self, plan: WorkerPlan) -> None:
-        """Start one worker thread following ``plan``."""
-        index = len(self.workers)
-        net_chaos = (
-            NetChaosPolicy.from_seed(plan.net_chaos_seed)
-            if plan.net_chaos_seed is not None else None
-        )
-        worker = Worker(
-            host="127.0.0.1",
-            port=self.port,
-            name=plan.name or f"hw{index}",
-            net_chaos=net_chaos,
-            cell_chaos=plan.cell_chaos,
-            die_after=plan.die_after,
-            hard_exit=False,
-        )
-        self.workers.append(worker)
-        self.codes.append(-1)
-
-        def body() -> None:
-            self.codes[index] = worker.run()
-
-        thread = threading.Thread(
-            target=body, name=f"dist-harness-w{index}", daemon=True
-        )
-        self.threads.append(thread)
-        thread.start()
-
-    def settle(self, deadline_s: float) -> DistOutcome:
-        """Run the coordinator to the end; join workers with a grace."""
-        summary = self.coordinator.run(timeout=deadline_s)
-        for thread in self.threads:
-            thread.join(timeout=5.0)
-        return DistOutcome(
-            summary=summary,
-            worker_codes=tuple(self.codes),
-            workers=tuple(self.workers),
-            cache_dir=self.cache_dir,
-            fingerprint=self.coordinator.fingerprint,
-            spec=self.spec,
-        )
+    try:
+        with Fleet(coordinator, thread_spawner(make_worker)) as fleet:
+            launch(fleet)
+            summary = fleet.run(timeout=deadline_s)
+    finally:
+        coordinator.stop()
+    return DistOutcome(
+        summary=summary,
+        worker_codes=tuple(handle.poll() for handle in fleet.handles),
+        workers=tuple(handle.worker for handle in fleet.handles),
+        cache_dir=cache_dir,
+        fingerprint=coordinator.fingerprint,
+        spec=spec,
+    )
 
 
 def run_dist_campaign(
@@ -151,38 +118,48 @@ def run_dist_campaign(
 ) -> DistOutcome:
     """One coordinated campaign against in-process workers.
 
-    Worker threads join with a grace period after the coordinator
-    settles; a worker parked in a chaos hang is abandoned (daemon
-    thread) rather than waited for -- its exit code reports ``-1``.
+    Workers still running once the coordinator settles share one grace
+    period; one still parked in a chaos hang after it reports
+    ``-SIGKILL`` (its thread is abandoned).
     """
-    fleet = _Fleet(cache_dir, spec, lease_s, heartbeat_s, policy)
-    for plan in workers:
-        fleet.launch(plan)
-    return fleet.settle(deadline_s)
+    def launch(fleet: Fleet) -> None:
+        for _ in workers:
+            fleet.launch()
+
+    return _run_fleet(cache_dir, spec, workers, lease_s, heartbeat_s,
+                      policy, deadline_s, launch)
 
 
 def run_hostile_fleet(
     cache_dir: str, net_chaos_seed: int, deadline_s: float = 120.0
 ) -> DistOutcome:
     """The smoke campaign through a worker that dies mid-lease and a
-    worker behind the chaos transport; ``worker_codes`` is
-    ``(mortal, chaotic)``.
+    worker behind the chaos transport; ``worker_codes`` starts
+    ``(mortal, chaotic)``, then the mortal worker's replacement.
 
     The mortal worker (``die_after=1``) starts alone, so its first
     fetch is granted the fair share of the whole campaign (5 of ~10
     units) and it always dies on its second lease.  The chaotic worker
     starts only once the coordinator's lease table shows that grant:
     started together, it could drain the campaign before the mortal
-    worker ever fetched.
+    worker ever fetched.  The fleet's first poll comes as soon as the
+    mortal worker is gone, so its replacement always starts.
     """
-    fleet = _Fleet(cache_dir, SMOKE_SPEC, 10.0, 0.25, None)
-    table = fleet.coordinator.table
-    fleet.launch(WorkerPlan(name="mortal", die_after=1))
-    give_up = time.monotonic() + deadline_s
-    while not table.counters["granted"] and time.monotonic() < give_up:
-        time.sleep(0.005)
-    fleet.launch(WorkerPlan(name="chaotic", net_chaos_seed=net_chaos_seed))
-    return fleet.settle(deadline_s)
+    def launch(fleet: Fleet) -> None:
+        mortal = fleet.launch()
+        give_up = time.monotonic() + deadline_s
+        while not fleet.coordinator.table.counters["granted"] \
+                and time.monotonic() < give_up:
+            time.sleep(0.005)
+        fleet.launch()
+        while mortal.poll() is None and time.monotonic() < give_up:
+            time.sleep(0.005)
+        fleet.step()
+
+    plans = (WorkerPlan(name="mortal", die_after=1),
+             WorkerPlan(name="chaotic", net_chaos_seed=net_chaos_seed))
+    return _run_fleet(cache_dir, SMOKE_SPEC, plans, 10.0, 0.25, None,
+                      deadline_s, launch)
 
 
 def solo_records(
@@ -201,16 +178,10 @@ def solo_records(
     from repro.runtime.executor import CampaignEngine
     from repro.runtime.serialize import run_result_to_dict
 
+    from repro.faults import fault_injection
+
     plan = spec.load_fault_plan()
-    if plan is not None:
-        from repro.faults import fault_injection
-
-        scope = fault_injection(plan)
-    else:
-        from contextlib import nullcontext
-
-        scope = nullcontext()
-    with scope:
+    with fault_injection(plan) if plan is not None else nullcontext():
         campaign = spec.build_campaign()
         engine = CampaignEngine(cache=RunCache(cache_dir))
         result = Melody(engine=engine).run(campaign)

@@ -35,7 +35,8 @@ Everything about the worker is built to be killed:
   delivered and every unit in it is released: ``hard_exit`` makes it a
   real ``os._exit`` (SIGKILL semantics, exercised by the CI smoke),
   otherwise the worker abandons the socket and returns, which an
-  in-process harness can assert on.
+  in-process harness can assert on; :meth:`Worker.kill` does the same
+  from another thread.
 
 All sends optionally pass through the :class:`~repro.dist.chaos
 .ChaosTransport`, making the worker's outbound frames -- results and
@@ -48,6 +49,7 @@ import os
 import socket
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.dist.chaos import ChaosTransport
@@ -71,16 +73,6 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_MAX_S = 1.0
 WAIT_SLICE_S = 0.5
 """Upper bound on one coordinator-requested wait (keeps polls fresh)."""
-
-
-def _nothing():
-    from contextlib import contextmanager
-
-    @contextmanager
-    def scope():
-        yield None
-
-    return scope()
 
 
 def encode_row(
@@ -154,6 +146,8 @@ class Worker:
         self._carried: Set[str] = set()
         self._leases_taken = 0
         self._welcomed = False
+        self.killed = False
+        self._transport: Optional[FrameTransport] = None
         self.units_executed = 0
         self.units_delivered = 0
         # Lazily built from the first welcome frame.
@@ -173,7 +167,7 @@ class Worker:
         """
         failures = 0
         conn_index = 0
-        while failures < self.reconnect_attempts:
+        while failures < self.reconnect_attempts and not self.killed:
             conn_index += 1
             self._welcomed = False
             try:
@@ -184,6 +178,8 @@ class Worker:
                 return EXIT_SELF_DESTRUCT
             except (ConnectionError, FrameError, OSError,
                     socket.timeout) as exc:
+                if self.killed:
+                    break
                 failures = 0 if self._welcomed else failures + 1
                 backoff = min(
                     RECONNECT_BASE_S * (2 ** max(failures - 1, 0)),
@@ -206,6 +202,12 @@ class Worker:
                 return EXIT_FINGERPRINT_MISMATCH
         return EXIT_DISCONNECTED
 
+    def kill(self) -> None:
+        """Abandon the live connection and never reconnect."""
+        self.killed = True
+        if self._transport is not None:
+            self._transport.close()
+
     # -- one connection ----------------------------------------------------
 
     def _connect(self, conn_index: int) -> FrameTransport:
@@ -224,7 +226,9 @@ class Worker:
 
     def _session(self, conn_index: int) -> int:
         """One connection's lifetime; returns an exit code when final."""
-        transport = self._connect(conn_index)
+        transport = self._transport = self._connect(conn_index)
+        if self.killed:  # kill() raced this connect
+            transport.close()
         self._carried = set()
         stop_heartbeat = threading.Event()
         try:
@@ -255,7 +259,7 @@ class Worker:
             )
             heartbeat.start()
             with (chaos_injection(self.cell_chaos)
-                  if self.cell_chaos is not None else _nothing()):
+                  if self.cell_chaos is not None else nullcontext()):
                 return self._lease_loop(transport)
         finally:
             stop_heartbeat.set()

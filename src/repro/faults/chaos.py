@@ -9,9 +9,9 @@ in two flavors that share one decision rule:
   cells that hang.  The resilient engine retries and quarantines raised
   errors in-process; kills and hangs are survived by the lease
   coordinator (:mod:`repro.dist`), which charges the lost attempt when
-  the worker's connection drops or its lease expires -- the campaign
-  CLI kills a local worker that overruns its lease -- and hands the
-  unit to a live or replacement worker.
+  the worker's connection drops or its lease expires -- a
+  :class:`~repro.dist.fleet.Fleet` kills its worker that overruns a
+  lease -- and hands the unit to a live or replacement worker.
 * :class:`NetChaosPolicy` sabotages the **wire** between a dist worker
   and its coordinator: connections that drop before a send, latency
   spikes, and writes that stall halfway through a frame (then either

@@ -21,7 +21,6 @@ performance are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import metrics
@@ -156,16 +155,3 @@ class CxlLink:
             * (self.serialization_ns() + self.expected_retry_ns_per_flit())
             + 2.0 * self.stack_latency_ns
         )
-
-    def span_budget_ns(self) -> Dict[str, float]:
-        """Per-direction span budget of one wire crossing (tracing hook).
-
-        Names match the event-level tracer's link span names: a request
-        (or response) pays one ``serialize``, one ``stack`` traversal, and
-        -- on a CRC failure -- one ``retry`` penalty.
-        """
-        return {
-            "serialize": self.serialization_ns(),
-            "stack": self.stack_latency_ns,
-            "retry": self.retry_penalty_ns,
-        }

@@ -551,15 +551,3 @@ class ServeApp:
         """Blocking entry point (the CLI's ``repro serve``)."""
         asyncio.run(self.serve())
         return 0
-
-
-def render_oneshot_banner(body: bytes) -> str:  # pragma: no cover - trivial
-    """Human summary of a ``--oneshot`` result (stderr side channel)."""
-    import json as _json
-
-    doc = _json.loads(body)
-    return (
-        f"query {doc.get('query_key', '?')[:12]}: "
-        f"{len(doc.get('points', []))} point(s), "
-        f"{doc.get('errors', 0)} error(s)"
-    )

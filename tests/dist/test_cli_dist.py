@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.cli import _fleet_cleanup, _parse_endpoint, build_parser, main
+from repro.cli import _parse_endpoint, build_parser, main
+from repro.dist.fleet import Fleet
 from repro.errors import MelodyError
 
 
@@ -115,28 +116,33 @@ class FakeProc:
         self.killed = True
 
 
+def fleet_of(*procs):
+    """A fleet (no coordinator) whose launches hand out ``procs``."""
+    return Fleet(None, list(procs).__getitem__)
+
+
 class TestFleetCleanup:
     def test_interrupt_terminates_running_children(self):
         runner, done = FakeProc(running=True), FakeProc(code=0)
         with pytest.raises(KeyboardInterrupt):
-            with _fleet_cleanup() as fleet:
-                fleet.add(runner)
-                fleet.add(done)
+            with fleet_of(runner, done) as fleet:
+                fleet.launch()
+                fleet.launch()
                 raise KeyboardInterrupt()
         assert runner.terminated and not runner.killed
         assert not done.terminated  # already exited: reaped, not signaled
 
     def test_stubborn_child_is_killed_after_grace(self):
         stubborn = FakeProc(running=True, stubborn=True)
-        with _fleet_cleanup() as fleet:
-            fleet.add(stubborn)
+        with fleet_of(stubborn) as fleet:
+            fleet.launch()
         assert stubborn.terminated and stubborn.killed
 
     def test_sigterm_remapped_to_keyboard_interrupt(self):
         if threading.current_thread() is not threading.main_thread():
             pytest.skip("signal handlers only install on the main thread")
         before = signal.getsignal(signal.SIGTERM)
-        with _fleet_cleanup():
+        with fleet_of():
             handler = signal.getsignal(signal.SIGTERM)
             assert handler is not before
             with pytest.raises(KeyboardInterrupt):
@@ -145,8 +151,8 @@ class TestFleetCleanup:
 
     def test_clean_exit_touches_nothing(self):
         done = FakeProc(code=0)
-        with _fleet_cleanup() as fleet:
-            fleet.add(done)
+        with fleet_of(done) as fleet:
+            fleet.launch()
         assert not done.terminated and not done.killed
 
 

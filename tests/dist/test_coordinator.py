@@ -118,7 +118,8 @@ class TestHostileFleet:
     def test_chaos_plus_mid_lease_death_is_bit_identical(self, tmp_path):
         # The fleet the dist-campaign-identity diag check runs: the
         # chaotic worker starts only once the mortal one holds its first
-        # grant, so the mortal worker always dies on its second lease.
+        # grant, so the mortal worker always dies on its second lease,
+        # and the fleet replaces it.
         outcome = run_hostile_fleet(str(tmp_path), net_chaos_seed=7)
         summary = outcome.summary
         assert summary.complete
@@ -126,10 +127,12 @@ class TestHostileFleet:
         assert summary.quarantined == []
         # The chaos worker usually hears "done" (0), but a sever racing
         # the coordinator's shutdown can leave it disconnected (3) --
-        # never an error code.
-        mortal, chaotic = outcome.worker_codes
+        # never an error code.  So can the replacement.
+        mortal, chaotic = outcome.worker_codes[:2]
         assert mortal == 9
         assert chaotic in (0, 3)
+        assert outcome.workers[2].name == "hw2"
+        assert outcome.worker_codes[2] in (0, 3)
         assembled = solo_records(SMOKE_SPEC, str(tmp_path))
         reference = solo_records(SMOKE_SPEC, None)
         assert assembled == reference

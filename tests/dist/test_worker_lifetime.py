@@ -9,15 +9,14 @@ attempts, never the campaign's length.
 
 import os
 import signal
-import subprocess
 import sys
 import textwrap
 import threading
 import time
 
 import repro
-from repro.cli import _fleet_cleanup, _supervise_fleet
 from repro.dist.coordinator import Coordinator
+from repro.dist.fleet import Fleet, subprocess_spawner
 from repro.dist.harness import SMOKE_SPEC, solo_records
 from repro.dist.worker import Worker
 from repro.faults.chaos import NetChaosPolicy
@@ -65,23 +64,13 @@ class TestHangKill:
         port = coordinator.start()
         script = tmp_path / "worker.py"
         script.write_text(FLEET_WORKER)
-        finished = threading.Event()
         try:
-            with _fleet_cleanup() as fleet:
-                def spawn():
-                    fleet.add(subprocess.Popen([
-                        sys.executable, str(script), SRC_DIR, str(port),
-                        f"dw{len(fleet.procs)}",
-                    ]))
-
-                spawn()
-                hanger = fleet.procs[0]
-                supervisor = threading.Thread(
-                    target=_supervise_fleet,
-                    args=(fleet, spawn, coordinator, finished),
-                    daemon=True,
-                )
-                supervisor.start()
+            with Fleet(coordinator, subprocess_spawner(lambda index: [
+                sys.executable, str(script), SRC_DIR, str(port),
+                f"dw{index}",
+            ])) as fleet:
+                hanger = fleet.launch()
+                fleet.supervise()
                 while not coordinator.table.counters["granted"]:
                     assert hanger.poll() is None, "died before a grant"
                     time.sleep(0.01)
@@ -89,11 +78,8 @@ class TestHangKill:
                 code = hanger.wait(timeout=30)
                 killed_after = time.monotonic() - granted
                 summary = coordinator.run(timeout=120)
-                finished.set()
-                supervisor.join(timeout=10)
-                workers = len(fleet.procs)
+                workers = len(fleet.handles)
         finally:
-            finished.set()
             coordinator.stop()
         assert code == -signal.SIGKILL
         # One expiry tick and one supervisor poll past the lease.
