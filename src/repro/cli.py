@@ -377,7 +377,6 @@ def _run_dist_fleet(args, campaign) -> int:
         host=host,
         port=port,
         lease_s=args.cell_timeout if per_cell else DEFAULT_LEASE_S,
-        heartbeat_s=args.dist_heartbeat,
         # Unset: the lease table's default budget (5 attempts).
         policy=_retry_policy(args),
         max_grant=1 if per_cell else MAX_GRANT,
@@ -458,15 +457,13 @@ def cmd_coordinate(args) -> int:
         host=args.host,
         port=args.port,
         lease_s=args.lease,
-        heartbeat_s=args.heartbeat,
         policy=RetryPolicy(max_attempts=args.unit_retries),
     )
     try:
         port = coordinator.start()
         print(f"coordinating campaign {coordinator.fingerprint[:12]}: "
               f"{len(coordinator.table)} units on {args.host}:{port} "
-              f"(lease {args.lease:.0f}s, heartbeat "
-              f"{args.heartbeat:.1f}s)")
+              f"(lease {args.lease:.0f}s)")
         summary = coordinator.run(timeout=args.deadline)
     finally:
         coordinator.stop()
@@ -1016,10 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, default=5.0,
                    help="CPMU operating load in GB/s")
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "scalar", "vector", "batch"],
+                   choices=["auto", "scalar", "vector"],
                    help="event-simulation engine for the sim battery "
-                   "(auto = vector unless tracing; batch = fused "
-                   "batch kernels, here over a batch of one)")
+                   "(auto = vector unless tracing)")
     p.add_argument("--fault-plan", default=None, metavar="PATH",
                    help="JSON FaultPlan to inject into the sim battery")
     _add_obs_flags(p)
@@ -1083,10 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SEED",
                    help="give --coordinator workers a seeded chaos "
                         "transport (worker i uses SEED+i)")
-    p.add_argument("--dist-heartbeat", type=float, default=2.0,
-                   metavar="S",
-                   help="worker heartbeat interval for --coordinator "
-                        "(default: 2)")
     p.add_argument("--dist-deadline", type=float, default=None,
                    metavar="S",
                    help="abort the dist campaign if not settled in S "
@@ -1114,10 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port to listen on (default: ephemeral)")
     p.add_argument("--lease", type=float, default=30.0, metavar="S",
                    help="lease duration per work unit (default: 30)")
-    p.add_argument("--heartbeat", type=float, default=2.0, metavar="S",
-                   help="expected worker heartbeat interval; silence "
-                        "beyond 3 intervals drops the worker "
-                        "(default: 2)")
     p.add_argument("--unit-retries", type=int, default=5, metavar="N",
                    help="attempts per unit before quarantine "
                         "(default: 5)")
@@ -1336,6 +1324,11 @@ def main(argv=None) -> int:
     except MelodyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Ctrl-C, or a SIGTERM that a worker fleet remapped (its exit
+        # has already stopped the workers).
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # stdout went away (e.g. `repro stats ... | head`); exit quietly
         # instead of tracebacking, and keep the interpreter from crashing

@@ -169,7 +169,6 @@ def check_dist_row_digest(ctx: DiagContext) -> Iterator[Violation]:
     welcome = {
         "fingerprint": fingerprint,
         "spec": SMOKE_SPEC.to_dict(),
-        "heartbeat_s": 1.0,
     }
     lease = {"lease_id": "L1", "attempt": 1, "unit": unit.descriptor()}
     digests = []

@@ -7,12 +7,15 @@ re-runs a cache hit either), listens on a TCP port, and hands the rest
 to whatever workers connect under time-bounded leases.  Everything a
 flaky fleet can do is survivable by construction:
 
-* a worker that stops heartbeating gets its socket closed, which
-  releases its leases (attempt charged) for reassignment to live peers;
-* a worker that hangs mid-cell loses the lease at its deadline;
+* a worker whose process dies closes its socket, and the EOF releases
+  its leases (attempt charged) for reassignment to live peers;
+* a worker that hangs mid-cell, freezes, or is cut off by a partition
+  with its socket still open loses each lease at its deadline: the
+  lease is the only liveness signal, and no connection is ever reaped
+  for silence;
 * a worker that errors reports the failure, and the unit retries behind
   the seeded :class:`~repro.runtime.executor.RetryPolicy` backoff until
-  its budget quarantines it into a PR 5 ``FailedCell`` record -- the
+  its budget quarantines it into a ``FailedCell`` record -- the
   campaign always completes, degraded at worst, never wedged;
 * redeliveries after a reconnect and late commits fold into the
   at-most-once commit of :class:`~repro.dist.lease.LeaseTable`
@@ -43,7 +46,7 @@ byte-identical to a solo run.  That equivalence is the contract the
 ``dist`` diag layer enforces.
 
 Threading model: an accept thread spawns one thread per worker
-connection; a monitor thread drives lease expiry and liveness; the
+connection; a monitor thread drives lease expiry; the
 :class:`~repro.dist.lease.LeaseTable` and connection registry are
 guarded by one lock, the store writer by another.  The table's clock is
 injectable for tests.
@@ -77,18 +80,16 @@ from repro.runtime.serialize import (
 from repro.store.codec import compile_skeleton, skeleton_ref
 from repro.store.store import ROW_FIELDS
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 """Bump on any incompatible frame/message change (2: batched grants;
 3: results travel as store rows with a binary vector tail; 4: frames
-carry no sequence numbers, replies no request echo)."""
+carry no sequence numbers, replies no request echo; 5: workers send
+no keep-alive frames, and the welcome names no keep-alive interval)."""
 
 MAX_GRANT = 32
 """Most leases one ``grant`` frame carries."""
 
 DEFAULT_LEASE_S = 30.0
-DEFAULT_HEARTBEAT_S = 2.0
-LIVENESS_MULTIPLE = 3.0
-"""Missed-heartbeat budget: silence beyond this many intervals is death."""
 
 _TICK_S = 0.05
 """Monitor cadence; also bounds how stale expiry checks can be."""
@@ -215,15 +216,12 @@ class DistSummary:
 class _Connection:
     """Per-worker-connection state the coordinator tracks."""
 
-    __slots__ = ("transport", "name", "peer", "last_seen", "goodbye",
-                 "skeletons")
+    __slots__ = ("transport", "name", "peer", "goodbye", "skeletons")
 
-    def __init__(self, transport: FrameTransport, peer: str,
-                 now: float):
+    def __init__(self, transport: FrameTransport, peer: str):
         self.transport = transport
         self.name = ""
         self.peer = peer
-        self.last_seen = now
         self.goodbye = False
         # Skeleton ref -> (body, compiled join), as this connection
         # carried them; a row may only name a skeleton kept here.
@@ -244,7 +242,6 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         lease_s: float = DEFAULT_LEASE_S,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         policy: Optional[RetryPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         max_grant: int = MAX_GRANT,
@@ -254,14 +251,11 @@ class Coordinator:
                 "the coordinator needs a cache dir: results commit into "
                 "the shared run cache"
             )
-        if heartbeat_s <= 0:
-            raise MelodyError("heartbeat_s must be positive")
         self.spec = spec
         self.cache_dir = cache_dir
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        self.heartbeat_s = heartbeat_s
         self.clock = clock
         # 1 makes the lease a per-cell bound: each unit is due lease_s
         # after its own grant, and a worker's death charges only it.
@@ -362,8 +356,8 @@ class Coordinator:
 
         After completion the coordinator lingers up to ``linger_s`` so
         connected workers can fetch once more, hear ``done``, and exit
-        cleanly instead of seeing a reset -- a hung worker still bounds
-        the wait.
+        cleanly instead of seeing a reset.  A hung worker or a
+        half-open connection holds it the full ``linger_s``, no longer.
         """
         if self.port is None:
             self.start()
@@ -416,7 +410,7 @@ class Coordinator:
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
             peer = f"{addr[0]}:{addr[1]}"
-            conn = _Connection(FrameTransport(sock), peer, self.clock())
+            conn = _Connection(FrameTransport(sock), peer)
             with self._lock:
                 # stop() snapshots _connections/_threads under this
                 # lock after setting _stopping: re-check here so a
@@ -455,7 +449,6 @@ class Coordinator:
                     return
                 if frame is None:
                     return
-                conn.last_seen = self.clock()
                 try:
                     keep = self._handle(conn, frame)
                 except Exception as exc:
@@ -478,17 +471,11 @@ class Coordinator:
             self._release(conn)
 
     def _monitor_loop(self) -> None:
-        """Reap expired leases; close connections that stopped talking."""
+        """Reap expired leases every tick; set done once all settled."""
         registry = metrics()
-        silence_budget = self.heartbeat_s * LIVENESS_MULTIPLE
         while not self._stopping.is_set():
-            now = self.clock()
             with self._lock:
                 reaped = self.table.expire()
-                silent = [
-                    conn for conn in self._connections.values()
-                    if now - conn.last_seen > silence_budget
-                ]
                 done = self.table.done
             for lease in reaped:
                 registry.counter("dist.leases_expired").inc()
@@ -498,14 +485,6 @@ class Coordinator:
                     unit=lease.unit_id[-40:], worker=lease.worker,
                     attempt=lease.attempt,
                 )
-            for conn in silent:
-                events().emit(
-                    "dist.worker.lost", level="warn",
-                    worker=conn.worker_id,
-                    silent_s=round(now - conn.last_seen, 3),
-                )
-                registry.counter("dist.workers_lost").inc()
-                conn.transport.close()  # recv in its thread sees EOF
             if done:
                 self._done.set()
                 return
@@ -518,9 +497,6 @@ class Coordinator:
         kind = message.get("type")
         if kind == "hello":
             return self._handle_hello(conn, message)
-        if kind == "heartbeat":
-            metrics().counter("dist.heartbeats").inc()
-            return True
         if kind == "fetch":
             return self._handle_fetch(conn)
         if kind == "results":
@@ -554,7 +530,6 @@ class Coordinator:
             "fingerprint": self.fingerprint,
             "spec": self.spec.to_dict(),
             "lease_s": self.table.lease_s,
-            "heartbeat_s": self.heartbeat_s,
         })
         return True
 

@@ -20,11 +20,12 @@ The two forms never collide: a header length is below
 and a bare one with ``{``.
 
 :class:`FrameTransport` wraps a connected socket.  Sends are serialized
-under a lock (the worker's heartbeat thread shares the transport with
-its fetch/execute loop), so frames from concurrent senders never
-interleave on the wire.  Frames carry no sequence numbers: one
-connection is one TCP stream, which never duplicates or reorders, so
-the receiver handles frames in the order ``recv`` returns them.
+under a lock, so frames from concurrent senders never interleave on the
+wire: no caller sends from two threads today, but the transport stays
+safe to share instead of every caller having to prove it never does.
+Frames carry no sequence numbers: one connection is one TCP stream,
+which never duplicates or reorders, so the receiver handles frames in
+the order ``recv`` returns them.
 
 Within one connection a frame is never silently lost: the chaos
 transport only delays a frame, stalls it halfway, or kills the
@@ -141,11 +142,10 @@ class FrameTransport:
     """Framed, thread-safe messaging over one connected socket.
 
     ``send`` frames and ships each message under the send lock, so
-    concurrent senders (the worker's heartbeat thread) interleave whole
-    frames, each thread's in its own send order.  ``recv`` returns one
-    decoded message, ``None`` on a clean EOF, raises :class:`FrameError`
-    on garbage, and lets ``socket.timeout`` propagate so pollers can
-    check stop flags.  A timeout mid-frame keeps the partial parse state
+    concurrent senders interleave whole frames, each thread's in its
+    own send order.  ``recv`` returns one decoded message, ``None`` on
+    a clean EOF, raises :class:`FrameError` on garbage, and lets
+    ``socket.timeout`` propagate so pollers can check stop flags.  A timeout mid-frame keeps the partial parse state
     (pending length and buffered bytes) on the transport, so the next
     ``recv`` resumes the same frame instead of misreading payload bytes
     as a header.

@@ -69,13 +69,13 @@ class DistOutcome:
     spec: CampaignSpec
 
 
-def _run_fleet(cache_dir, spec, plans, lease_s, heartbeat_s, policy,
-               deadline_s, launch: Callable[[Fleet], None]) -> DistOutcome:
+def _run_fleet(cache_dir, spec, plans, lease_s, policy, deadline_s,
+               launch: Callable[[Fleet], None]) -> DistOutcome:
     """A loopback coordinator and a thread :class:`Fleet` run to the end;
     ``launch`` starts the first workers.  Worker ``i`` follows
     ``plans[i]``; workers beyond them are healthy replacements."""
     coordinator = Coordinator(
-        spec, cache_dir=cache_dir, lease_s=lease_s, heartbeat_s=heartbeat_s,
+        spec, cache_dir=cache_dir, lease_s=lease_s,
         policy=policy or RetryPolicy(
             max_attempts=4, backoff_base_s=0.0, backoff_max_s=0.05
         ),
@@ -112,7 +112,6 @@ def run_dist_campaign(
     spec: CampaignSpec = SMOKE_SPEC,
     workers: Sequence[WorkerPlan] = (WorkerPlan(), WorkerPlan()),
     lease_s: float = 10.0,
-    heartbeat_s: float = 0.25,
     policy: Optional[RetryPolicy] = None,
     deadline_s: float = 120.0,
 ) -> DistOutcome:
@@ -126,8 +125,8 @@ def run_dist_campaign(
         for _ in workers:
             fleet.launch()
 
-    return _run_fleet(cache_dir, spec, workers, lease_s, heartbeat_s,
-                      policy, deadline_s, launch)
+    return _run_fleet(cache_dir, spec, workers, lease_s, policy,
+                      deadline_s, launch)
 
 
 def run_hostile_fleet(
@@ -158,7 +157,7 @@ def run_hostile_fleet(
 
     plans = (WorkerPlan(name="mortal", die_after=1),
              WorkerPlan(name="chaotic", net_chaos_seed=net_chaos_seed))
-    return _run_fleet(cache_dir, SMOKE_SPEC, plans, 10.0, 0.25, None,
+    return _run_fleet(cache_dir, SMOKE_SPEC, plans, 10.0, None,
                       deadline_s, launch)
 
 

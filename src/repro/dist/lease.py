@@ -52,6 +52,16 @@ spends only its own retry budget, never that of healthy units granted
 beside it (:meth:`LeaseTable.acquire_many` explains why a retried unit
 always starts its grant, which it then ends).
 
+**Liveness.**  The lease is the only liveness signal: the table never
+asks whether a holder is alive, only whether its lease is still due.
+A worker that hangs in a cell, freezes, or is partitioned away with its
+socket still open loses each lease at its deadline; a worker whose
+process dies closes its socket, and the coordinator releases its leases
+at once (:meth:`LeaseTable.release_worker`).  Nothing a keep-alive
+could detect escapes expiry, and a keep-alive cannot catch a hung cell
+whose process still answers -- so there is none (Gray & Cheriton,
+"Leases", SOSP 1989).
+
 ``expiry`` uses ``now >= deadline`` -- a lease is dead *exactly at* its
 deadline, so a clock that lands on the boundary reassigns rather than
 trusting a worker that is provably out of time.

@@ -21,10 +21,11 @@ Everything about the worker is built to be killed:
   delay, not a failure; the budget counts *consecutive* connection
   attempts that never reached the coordinator's welcome, so a long
   campaign survives any number of severed sessions that reconnect;
-* a heartbeat daemon thread shares the transport, so a worker stuck in
-  a long cell still proves liveness -- only a worker that *hangs past
-  its lease* loses the unit, and only a worker whose process dies goes
-  silent;
+* a session is one thread: the worker talks only to fetch a grant and
+  deliver its results, so the lease is its whole liveness contract --
+  a cell that outruns its lease loses the unit (a fleet supervisor
+  then kills the worker), and a process that dies closes its socket,
+  which releases its leases at once;
 * rows are memoized per unit within the worker, so a reconnect that
   re-leases a unit this worker already finished re-delivers the row
   instead of re-running the cell -- with every skeleton the new
@@ -39,15 +40,14 @@ Everything about the worker is built to be killed:
   from another thread.
 
 All sends optionally pass through the :class:`~repro.dist.chaos
-.ChaosTransport`, making the worker's outbound frames -- results and
-heartbeats alike -- the sabotage surface.
+.ChaosTransport`, making the worker's outbound frames -- hello, fetches
+and results alike -- the sabotage surface.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Dict, Optional, Set, Tuple
@@ -73,6 +73,8 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_MAX_S = 1.0
 WAIT_SLICE_S = 0.5
 """Upper bound on one coordinator-requested wait (keeps polls fresh)."""
+REPLY_TIMEOUT_S = 10.0
+"""How long a worker waits for the coordinator's reply to one fetch."""
 
 
 def encode_row(
@@ -154,7 +156,6 @@ class Worker:
         self._spec: Optional[CampaignSpec] = None
         self._fingerprint = ""
         self._cells: Dict[str, object] = {}
-        self._heartbeat_s = 2.0
 
     # -- top level ---------------------------------------------------------
 
@@ -230,7 +231,6 @@ class Worker:
         if self.killed:  # kill() raced this connect
             transport.close()
         self._carried = set()
-        stop_heartbeat = threading.Event()
         try:
             transport.send({
                 "type": "hello",
@@ -251,23 +251,14 @@ class Worker:
                 )
             self.adopt_welcome(welcome)
             self._welcomed = True
-            heartbeat = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(transport, stop_heartbeat),
-                name=f"{self.name}-heartbeat",
-                daemon=True,
-            )
-            heartbeat.start()
             with (chaos_injection(self.cell_chaos)
                   if self.cell_chaos is not None else nullcontext()):
                 return self._lease_loop(transport)
         finally:
-            stop_heartbeat.set()
             transport.close()
 
     def adopt_welcome(self, welcome: dict) -> None:
         """Rebuild the campaign from the spec; refuse on fingerprint skew."""
-        self._heartbeat_s = float(welcome.get("heartbeat_s", 2.0))
         fingerprint = str(welcome.get("fingerprint", ""))
         if self._spec is not None:
             # A reconnect: the campaign must not have changed under us.
@@ -301,15 +292,6 @@ class Worker:
             "dist.worker.adopted", worker=self.name,
             fingerprint=fingerprint[:12], units=len(self._cells),
         )
-
-    def _heartbeat_loop(
-        self, transport: FrameTransport, stop: threading.Event
-    ) -> None:
-        while not stop.wait(self._heartbeat_s):
-            try:
-                transport.send({"type": "heartbeat"})
-            except (OSError, FrameError, ConnectionError):
-                return
 
     # -- the fetch/execute loop --------------------------------------------
 
@@ -360,9 +342,7 @@ class Worker:
 
     def _recv_reply(self, transport: FrameTransport) -> dict:
         """The next coordinator reply (replies travel clean and in order)."""
-        reply = transport.recv(timeout=max(
-            10.0, self._heartbeat_s * 5.0
-        ))
+        reply = transport.recv(timeout=REPLY_TIMEOUT_S)
         if reply is None:
             raise ConnectionResetError("coordinator hung up")
         return reply

@@ -20,7 +20,7 @@ read request does, but its completion carries no data: on a full-duplex
 link the outbound flit is skipped, while CXL-C's shared-bus controller
 still pays a full flit for the acknowledgement.
 
-Two engines compute the identical timeline:
+Two engines compute the identical timeline of one operating point:
 
 * ``engine="scalar"`` -- the per-request reference loop below, written in
   the same max-plus / phase-shifted form as the kernels so every float
@@ -29,17 +29,18 @@ Two engines compute the identical timeline:
 * ``engine="vector"`` -- the NumPy kernels in
   :mod:`repro.hw.cxl.kernels`; no Python loop over requests, typically
   an order of magnitude faster (``BENCH_eventsim.json``).
-* ``engine="batch"`` -- the same kernels fused across *many* operating
-  points at once (:func:`simulate_batch`): B cells' request streams run
-  through one set of max-plus scans and one rounds loop, amortizing
-  kernel call overhead across a whole campaign chunk.
 * ``engine="auto"`` (default) -- vector, unless a trace buffer is active.
 
-All engines are bit-identical -- latencies and all event counters --
-for every device; the ``device`` diag layer enforces this on every
-``repro validate`` (``eventsim-engine-identity`` for scalar vs vector,
-``eventsim-batch-identity`` for batched vs solo, including under fault
-plans).
+:func:`simulate_batch` runs the same kernels fused across *many*
+operating points at once: B cells' request streams run through one set
+of max-plus scans and one rounds loop, amortizing kernel call overhead
+across a whole campaign chunk; its results read ``engine="batch"``.
+
+Both engines and the batch are bit-identical -- latencies and all event
+counters -- for every device; the ``device`` diag layer enforces this on
+every ``repro validate`` (``eventsim-engine-identity`` for scalar vs
+vector, ``eventsim-batch-identity`` for batched vs solo, including under
+fault plans).
 
 Observability: when a :class:`~repro.obs.trace.TraceBuffer` is active
 (passed explicitly or installed process-wide via ``--trace``), every Nth
@@ -77,7 +78,7 @@ from repro.units import CACHELINE_BYTES
 BANKS_PER_CHANNEL = 16
 """DDR4/DDR5 banks per channel visible to the scheduler."""
 
-ENGINES = ("auto", "scalar", "vector", "batch")
+ENGINES = ("auto", "scalar", "vector")
 """Accepted ``engine`` arguments to :meth:`EventDrivenDevice.simulate`."""
 
 
@@ -310,36 +311,28 @@ class EventDrivenDevice:
         per pipeline stage.  Tracing never alters the simulated timeline.
 
         ``engine`` picks the implementation: ``"scalar"`` (per-request
-        reference loop), ``"vector"`` (NumPy kernels), ``"batch"`` (the
-        fused cross-cell kernels, here on a batch of one -- useful for
-        spot-checking identity), or ``"auto"`` (vector unless tracing is
-        active -- span emission is per-request).  All engines are
-        bit-identical.
+        reference loop), ``"vector"`` (NumPy kernels), or ``"auto"``
+        (vector unless tracing is active -- span emission is
+        per-request).  All engines are bit-identical.
         """
-        self._validate(n_requests, offered_gbps, read_fraction, engine)
-        buf = trace if trace is not None else tracing()
-        if engine in ("vector", "batch") and buf is not None:
+        self._validate(n_requests, offered_gbps, read_fraction)
+        if engine not in ENGINES:
             raise ConfigurationError(
-                f"the {engine} engine cannot emit per-request trace spans; "
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
+        buf = trace if trace is not None else tracing()
+        if engine == "vector" and buf is not None:
+            raise ConfigurationError(
+                "the vector engine cannot emit per-request trace spans; "
                 "use engine='scalar' (or 'auto') when tracing"
             )
-        if engine == "batch":
-            resolved = "batch"
-        elif engine == "scalar" or buf is not None:
-            resolved = "scalar"
-        else:
-            resolved = "vector"
+        resolved = "scalar" if engine == "scalar" or buf is not None \
+            else "vector"
 
         inp, applied = self._prepare_with_faults(
             n_requests, offered_gbps, read_fraction
         )
-        if resolved == "batch":
-            timeline = batch_timeline([inp])[0]
-            latencies = timeline.latencies_ns
-            conflicts = timeline.bank_conflicts
-            refreshes = timeline.refresh_collisions
-            traced = 0
-        elif resolved == "vector":
+        if resolved == "vector":
             timeline = vector_timeline(inp)
             latencies = timeline.latencies_ns
             conflicts = timeline.bank_conflicts
@@ -356,8 +349,7 @@ class EventDrivenDevice:
 
     @staticmethod
     def _validate(
-        n_requests: int, offered_gbps: float, read_fraction: float,
-        engine: str,
+        n_requests: int, offered_gbps: float, read_fraction: float
     ) -> None:
         if n_requests < 1:
             raise ConfigurationError("need at least one request")
@@ -366,10 +358,6 @@ class EventDrivenDevice:
         if not 0.0 <= read_fraction <= 1.0:
             raise ConfigurationError(
                 f"read fraction must be in [0, 1]: {read_fraction}"
-            )
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
 
     def _prepare_with_faults(
@@ -652,7 +640,7 @@ def simulate_batch(
         )
     prepared = []
     for sim, n_requests, offered_gbps, read_fraction in points:
-        sim._validate(n_requests, offered_gbps, read_fraction, "batch")
+        sim._validate(n_requests, offered_gbps, read_fraction)
         inp, applied = sim._prepare_with_faults(
             n_requests, offered_gbps, read_fraction
         )

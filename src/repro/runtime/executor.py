@@ -151,7 +151,7 @@ class SimCell:
     @property
     def batchable(self) -> bool:
         """Whether this cell may join a fused batch."""
-        return self.engine in ("auto", "batch") and tracing() is None
+        return self.engine == "auto" and tracing() is None
 
     def run(self):
         """Run this cell solo (the serial and resilient paths)."""

@@ -84,6 +84,18 @@ class TestCampaignFlagValidation:
         assert "unrecognized arguments: --cell-timeout" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--dist-heartbeat", "1"],
+        ["coordinate", "--cache-dir", "unused", "--heartbeat", "0.5"],
+    ])
+    def test_keepalive_flags_are_gone(self, capsys, argv):
+        """The lease is the only liveness signal: no interval to set."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" \
+            in capsys.readouterr().err
+
     def test_worker_endpoint_validated(self, capsys):
         code = main(["worker", "--connect", "not-an-endpoint"])
         assert code == 2

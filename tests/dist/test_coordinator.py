@@ -175,7 +175,6 @@ class TestReconnect:
         monkeypatch.setattr(Worker, "_connect", connect)
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
-            heartbeat_s=0.25,
             policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
         )
         port = coordinator.start()
@@ -220,7 +219,6 @@ class TestGrantCrashes:
         # units it never started included -- and each comes back alone.
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=10.0,
-            heartbeat_s=0.25,
             policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
         )
         port = coordinator.start()
@@ -289,6 +287,65 @@ class TestGrantCrashes:
         assert holding[1:] == [[doomed_id], [doomed_id]]
         # ... and no healthy unit ever needed a second attempt.
         assert summary.counters["granted"] == summary.units + 2
+
+
+class TestSilentWorker:
+    def test_silent_connected_worker_loses_its_lease_at_expiry(
+        self, tmp_path
+    ):
+        # A worker that takes a grant and then goes quiet with its socket
+        # still open is never disconnected: the lease alone bounds it.
+        # Its unit comes back at expiry and a healthy worker runs it as
+        # attempt 2.
+        coordinator = Coordinator(
+            SMOKE_SPEC, cache_dir=str(tmp_path), lease_s=1.0,
+            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+            max_grant=1,
+        )
+        port = coordinator.start()
+        leases = []
+
+        class Recording(Worker):
+            def run_lease(self, lease):
+                leases.append(
+                    (lease["unit"]["unit_id"], lease["attempt"])
+                )
+                return super().run_lease(lease)
+
+        silent = FrameTransport(
+            socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        )
+        codes = []
+        try:
+            silent.send({
+                "type": "hello", "name": "silent",
+                "proto": PROTOCOL_VERSION,
+            })
+            assert silent.recv(timeout=5.0)["type"] == "welcome"
+            silent.send({"type": "fetch"})
+            grant = silent.recv(timeout=5.0)
+            assert grant["type"] == "grant"
+            assert len(grant["leases"]) == 1
+            held = grant["leases"][0]["unit"]["unit_id"]
+            worker = Recording("127.0.0.1", port, name="healthy")
+            thread = threading.Thread(
+                target=lambda: codes.append(worker.run()), daemon=True
+            )
+            thread.start()
+            summary = coordinator.run(timeout=60.0, linger_s=0.5)
+            thread.join(timeout=10.0)
+        finally:
+            silent.close()
+            coordinator.stop()
+        assert codes == [0]
+        assert [attempt for unit, attempt in leases if unit == held] == [2]
+        assert coordinator.table.overruns == {"silent": 1}
+        assert summary.complete
+        assert summary.expired == 1
+        assert summary.quarantined == [] and summary.conflicts == []
+        assert summary.committed == summary.units
+        assert solo_records(SMOKE_SPEC, str(tmp_path)) \
+            == solo_records(SMOKE_SPEC, None)
 
 
 class TestQuarantine:
@@ -461,11 +518,11 @@ class TestProtocolEdges:
         finally:
             coordinator.stop()
 
-    @pytest.mark.parametrize("proto", [2, 3])
+    @pytest.mark.parametrize("proto", [2, 3, 4])
     def test_older_protocol_worker_rejected_at_hello(self, tmp_path, proto):
-        # A protocol-2 or -3 worker frames its hello as bare JSON, with
-        # a seq stamp -- still the bare form -- and can read the bare
-        # reject it gets.
+        # A protocol-2, -3 or -4 worker frames its hello as bare JSON
+        # (2 and 3 with a seq stamp -- still the bare form) and can read
+        # the bare reject it gets.
         coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
         port = coordinator.start()
         try:

@@ -147,7 +147,6 @@ class TestKillAndReplace:
         cache = str(tmp_path / "cache")
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=cache, lease_s=self.LEASE_S,
-            heartbeat_s=0.25,
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
             max_grant=1,
         )

@@ -137,9 +137,9 @@ class TestFrameTransport:
             receiver.close()
 
     def test_concurrent_senders_interleave_whole_frames(self):
-        # The worker's heartbeat thread shares the transport with its
-        # lease loop; frames must never interleave mid-wire, and each
-        # thread's frames keep that thread's send order.
+        # A transport shared by several sending threads must never
+        # interleave frames mid-wire, and each thread's frames keep that
+        # thread's send order.
         sender, receiver = transport_pair()
         per_thread = 50
 

@@ -57,7 +57,7 @@ class TestHangKill:
     def test_hung_worker_killed_and_unit_succeeds_on_retry(self, tmp_path):
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=str(tmp_path / "cache"),
-            lease_s=self.LEASE_S, heartbeat_s=0.25,
+            lease_s=self.LEASE_S,
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
             max_grant=1,
         )
@@ -96,11 +96,9 @@ class TestHangKill:
 
 class TestReconnectBudget:
     def test_budget_counts_consecutive_failures_only(self, tmp_path):
-        # A long heartbeat keeps heartbeats off the wire, so the seeded
-        # drops land on the same frames every run.
         coordinator = Coordinator(
             SMOKE_SPEC, cache_dir=str(tmp_path / "cache"),
-            lease_s=10.0, heartbeat_s=5.0,
+            lease_s=10.0,
             policy=RetryPolicy(max_attempts=5, backoff_base_s=0.0),
         )
         port = coordinator.start()

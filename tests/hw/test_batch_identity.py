@@ -18,8 +18,7 @@ from repro.faults.plan import FaultEpisode, FaultPlan, fault_injection
 from repro.hw.cxl import CXL_DEVICES
 from repro.hw.cxl.eventdevice import EventDrivenDevice, simulate_batch
 from repro.hw.cxl.kernels import batch_chunks
-from repro.obs.trace import tracing
-from repro.obs.trace import TraceBuffer
+from repro.obs.trace import TraceBuffer, tracing, use_tracing
 
 N_REQUESTS = 1_800
 LOAD_FRACTIONS = (0.15, 0.5, 0.85)
@@ -144,10 +143,10 @@ class TestBatchIdentity:
             assert s.poisoned_reads == b.poisoned_reads
 
     def test_engine_batch_on_simulate(self):
-        """``simulate(engine="batch")`` runs a batch of one, identically."""
+        """A batch of one point runs identically to the vector engine."""
         device = CXL_DEVICES[next(iter(CXL_DEVICES))]()
         sim = EventDrivenDevice(device)
-        batch = sim.simulate(800, 5.0, engine="batch")
+        (batch,) = simulate_batch([(sim, 800, 5.0, 1.0)])
         vector = sim.simulate(800, 5.0, engine="vector")
         _assert_identical(vector, batch)
         assert batch.engine == "batch"
@@ -155,8 +154,9 @@ class TestBatchIdentity:
     def test_batch_refuses_tracing(self):
         device = CXL_DEVICES[next(iter(CXL_DEVICES))]()
         sim = EventDrivenDevice(device)
-        with pytest.raises(ConfigurationError):
-            sim.simulate(800, 5.0, engine="batch", trace=TraceBuffer())
+        with use_tracing(TraceBuffer()):
+            with pytest.raises(ConfigurationError):
+                simulate_batch([(sim, 800, 5.0, 1.0)])
         assert tracing() is None
 
 

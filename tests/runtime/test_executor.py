@@ -253,7 +253,7 @@ class TestSimCells:
         base = dict(device=name, n_requests=500, offered_gbps=3.0)
         keys = {
             SimCell(engine=engine, **base).key()
-            for engine in ("auto", "scalar", "vector", "batch")
+            for engine in ("auto", "scalar", "vector")
         }
         assert len(keys) == 1
 

@@ -24,6 +24,24 @@ class TestWorkloadsCommand:
         assert out.count("GAPBS") == 30
 
 
+class TestInterrupt:
+    def test_interrupt_is_an_error_line_not_a_traceback(
+        self, capsys, monkeypatch
+    ):
+        def interrupted(args):
+            raise KeyboardInterrupt()
+
+        monkeypatch.setattr("repro.cli.cmd_workloads", interrupted)
+        try:
+            code = main(["workloads"])
+        except KeyboardInterrupt:  # would abort the whole test session
+            pytest.fail("KeyboardInterrupt escaped main()")
+        assert code == 130
+        captured = capsys.readouterr()
+        assert captured.err == "error: interrupted\n"
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestCharacterizeCommand:
     def test_device_report(self, capsys):
         code, out = run_cli(capsys, "characterize", "cxl-b",
@@ -36,6 +54,13 @@ class TestCharacterizeCommand:
     def test_unknown_device(self, capsys):
         code, _ = run_cli(capsys, "characterize", "cxl-z")
         assert code == 2
+
+    def test_batch_engine_is_gone(self, capsys):
+        """Batching is the engine's plan for many cells, not a choice."""
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "cxl-b", "--engine", "batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
 
 
 class TestSpaCommand:
