@@ -214,11 +214,13 @@ _ENGINE_CHECK_POINTS = (
 @invariant(
     name="eventsim-engine-identity",
     layer="device",
-    description="the vectorized event-simulation kernels are bit-identical "
-    "to the scalar reference loop (latencies and all event counters)",
+    description="the fused event-simulation kernel, on a batch of one, is "
+    "bit-identical to the scalar reference loop (latencies and all event "
+    "counters)",
 )
 def check_eventsim_engine_identity(ctx: DiagContext) -> Iterator[Violation]:
-    """Scalar and vector engines agree bit-for-bit on every device."""
+    """The scalar loop and the fused kernel (``engine="vector"``, a batch
+    of one) agree bit-for-bit on every device."""
     import numpy as np
 
     from repro.hw.cxl.eventdevice import EventDrivenDevice
@@ -285,8 +287,8 @@ def check_eventsim_engine_identity(ctx: DiagContext) -> Iterator[Violation]:
 @invariant(
     name="eventsim-batch-identity",
     layer="device",
-    description="the fused batch kernels return byte-identical results to "
-    "solo execution for every cell, including under fault plans",
+    description="one fused batch over many cells returns byte-identical "
+    "results to running each cell alone, including under fault plans",
 )
 def check_eventsim_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     """Batched execution is indistinguishable from solo, cell by cell.
@@ -389,14 +391,14 @@ _THREAD_CHECK_ROUNDS = 3
 @invariant(
     name="eventsim-thread-identity",
     layer="device",
-    description="simulations running on concurrent threads (solo vector "
-    "and fused batch) return byte-identical results to serial runs",
+    description="simulations running on concurrent threads (one cell per "
+    "call and one fused batch) return byte-identical results to serial runs",
 )
 def check_eventsim_thread_identity(ctx: DiagContext) -> Iterator[Violation]:
     """The kernels share no mutable state across threads.
 
     ``repro serve`` computes cold queries on a thread pool, so every job
-    -- one solo vector simulation per operating point, plus one fused
+    -- one single-cell simulation per operating point, plus one fused
     batch over all of them -- runs several times on concurrent threads
     and must match its serial run bit for bit.
     """

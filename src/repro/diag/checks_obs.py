@@ -10,7 +10,7 @@ models:
   counts, or misattributes a pipeline stage fails here.
 * **trace noninterference** -- tracing on vs. off produces bit-identical
   latencies and identical event counters.  Since the untraced run resolves
-  ``engine="auto"`` to the vectorized kernels while the traced run takes
+  ``engine="auto"`` to the fused kernel while the traced run takes
   the scalar reference loop, this doubles as an end-to-end cross-engine
   comparison (the ``device`` layer checks the engines against each other
   directly).

@@ -11,7 +11,7 @@ That placement is what keeps the subsystem's two identity contracts:
 * **Cross-engine identity** -- injected retries are OR-ed into the shared
   ``retry_draw`` array and throttle derating rides a shared per-request
   ``service_scale`` array, both consumed identically by the scalar loop
-  and the vector kernels; dropout overrides and ECC correction stalls are
+  and the fused kernel; dropout overrides and ECC correction stalls are
   applied *after* the engine, elementwise, to whichever latency array it
   produced.  Scalar and vector runs under the same plan therefore stay
   bit-identical (the ``faults`` diag layer enforces this).

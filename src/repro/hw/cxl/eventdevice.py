@@ -20,27 +20,26 @@ read request does, but its completion carries no data: on a full-duplex
 link the outbound flit is skipped, while CXL-C's shared-bus controller
 still pays a full flit for the acknowledgement.
 
-Two engines compute the identical timeline of one operating point:
+Two implementations compute the identical timeline of an operating point:
 
-* ``engine="scalar"`` -- the per-request reference loop below, written in
-  the same max-plus / phase-shifted form as the kernels so every float
+* the per-request reference loop below (``engine="scalar"``), written in
+  the same max-plus / phase-shifted form as the kernel so every float
   operation matches.  It is also the tracing path: span emission is
   per-request by nature.
-* ``engine="vector"`` -- the NumPy kernels in
-  :mod:`repro.hw.cxl.kernels`; no Python loop over requests, typically
-  an order of magnitude faster (``BENCH_eventsim.json``).
-* ``engine="auto"`` (default) -- vector, unless a trace buffer is active.
+* the fused NumPy kernel :func:`~repro.hw.cxl.kernels.batch_timeline`,
+  with no Python loop over requests (typically an order of magnitude
+  faster, ``BENCH_eventsim.json``).  :meth:`EventDrivenDevice.simulate`
+  runs it on a batch of one under ``engine="vector"`` -- and under
+  ``engine="auto"`` (the default) unless a trace buffer is active;
+  :func:`simulate_batch` runs it fused across *many* operating points at
+  once, amortizing kernel call overhead across a whole campaign chunk.
+  Results read ``engine="vector"`` or ``"batch"`` accordingly.
 
-:func:`simulate_batch` runs the same kernels fused across *many*
-operating points at once: B cells' request streams run through one set
-of max-plus scans and one rounds loop, amortizing kernel call overhead
-across a whole campaign chunk; its results read ``engine="batch"``.
-
-Both engines and the batch are bit-identical -- latencies and all event
-counters -- for every device; the ``device`` diag layer enforces this on
-every ``repro validate`` (``eventsim-engine-identity`` for scalar vs
-vector, ``eventsim-batch-identity`` for batched vs solo, including under
-fault plans).
+Every path is bit-identical -- latencies and all event counters -- for
+every device; the ``device`` diag layer enforces this on every
+``repro validate`` (``eventsim-engine-identity`` for scalar vs kernel,
+``eventsim-batch-identity`` for one fused batch vs batches of one,
+including under fault plans).
 
 Observability: when a :class:`~repro.obs.trace.TraceBuffer` is active
 (passed explicitly or installed process-wide via ``--trace``), every Nth
@@ -68,7 +67,6 @@ from repro.hw.cxl.kernels import (
     SimInputs,
     batch_chunks,
     batch_timeline,
-    vector_timeline,
 )
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_NS, metrics
 from repro.obs.trace import TraceBuffer, tracing
@@ -212,8 +210,8 @@ class EventDrivenDevice:
     ) -> SimInputs:
         """Draw all randomness and precompute the shared engine inputs.
 
-        Both engines consume these exact arrays, so their float operations
-        start from identical bits.  The RNG stream is keyed by the
+        The scalar loop and the fused kernel consume these exact arrays, so
+        their float operations start from identical bits.  The RNG stream is keyed by the
         operating point; ``read_fraction`` joins the key -- and spends a
         draw -- only for mixed workloads, so every pure-read stream (the
         historical default) is unchanged.
@@ -311,9 +309,9 @@ class EventDrivenDevice:
         per pipeline stage.  Tracing never alters the simulated timeline.
 
         ``engine`` picks the implementation: ``"scalar"`` (per-request
-        reference loop), ``"vector"`` (NumPy kernels), or ``"auto"``
-        (vector unless tracing is active -- span emission is
-        per-request).  All engines are bit-identical.
+        reference loop), ``"vector"`` (the fused kernel on a batch of
+        one), or ``"auto"`` (vector unless tracing is active -- span
+        emission is per-request).  All engines are bit-identical.
         """
         self._validate(n_requests, offered_gbps, read_fraction)
         if engine not in ENGINES:
@@ -333,7 +331,7 @@ class EventDrivenDevice:
             n_requests, offered_gbps, read_fraction
         )
         if resolved == "vector":
-            timeline = vector_timeline(inp)
+            (timeline,) = batch_timeline([inp])
             latencies = timeline.latencies_ns
             conflicts = timeline.bank_conflicts
             refreshes = timeline.refresh_collisions
@@ -389,7 +387,7 @@ class EventDrivenDevice:
     ) -> EventSimResult:
         """Post-engine adjustments, metrics emission, result assembly.
 
-        Shared verbatim by the solo engines and :func:`simulate_batch`, so
+        Shared verbatim by :meth:`simulate` and :func:`simulate_batch`, so
         a batched cell's counters and metrics match its solo twin's.
         """
         retries = int(inp.retry_draw.sum())
@@ -454,7 +452,7 @@ class EventDrivenDevice:
     ):
         """The per-request reference loop (and tracing path).
 
-        Written in the same form the vector kernels evaluate: serial
+        Written in the same form the kernel evaluates: serial
         resources via ``m = max(m, entry - shift); start = m + shift``
         against the shared shift tables, and the bank stage in the
         refresh-phase-shifted time domain.  Every floating-point operation
@@ -523,7 +521,7 @@ class EventDrivenDevice:
                 service = row_conflict_ns
                 conflicts += 1
             if service_scale is not None:
-                # Same single multiply as the vector kernel's row_states.
+                # Same single multiply as the kernel's service derating.
                 service = service * service_scale[i]
             bank_open_row[bank] = row
             # Busy/refresh recurrence in the phase-shifted domain.
@@ -620,7 +618,7 @@ def compare_result_with_analytic(device: CxlDevice, sim: EventSimResult) -> dict
 def simulate_batch(
     points: Sequence[Tuple["EventDrivenDevice", int, float, float]],
 ) -> List[EventSimResult]:
-    """Simulate many operating points through the fused batch kernels.
+    """Simulate many operating points through the fused batch kernel.
 
     ``points`` are ``(sim, n_requests, offered_gbps, read_fraction)``
     tuples -- heterogeneous devices, loads, mixes, and request counts are
@@ -630,7 +628,7 @@ def simulate_batch(
     would draw it, so every returned result is byte-identical to its solo
     twin -- only the ``engine`` field reads ``"batch"``.
 
-    Tracing is per-request by nature and cannot ride the fused kernels;
+    Tracing is per-request by nature and cannot ride the fused kernel;
     an active trace buffer is a configuration error here.
     """
     if tracing() is not None:

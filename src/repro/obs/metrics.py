@@ -18,9 +18,11 @@ text exposition format (``to_prometheus``).
 Thread safety: the registry is process-wide and -- since ``repro serve``
 -- mutated from server worker threads while the event loop exports it.
 One shared :func:`threading.RLock` guards every instrument update,
-instrument creation, and export, so ``+=`` on shared floats can never
-tear or lose increments and an export always sees a consistent snapshot
-(a histogram's ``counts`` always sum to its ``count``).  The lock is
+instrument creation, and export snapshot, so ``+=`` on shared floats can
+never tear or lose increments and an export always sees a consistent
+snapshot (a histogram's ``counts`` always sum to its ``count``).  An
+export holds the lock only while it copies the values; it sorts and
+formats the copy after releasing it.  The lock is
 re-initialized in forked children (``os.register_at_fork``) so a child
 forked while another thread holds it cannot deadlock.
 
@@ -47,7 +49,7 @@ _LOCK = threading.RLock()
 """One lock for all instrument updates, creation, and exports.
 
 A single shared lock (rather than one per instrument) keeps exports
-trivially consistent -- nothing can move while a snapshot renders -- and
+trivially consistent -- nothing can move while a snapshot is copied -- and
 instrument updates are far too coarse (per batch, per simulated run) for
 the contention to matter.
 """
@@ -247,6 +249,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelItems], Instrument] = {}
+        # name -> kind, filled under ``_LOCK`` beside ``_instruments``, so
+        # the one-kind-per-name check costs one lookup, not a scan.
+        self._kinds: Dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -260,14 +265,15 @@ class MetricsRegistry:
             with _LOCK:
                 instrument = self._instruments.get(key)
                 if instrument is None:
-                    for other_kind, other_name, _ in self._instruments:
-                        if other_name == name and other_kind != kind:
-                            raise ConfigurationError(
-                                f"metric {name!r} already registered "
-                                f"as a {other_kind}"
-                            )
+                    other_kind = self._kinds.get(name, kind)
+                    if other_kind != kind:
+                        raise ConfigurationError(
+                            f"metric {name!r} already registered "
+                            f"as a {other_kind}"
+                        )
                     instrument = build()
                     self._instruments[key] = instrument
+                    self._kinds[name] = kind
         return instrument
 
     def counter(self, name: str, **labels: str) -> Counter:
@@ -290,31 +296,35 @@ class MetricsRegistry:
 
     # -- export ----------------------------------------------------------
 
-    def _by_kind(self, kind: str) -> List[Tuple[str, LabelItems, Instrument]]:
+    def _snapshot(self) -> Dict[str, List[Tuple[str, LabelItems, object]]]:
+        """Every instrument's value, copied under the lock in one pass.
+
+        Only the copy holds the lock; sorting and formatting run on the
+        copy, so a scrape of a large registry does not stall updates and
+        instrument creation in other threads for the whole render.  A
+        counter or gauge copies as its float, a histogram as its
+        ``to_dict`` (buckets still sum to the count).
+        """
         with _LOCK:
-            return sorted(
-                (name, labels, inst)
-                for (k, name, labels), inst in self._instruments.items()
-                if k == kind
-            )
+            rows = [
+                (kind, name, labels,
+                 inst.to_dict() if kind == "histogram" else inst.value)
+                for (kind, name, labels), inst in self._instruments.items()
+            ]
+        snapshot: Dict[str, List[Tuple[str, LabelItems, object]]] = {
+            "counter": [], "gauge": [], "histogram": [],
+        }
+        for kind, name, labels, value in sorted(rows, key=lambda r: r[:3]):
+            snapshot[kind].append((name, labels, value))
+        return snapshot
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot: the schema ``repro stats`` consumes."""
-        with _LOCK:
-            return {
-                "counters": {
-                    _render_name(n, l): inst.value
-                    for n, l, inst in self._by_kind("counter")
-                },
-                "gauges": {
-                    _render_name(n, l): inst.value
-                    for n, l, inst in self._by_kind("gauge")
-                },
-                "histograms": {
-                    _render_name(n, l): inst.to_dict()
-                    for n, l, inst in self._by_kind("histogram")
-                },
-            }
+        snapshot = self._snapshot()
+        return {
+            f"{kind}s": {_render_name(n, l): value for n, l, value in rows}
+            for kind, rows in snapshot.items()
+        }
 
     def to_json(self, indent: int = 2) -> str:
         """Serialize the snapshot (sorted keys, so diffs are stable)."""
@@ -324,14 +334,12 @@ class MetricsRegistry:
         """Prometheus text exposition format (metric names get ``repro_``).
 
         ``# TYPE`` is declared once per metric family, before its first
-        sample, as the exposition format requires.  The whole render runs
-        under the shared lock, so a scrape that races concurrent updates
-        still sees every histogram's buckets sum to its count.
+        sample, as the exposition format requires.  The render formats one
+        snapshot taken under the shared lock, so a scrape that races
+        concurrent updates still sees every histogram's buckets sum to its
+        count.
         """
-        with _LOCK:
-            return self._render_prometheus()
-
-    def _render_prometheus(self) -> str:
+        snapshot = self._snapshot()
         lines: List[str] = []
         typed = set()
 
@@ -340,19 +348,16 @@ class MetricsRegistry:
                 typed.add(prom)
                 lines.append(f"# TYPE {prom} {kind}")
 
-        for name, labels, inst in self._by_kind("counter"):
-            prom = _prom_name(name)
-            declare(prom, "counter")
-            lines.append(f"{_prom_sample(prom, labels)} {_prom_num(inst.value)}")
-        for name, labels, inst in self._by_kind("gauge"):
-            prom = _prom_name(name)
-            declare(prom, "gauge")
-            lines.append(f"{_prom_sample(prom, labels)} {_prom_num(inst.value)}")
-        for name, labels, inst in self._by_kind("histogram"):
+        for kind in ("counter", "gauge"):
+            for name, labels, value in snapshot[kind]:
+                prom = _prom_name(name)
+                declare(prom, kind)
+                lines.append(f"{_prom_sample(prom, labels)} {_prom_num(value)}")
+        for name, labels, hist in snapshot["histogram"]:
             prom = _prom_name(name)
             declare(prom, "histogram")
             cumulative = 0
-            for bound, count in zip(inst.bounds, inst.counts):
+            for bound, count in zip(hist["bounds"], hist["counts"]):
                 cumulative += count
                 lines.append(
                     f"{_prom_sample(prom + '_bucket', labels, le=_prom_num(bound))}"
@@ -360,10 +365,12 @@ class MetricsRegistry:
                 )
             lines.append(
                 f"{_prom_sample(prom + '_bucket', labels, le='+Inf')}"
-                f" {inst.count}"
+                f" {hist['count']}"
             )
-            lines.append(f"{_prom_sample(prom + '_sum', labels)} {_prom_num(inst.sum)}")
-            lines.append(f"{_prom_sample(prom + '_count', labels)} {inst.count}")
+            lines.append(
+                f"{_prom_sample(prom + '_sum', labels)} {_prom_num(hist['sum'])}"
+            )
+            lines.append(f"{_prom_sample(prom + '_count', labels)} {hist['count']}")
         return "\n".join(lines) + "\n"
 
 

@@ -575,10 +575,12 @@ class CampaignEngine:
         return len(pending)
 
     def _store(self, key: str, result) -> None:
-        """Cache one result; sim results memoize in memory only.
+        """Cache one result in every tier the cache has.
 
-        :class:`EventSimResult` carries raw latency arrays with no disk
-        document format, so it never reaches the serializing tier.
+        A :class:`RunResult` goes through :meth:`RunCache.put`; an
+        :class:`EventSimResult` goes through :meth:`RunCache.put_memory`,
+        which also writes its ``to_dict`` document to the JSON tier, and
+        :meth:`RunCache.promote_store` later stores it as a row.
         """
         if isinstance(result, RunResult):
             self.cache.put(key, result)

@@ -82,23 +82,25 @@ class TestBrokenModels:
 
         import repro.hw.cxl.eventdevice as eventdevice_mod
 
-        solo = eventdevice_mod.vector_timeline
+        fused = eventdevice_mod.batch_timeline
 
-        def racy(inp):
+        def racy(inputs):
             # Stands in for kernels that share buffers across threads.
-            timeline = solo(inp)
+            timelines = fused(inputs)
             if threading.current_thread() is not threading.main_thread():
-                timeline.latencies_ns[0] += 1.0
-            return timeline
+                for timeline in timelines:
+                    timeline.latencies_ns[0] += 1.0
+            return timelines
 
-        monkeypatch.setattr(eventdevice_mod, "vector_timeline", racy)
+        monkeypatch.setattr(eventdevice_mod, "batch_timeline", racy)
         report = run_checks(layers=["device"])
         assert _failed_checks(report) == {"eventsim-thread-identity"}
         subjects = {
             v.subject for v in report.violations
             if v.check == "eventsim-thread-identity"
         }
-        assert subjects and all(s.endswith("/vector") for s in subjects)
+        vector = {s for s in subjects if s.endswith("/vector")}
+        assert vector and subjects - vector == {"all-devices/batch"}
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown diag layer"):

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEpisode, FaultPlan, fault_injection
 from repro.hw.cxl import CXL_DEVICES
 from repro.hw.cxl.eventdevice import EventDrivenDevice, simulate_batch
-from repro.hw.cxl.kernels import batch_chunks
+from repro.hw.cxl.kernels import batch_chunks, batch_timeline
 from repro.obs.trace import TraceBuffer, tracing, use_tracing
 
 N_REQUESTS = 1_800
@@ -96,6 +96,36 @@ class TestBatchIdentity:
                 (sim, 900, 0.3 * device.peak_bandwidth_gbps(), 1.0)
             )
         _check_points(points)
+
+    def test_lanes_ending_many_rounds_apart(self, monkeypatch):
+        """One fused chunk whose bank lanes run 1 to 400 rounds deep.
+
+        A 1-request cell (one live lane among 32), a 64-bank cell (~50
+        rounds per lane) and a single-bank cell (400 rounds in one lane)
+        share a rounds loop, so most of its slots are padding: counting a
+        padded slot or reading one back would show in the latencies or
+        the refresh-collision counts, checked against the scalar loop.
+        """
+        inputs = []
+        for name, n, banks_per_channel in (
+            ("CXL-A", 1, 16), ("CXL-A", 3_000, 32), ("CXL-B", 400, 1),
+        ):
+            monkeypatch.setattr(
+                eventdevice_mod, "BANKS_PER_CHANNEL", banks_per_channel
+            )
+            sim = EventDrivenDevice(CXL_DEVICES[name]())
+            inputs.append((sim, sim._prepare(n, 6.0, 0.7)))
+        depths = [int(np.bincount(inp.banks).max()) for _, inp in inputs]
+        assert [inp.n_banks for _, inp in inputs] == [32, 64, 1]
+        assert depths[0] == 1 and depths[1] < 100 and depths[2] == 400
+        fused = batch_timeline([inp for _, inp in inputs])
+        for (sim, inp), timeline in zip(inputs, fused):
+            latencies, conflicts, refreshes, _ = sim._scalar_timeline(
+                inp, None
+            )
+            np.testing.assert_array_equal(latencies, timeline.latencies_ns)
+            assert conflicts == timeline.bank_conflicts
+            assert refreshes == timeline.refresh_collisions
 
     def test_under_fault_plan(self):
         """Fault RNG streams are per-cell, so batching composes with RAS.

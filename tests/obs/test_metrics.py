@@ -91,6 +91,9 @@ class TestRegistry:
         registry.counter("latency")
         with pytest.raises(ConfigurationError):
             registry.gauge("latency")
+        with pytest.raises(ConfigurationError):
+            registry.histogram("latency", device="CXL-A")
+        assert registry.counter("latency", device="CXL-A").value == 0.0
 
     def test_to_dict_schema(self, registry):
         registry.counter("hits", device="CXL-A").inc(3)
