@@ -1,11 +1,14 @@
 """Campaign-engine throughput benchmark: cold serial vs warm cache.
 
-Runs the same Figure 8a device-campaign subset through two engine
+Runs the same Figure 8a device-campaign subset through three engine
 configurations and records cells/sec for each in ``BENCH_campaign.json``
 (next to this file's repo root), so the runtime layer's perf trajectory is
 tracked from PR to PR:
 
-* ``cold_serial``    -- empty cache: the pre-runtime baseline.
+* ``cold_serial``    -- empty cache, ``mode="serial"``: one scalar
+  ``run_workload`` per cell, the pre-runtime baseline.
+* ``cold_fused``     -- empty cache, the default engine: analytic cells
+  through the batched fixed point (reported, not gated).
 * ``warm_cache``     -- disk cache populated by a prior run.
 
 The warm path must beat cold-serial by a wide margin anywhere.
@@ -49,8 +52,8 @@ def _campaign():
     return Melody.device_campaign(workloads=all_workloads()[::8])
 
 
-def _timed_run(campaign, cache_dir=None):
-    engine = CampaignEngine(cache=RunCache(cache_dir))
+def _timed_run(campaign, cache_dir=None, mode="auto"):
+    engine = CampaignEngine(cache=RunCache(cache_dir), mode=mode)
     start = time.perf_counter()
     result = Melody(engine=engine).run(campaign)
     elapsed = time.perf_counter() - start
@@ -60,7 +63,10 @@ def _timed_run(campaign, cache_dir=None):
 def test_perf_campaign_throughput(tmp_path):
     campaign = _campaign()
 
-    serial_result, serial_engine, serial_s = _timed_run(campaign)
+    serial_result, serial_engine, serial_s = _timed_run(
+        campaign, mode="serial"
+    )
+    fused_result, fused_engine, fused_s = _timed_run(campaign)
 
     cache_dir = str(tmp_path / "runs")
     _timed_run(campaign, cache_dir=cache_dir)  # populate the disk tier
@@ -81,6 +87,12 @@ def test_perf_campaign_throughput(tmp_path):
             "seconds": round(serial_s, 4),
             "cells_per_second": round(cells / serial_s, 1),
         },
+        "cold_fused": {
+            "seconds": round(fused_s, 4),
+            "cells_per_second": round(cells / fused_s, 1),
+            "cells_batched": fused_engine.stats.cells_batched,
+            "speedup_vs_cold_serial": round(serial_s / fused_s, 2),
+        },
         "warm_cache": {
             "seconds": round(warm_s, 4),
             "cells_per_second": round(cells / warm_s, 1),
@@ -91,11 +103,15 @@ def test_perf_campaign_throughput(tmp_path):
     print()
     print(json.dumps(report, indent=2))
 
-    # Correctness before speed: both paths agree bit-for-bit.
+    # Correctness before speed: all three paths agree bit-for-bit.
     for target in serial_result.target_names():
         assert list(serial_result.slowdowns(target)) == list(
             warm_result.slowdowns(target)
         )
+        assert list(serial_result.slowdowns(target)) == list(
+            fused_result.slowdowns(target)
+        )
+    assert serial_engine.stats.cells_batched == 0
 
     assert warm_engine.stats.cells_run == 0
     assert warm_s * 5 < serial_s, (
@@ -171,7 +187,7 @@ def test_perf_sim_campaign_batched():
         # Standalone invocation: produce the analytic baseline row the
         # batched speedup is quoted against.
         campaign = _campaign()
-        _, engine, elapsed = _timed_run(campaign)
+        _, engine, elapsed = _timed_run(campaign, mode="serial")
         report["cold_serial"] = {
             "seconds": round(elapsed, 4),
             "cells_per_second": round(

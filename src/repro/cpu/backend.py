@@ -37,6 +37,7 @@ Mechanisms modelled (each traceable to a paper finding):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +46,15 @@ from repro.cpu.cache import (
     baseline_hit_stall_cycles,
     effective_l3_mpki,
 )
-from repro.cpu.prefetcher import PrefetchModel, PrefetchOutcome
-from repro.cpu.store_buffer import StoreBufferModel
+from repro.cpu.prefetcher import (
+    COVERAGE_LOSS_MAX,
+    DISABLED_OUTCOME_TEMPLATE,
+    L2PF_SHARE,
+    LATE_STALL_EXPOSURE,
+    PrefetchModel,
+    PrefetchOutcome,
+)
+from repro.cpu.store_buffer import STORE_OVERLAP, StoreBufferModel
 from repro.hw.platform import Platform
 from repro.hw.target import MemoryTarget
 from repro.rng import DEFAULT_SEED, generator_for
@@ -331,6 +339,249 @@ class BackendModel:
             cycles = next_cycles
 
         return components, op_point
+
+    def solve_many(self, workloads: Sequence[WorkloadSpec],
+                   target: MemoryTarget) -> List[Tuple[StallComponents,
+                                                       OperatingPoint]]:
+        """:meth:`solve` for many workloads on one target, on float64 arrays.
+
+        Returns one ``(StallComponents, OperatingPoint)`` per workload, in
+        order, each equal bit for bit to ``solve(workload, target)``: every
+        array expression repeats the scalar one in the same operation
+        order, Python's ``min``/``max`` become ``np.where`` on the same
+        comparison, and each row freezes at the iterate where its own
+        tolerance check passes (its ``cycles`` stop moving, so later
+        iterations recompute the same values).  Per-workload scalars --
+        the ``**`` inside :func:`effective_l3_mpki`, the other-stall draw,
+        the read fraction and its peak bandwidth -- are computed once per
+        row in Python, in row order, so a row that raises there raises
+        as :meth:`solve` would.  Rows whose prefetch lead is zero (the
+        scalar lateness divides by it) and targets that override
+        :meth:`MemoryTarget.distribution` go to :meth:`solve` itself,
+        which stays the oracle.
+        """
+        rows = list(workloads)
+        p = self.platform
+        freq = p.freq_ghz
+        if (
+            not rows
+            or not freq > 0
+            or type(target).distribution is not MemoryTarget.distribution
+        ):
+            return [self.solve(w, target) for w in rows]
+        uarch = p.uarch
+        enabled = self.prefetchers_enabled
+        aggr = uarch.prefetch_aggressiveness
+        span_pf = self.prefetch_model.lateness_span
+
+        out: List[Optional[Tuple[StallComponents, OperatingPoint]]] = \
+            [None] * len(rows)
+        vec: List[int] = []
+        burst: List[bool] = []
+        cols: List[tuple] = []
+        for i, w in enumerate(rows):
+            instructions = float(w.instructions)
+            m3 = effective_l3_mpki(w, p)
+            bytes_pki = (
+                m3
+                + w.stores_pki * w.store_rfo_fraction
+                + m3 * w.writeback_ratio
+            ) * 64.0
+            bytes_total = instructions / 1000.0 * bytes_pki * w.threads
+            rf = w.read_fraction()
+            peak = target.peak_bandwidth_gbps(rf)
+            other = _other_stall_fraction(w.name)
+            lead = w.prefetch_lead_ns * aggr
+            if enabled and span_pf * lead == 0:
+                out[i] = self.solve(w, target)
+                continue
+            b = w.burst_fraction
+            r = w.burst_ratio
+            two = not (b <= 0.0 or r <= 1.0 or b >= 1.0)
+            base = instructions * w.base_cpi
+            ik = instructions / 1000.0
+            ideal = min(0.98, w.prefetch_friendliness * aggr)
+            vec.append(i)
+            burst.append(two)
+            cols.append((
+                m3, bytes_total, rf, peak, other, base,
+                base * w.frontend_stall_frac,
+                1.0 - b if two else 1.0,  # quiet (or only) point weight
+                b,
+                r,
+                1.0 - b * r if two else 1.0,
+                1.0 - b if two else 1.0,
+                ik,
+                ik * m3,
+                w.tail_sensitivity * TAIL_CASCADE,
+                min(w.mlp, uarch.fill_buffers, uarch.max_demand_mlp),
+                ideal,
+                lead,
+                span_pf * lead,
+                ik * w.serialization_pki,
+                instructions / 1000.0 * (w.stores_pki * w.store_rfo_fraction),
+                bytes_total / (BANDWIDTH_FLOOR_EFFICIENCY * peak) * freq,
+                m3 * ideal * (1.0 - L2PF_SHARE),
+                w.l2_mpki * ideal * 0.25,
+            ))
+        if not vec:
+            return out
+        two = np.array(burst)
+        (m3, bytes_total, rf, peak, other, base, frontend, w1, w2, rmul, c1,
+         c2, ik, k_tail, ts8, mlp_cap, ideal, lead, denom, k_core,
+         rfo_stores, min_cycles, l1pf_base, l2pf_hit) = (
+            np.array(col, dtype=np.float64) for col in zip(*cols)
+        )
+
+        tail = target.tail_model()
+        queue = target.queue_model()
+        c0 = target.idle_latency_ns() - tail.mean_extra_ns(0.0)
+        q_onset = queue.onset_util
+        q_span = 1.0 - queue.onset_util
+        q_scale = queue.variability * queue.service_ns
+        q_max = queue.max_delay_ns
+        t_onset = tail.onset_util
+        t_span = max(1e-9, 1.0 - tail.onset_util)
+        t_growth = tail.scale_growth - 1.0
+        t_deep = tail.deep_prob * tail.deep_scale_ns
+        rob = self.MISS_CLUSTERING * uarch.rob_entries
+        sb_entries = uarch.store_buffer_entries
+        split = self.prefetch_model.cache_stall_split()
+
+        def point(load):
+            """(mean latency, utilization, excursion) at one traffic point,
+            as :meth:`MemoryTarget.distribution` and :class:`TailModel`."""
+            util = load / peak
+            util = np.where(util > 0.0, util, 0.0)
+            util = np.where(util < 0.999, util, 0.999)
+            rho = (util - q_onset) / q_span
+            rho = np.where(1.0 - 1e-12 < rho, 1.0 - 1e-12, rho)
+            raw = q_scale * rho / (1.0 - rho)
+            raw = np.where(q_max < raw, q_max, raw)
+            # util <= 0.999 here, so QueueModel's util >= 1.0 cap is moot
+            delay = np.where(util <= q_onset, 0.0, raw)
+            base_ns = c0 + delay
+            base_ns = np.where(base_ns > 0.0, base_ns, 0.0)
+            lf = (util - t_onset) / t_span
+            lf = np.where(util <= t_onset, 0.0, np.where(lf < 1.0, lf, 1.0))
+            prob = tail.tail_prob_idle + tail.prob_growth * lf
+            prob = np.where(prob < 1.0, prob, 1.0)
+            excursion = (
+                prob * (tail.tail_scale_idle_ns * (1.0 + t_growth * lf))
+                + t_deep
+            )
+            return base_ns + (tail.jitter_ns + excursion), util, excursion
+
+        zeros = np.zeros(len(vec))
+        coverage = late_frac = residual = zeros
+        cycles = base * 1.2
+        with np.errstate(all="ignore"):
+            for _ in range(FIXED_POINT_ITERATIONS):
+                time_ns = cycles / freq
+                avg_load = np.where(time_ns > 0, bytes_total / time_ns, 0.0)
+
+                quiet = avg_load * c1 / c2
+                quiet = np.where(quiet > 0.0, quiet, 0.0)
+                mean1, util1, exc1 = point(np.where(two, quiet, avg_load))
+                mean2, util2, exc2 = point(avg_load * rmul)
+                lat_mean = np.where(
+                    two, 0.0 + w1 * mean1 + w2 * mean2, 0.0 + w1 * mean1
+                )
+                util = np.where(
+                    two, 0.0 + w1 * util1 + w2 * util2, 0.0 + w1 * util1
+                )
+                tail_extra = np.where(
+                    two, 0.0 + w1 * exc1 + w2 * exc2, 0.0 + w1 * exc1
+                )
+
+                if enabled:
+                    overshoot = lat_mean - lead
+                    overshoot = np.where(overshoot > 0.0, overshoot, 0.0)
+                    lateness = np.clip(overshoot / denom, 0.0, 1.0)
+                    coverage = ideal * (1.0 - COVERAGE_LOSS_MAX * lateness)
+                    late_frac = 0.6 * lateness
+                    residual = LATE_STALL_EXPOSURE * overshoot
+                demand_mpki = m3 * (1.0 - coverage)
+                rob_cap = rob * demand_mpki / 1000.0
+                rob_cap = np.where(rob_cap > 1.0, rob_cap, 1.0)
+                mlp = np.where(
+                    demand_mpki <= 0,
+                    1.0,
+                    np.clip(np.where(rob_cap < mlp_cap, rob_cap, mlp_cap),
+                            1.0, None),
+                )
+
+                lat_cycles = lat_mean * freq
+                tail_stall_ns = ts8 * tail_extra
+                lat_serial = lat_mean + tail_stall_ns
+                s_tail = k_tail * (tail_stall_ns * freq) / mlp
+                s_dram = ik * demand_mpki * lat_cycles / mlp + s_tail
+
+                late_pki = m3 * coverage * late_frac
+                cache_stall = (
+                    ik * late_pki * (residual * freq) / DELAYED_HIT_MLP
+                )
+                s_l1 = cache_stall * split["L1"]
+                s_l2 = cache_stall * split["L2"]
+                s_l3 = cache_stall * split["L3"]
+
+                s_core = k_core * lat_cycles * 0.08
+                concurrent = base + s_dram + cache_stall + s_core
+                s_store = (
+                    rfo_stores * lat_cycles / sb_entries
+                    - STORE_OVERLAP * concurrent
+                )
+                s_store = np.where(
+                    (rfo_stores <= 0) | (lat_cycles <= 0),
+                    0.0,
+                    np.where(s_store > 0.0, s_store, 0.0),
+                )
+                s_other = other * (s_dram + s_store + cache_stall)
+
+                stalls = s_dram + s_store + s_l1 + s_l2 + s_l3 + s_core \
+                    + s_other
+                new_cycles = base + stalls
+                floor = new_cycles < min_cycles
+                s_dram = np.where(floor, s_dram + (min_cycles - new_cycles),
+                                  s_dram)
+                new_cycles = np.where(floor, min_cycles, new_cycles)
+                bandwidth_bound = (util >= 0.95) | floor
+
+                next_cycles = 0.5 * cycles + 0.5 * new_cycles
+                done = np.abs(next_cycles - cycles) / cycles \
+                    < FIXED_POINT_TOL
+                if done.all():
+                    break
+                cycles = np.where(done, cycles, next_cycles)
+
+            l2pf_miss = m3 * coverage * L2PF_SHARE
+            l1pf_miss = l1pf_base + m3 * (ideal - coverage) * L2PF_SHARE
+
+        # Columns in each dataclass's field order.
+        stall_cols = [a.tolist() for a in (
+            base, frontend, s_l1, s_l2, s_l3, s_dram, s_store, s_core, s_other,
+        )]
+        point_cols = [a.tolist() for a in (
+            avg_load, rf, lat_mean, lat_serial, util, tail_extra, mlp,
+            demand_mpki,
+        )]
+        prefetch_cols = [a.tolist() for a in (
+            coverage, ideal, late_frac, residual, l1pf_miss, l2pf_miss,
+            l2pf_hit,
+        )]
+        bound = bandwidth_bound.tolist()
+        disabled = PrefetchOutcome(**DISABLED_OUTCOME_TEMPLATE)
+        for j, i in enumerate(vec):
+            prefetch = PrefetchOutcome(
+                True, *(col[j] for col in prefetch_cols)
+            ) if enabled else disabled
+            out[i] = (
+                StallComponents(*(col[j] for col in stall_cols)),
+                OperatingPoint(
+                    *(col[j] for col in point_cols), prefetch, bound[j]
+                ),
+            )
+        return out
 
     def baseline_counter_activity(self, workload: WorkloadSpec) -> float:
         """Baseline load-stall activity included in P1/P3-P5 (cancels in Spa)."""

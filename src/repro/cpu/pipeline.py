@@ -5,12 +5,15 @@ campaigns, Spa, the measurement tools) uses to "run" a workload.  It
 resolves the workload's phases, solves the backend fixed point per phase,
 and assembles aggregate cycles plus a noisy PMU counter reading -- i.e. the
 exact observables a real profiling run would hand to Spa.
+`run_workloads` does the same for many cells at once, solving each
+target's phases in one batched fixed point; both share the assembly step,
+so their results are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +132,64 @@ def run_workload(
     configuration change re-randomizes the measurement noise.
     """
     model = BackendModel(platform, prefetchers_enabled=config.prefetchers_enabled)
+    specs = [workload.in_phase(phase) for phase in workload.effective_phases()]
+    solved = [model.solve(spec, target) for spec in specs]
+    return _assemble(workload, platform, target, config, model, specs, solved)
+
+
+def run_workloads(
+    cells: Sequence[
+        Tuple[WorkloadSpec, Platform, MemoryTarget, PipelineConfig]
+    ],
+) -> List[RunResult]:
+    """:func:`run_workload` for many ``(workload, platform, target, config)``
+    cells, one :meth:`BackendModel.solve_many` per target group.
+
+    Cells group by (platform, target object, ``prefetchers_enabled``); a
+    group's phases become rows of one batched fixed point, and each cell's
+    :class:`RunResult` is assembled exactly as :func:`run_workload`
+    assembles it, with its own counter RNG.  Results come back in cell
+    order and equal ``run_workload`` on each cell, bit for bit.
+    """
+    groups: Dict[Tuple[int, int, bool], List[int]] = {}
+    for i, (_, platform, target, config) in enumerate(cells):
+        groups.setdefault(
+            (id(platform), id(target), config.prefetchers_enabled), []
+        ).append(i)
+    results: List[Optional[RunResult]] = [None] * len(cells)
+    for members in groups.values():
+        _, platform, target, config = cells[members[0]]
+        model = BackendModel(
+            platform, prefetchers_enabled=config.prefetchers_enabled
+        )
+        specs = [
+            [cells[i][0].in_phase(phase)
+             for phase in cells[i][0].effective_phases()]
+            for i in members
+        ]
+        solved = iter(
+            model.solve_many([s for row in specs for s in row], target)
+        )
+        for i, cell_specs in zip(members, specs):
+            workload, _, _, config = cells[i]
+            results[i] = _assemble(
+                workload, platform, target, config, model, cell_specs,
+                [next(solved) for _ in cell_specs],
+            )
+    return results
+
+
+def _assemble(
+    workload: WorkloadSpec,
+    platform: Platform,
+    target: MemoryTarget,
+    config: PipelineConfig,
+    model: BackendModel,
+    specs: Sequence[WorkloadSpec],
+    solved: Sequence[Tuple[StallComponents, OperatingPoint]],
+) -> RunResult:
+    """One cell's :class:`RunResult` from its solved phases: the counter
+    readings (one RNG per cell, drawn phase by phase) and the totals."""
     rng = generator_for(
         config.seed,
         "pipeline",
@@ -143,9 +204,9 @@ def run_workload(
     counter_set = CounterSet(rng, **counter_kwargs)
 
     phase_results = []
-    for phase in workload.effective_phases():
-        spec = workload.in_phase(phase)
-        components, op_point = model.solve(spec, target)
+    for phase, spec, (components, op_point) in zip(
+        workload.effective_phases(), specs, solved
+    ):
         instructions = float(spec.instructions)
         baseline_loads = model.baseline_counter_activity(spec)
         serialization = (

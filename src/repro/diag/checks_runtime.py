@@ -124,3 +124,89 @@ def check_run_key_stability(ctx: DiagContext) -> Iterator[Violation]:
                     context={"key": key[:16]},
                 )
             seen[key] = f"{workload.name}/{device.name}"
+
+
+@invariant(
+    name="analytic-batch-identity",
+    layer="runtime",
+    description="a fused pending set of analytic cells returns byte-identical "
+    "results to the serial engine, cell by cell",
+)
+def check_analytic_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
+    """The engine's fused analytic path is indistinguishable from serial.
+
+    One heterogeneous pending set -- sampled, multi-phase, bursty and
+    bandwidth-bound workloads on every target kind (plus CXL+NUMA, a
+    switch and an interleaved pair), on two platforms, prefetchers on and
+    off -- runs once through ``mode="serial"`` and once through the
+    default fused path; each cell's serialized result must match byte for
+    byte.
+    """
+    import json
+
+    from repro.hw.topology import (
+        CxlNumaTopology,
+        CxlSwitchTopology,
+        InterleavedTarget,
+    )
+    from repro.runtime.executor import CampaignEngine, Cell
+
+    workloads = list(ctx.sampled_workloads())
+    extras = [
+        next((w for w in ctx.workloads if w.phases), None),
+        next((w for w in ctx.workloads
+              if w.burst_fraction > 0.0 and w.burst_ratio > 1.0), None),
+        # the heaviest traffic presses against the bandwidth floor
+        max(ctx.workloads, default=None, key=lambda w: (
+            w.memory_bytes_per_kilo_instruction() * w.threads
+        )),
+    ]
+    for extra in extras:
+        if extra is not None and extra not in workloads:
+            workloads.append(extra)
+    targets = list(ctx.targets)
+    devices = ctx.cxl_devices()
+    if devices:
+        device = devices[0]
+        targets += [
+            CxlNumaTopology(device),
+            CxlSwitchTopology(device),
+            InterleavedTarget([device, device]),
+        ]
+    platforms = [
+        p for p in ctx.platforms
+        if getattr(p, "name", "") in ("EMR2S", "SPR2S")
+    ] or [_reference_platform(ctx)]
+    cells = [
+        Cell(workload, platform, target,
+             PipelineConfig(prefetchers_enabled=pf, seed=ctx.seed))
+        for platform in platforms
+        for pf in (True, False)
+        for target in targets
+        for workload in workloads
+    ]
+    subjects(check_analytic_batch_identity, len(cells))
+    serial = CampaignEngine(cache=RunCache(), mode="serial").run_cells(cells)
+    engine = CampaignEngine(cache=RunCache())
+    fused = engine.run_cells(cells)
+    if engine.stats.cells_batched != len(cells):
+        yield Violation(
+            layer="runtime",
+            check="analytic-batch-identity",
+            subject="engine",
+            message="the default engine did not run the analytic set fused",
+            context={"cells": len(cells),
+                     "batched": engine.stats.cells_batched},
+        )
+    for cell, one, other in zip(cells, serial, fused):
+        if json.dumps(run_result_to_dict(one), sort_keys=True) != json.dumps(
+            run_result_to_dict(other), sort_keys=True
+        ):
+            yield Violation(
+                layer="runtime",
+                check="analytic-batch-identity",
+                subject=f"{cell.platform.name}/{cell.target.name}/"
+                f"{cell.workload.name}/pf={cell.config.prefetchers_enabled}",
+                message="fused result differs from the serial engine's",
+                context={"key": cell.key()[:16]},
+            )

@@ -138,22 +138,30 @@ def batch_chunks(
 ) -> List[Tuple[int, int]]:
     """Split cells into cache-sized ``[start, end)`` spans, order kept.
 
-    Greedy: a chunk closes when adding the next cell would exceed either
-    the request target or the lane cap.  A single oversized cell gets a
-    chunk of its own.
+    Greedy: a chunk closes when adding the next cell would exceed the
+    request target, the lane cap, or the request target in *padded*
+    elements -- the chunk's cells times its longest cell, the shape of the
+    stacked ``(B, n_max)`` rows.  The padded bound only splits ragged
+    chunks (one long cell among many short ones); a grid of equal cells
+    splits as the request target alone splits it.  A single oversized
+    cell gets a chunk of its own.
     """
     spans: List[Tuple[int, int]] = []
     lo = 0
     elems = 0
     lanes = 0
+    n_max = 0
     for i, (n, nb) in enumerate(zip(ns, n_banks)):
         if i > lo and (
-            elems + n > BATCH_CHUNK_ELEMS or lanes + nb > BATCH_CHUNK_LANES
+            elems + n > BATCH_CHUNK_ELEMS
+            or lanes + nb > BATCH_CHUNK_LANES
+            or (i - lo + 1) * max(n_max, int(n)) > BATCH_CHUNK_ELEMS
         ):
             spans.append((lo, i))
-            lo, elems, lanes = i, 0, 0
+            lo, elems, lanes, n_max = i, 0, 0, 0
         elems += int(n)
         lanes += int(nb)
+        n_max = max(n_max, int(n))
     if lo < len(ns):
         spans.append((lo, len(ns)))
     return spans

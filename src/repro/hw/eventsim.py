@@ -84,6 +84,9 @@ def simulate_closed_loop(
         seq += 1
 
     server_free_at = [0.0] * servers
+    # A request's latency is known at issue but recorded at completion:
+    # with several requests in flight, completions are what number them.
+    in_flight = [0.0] * n_clients
     latencies = np.empty(n_requests)
     completed = 0
     now = 0.0
@@ -95,10 +98,11 @@ def simulate_closed_loop(
             service = float(service_sampler(rng))
             finish = begin + service
             server_free_at[server_idx] = finish
-            latencies[completed % n_requests] = finish - now
+            in_flight[client] = finish - now
             heapq.heappush(events, (finish, seq, 1, client))
             seq += 1
         else:  # completion: record and start thinking
+            latencies[completed] = in_flight[client]
             completed += 1
             think = rng.exponential(think_time_ns) if think_time_ns > 0 else 0.0
             heapq.heappush(events, (now + think, seq, 0, client))

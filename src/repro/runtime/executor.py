@@ -7,10 +7,12 @@ way cells were executed never shows in downstream figures.
 
 The engine executes two kinds of cells: analytic :class:`Cell` objects
 (workload x platform x target through the CPU pipeline) and
-:class:`SimCell` objects (event-driven device simulations), which are
-*batchable* -- many sim cells fuse into single kernel invocations
-(:func:`repro.hw.cxl.eventdevice.simulate_batch`) instead of running one
-by one.
+:class:`SimCell` objects (event-driven device simulations).  Both kinds
+fuse: many analytic cells share one batched fixed point per target
+group (:func:`repro.cpu.pipeline.run_workloads`), and many sim cells
+share single kernel invocations
+(:func:`repro.hw.cxl.eventdevice.simulate_batch`), instead of running
+one by one.
 
 Execution strategy per batch:
 
@@ -20,18 +22,21 @@ Execution strategy per batch:
 2. deduplicate the misses by content key (submission order preserved, so
    callers that put baseline cells first get baseline-first scheduling and
    dependent cells hit the cache);
-3. run the unique misses -- as one fused **batch** when every one is a
-   batchable :class:`SimCell` (and the mode is ``auto``), else
-   **serial**ly -- caching each result the moment it exists;
+3. run the unique misses under the one batching rule: in ``auto`` mode
+   the set splits by kind -- analytic cells run fused in chunks of
+   :data:`ANALYTIC_CHUNK_CELLS`, sim cells as one fused **batch** when
+   every one is batchable -- and anything else (``serial`` mode, a sim
+   set holding a pinned or traced cell) runs **serial**ly, caching each
+   result the moment it exists;
 4. assemble the per-cell list by key lookup.
 
 A cell's result is byte-identical whether it ran serially or batched (the
-``eventsim-batch-identity`` diag check and the benchmark's pre-timing
-assertion both enforce this), so the strategy is pure policy -- it can
-never change campaign output.  The engine never spreads a batch over
-processes: a campaign reaches more cores only through the lease
-coordinator (:mod:`repro.dist`, the CLI's ``--shards N`` /
-``--coordinator``).
+``eventsim-batch-identity`` and ``analytic-batch-identity`` diag checks
+and the benchmark's pre-timing assertion enforce this), so the strategy
+is pure policy -- it can never change campaign output.  The engine never
+spreads a batch over processes: a campaign reaches more cores only
+through the lease coordinator (:mod:`repro.dist`, the CLI's ``--shards
+N`` / ``--coordinator``).
 
 Genuine run errors propagate -- unless a :class:`RetryPolicy` is
 installed, which switches the engine into its **resilient mode**: each
@@ -44,8 +49,8 @@ wedges its process is bounded by lease expiry on the coordinator
 (:mod:`repro.dist`, the CLI's ``--cell-timeout``).
 
 The run cache is the campaign's progress record: a serial cell is cached
-as soon as it returns and a fused batch as soon as the batch returns, so
-an error or a kill costs at most the cell or batch in flight and a rerun
+as soon as it returns and a fused chunk as soon as the chunk returns, so
+an error or a kill costs at most the cell or chunk in flight and a rerun
 over the same cache skips everything that finished.  The quarantine
 ledger is the one thing the cache cannot hold; an attached
 ``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists it
@@ -78,7 +83,12 @@ from typing import (
     Union,
 )
 
-from repro.cpu.pipeline import PipelineConfig, RunResult, run_workload
+from repro.cpu.pipeline import (
+    PipelineConfig,
+    RunResult,
+    run_workload,
+    run_workloads,
+)
 from repro.errors import ConfigurationError
 from repro.faults.chaos import active_chaos
 from repro.faults.plan import active_fault_plan
@@ -92,9 +102,15 @@ from repro.runtime.serialize import FORMAT_VERSION
 from repro.workloads.base import WorkloadSpec
 
 ENGINE_MODES = ("auto", "serial")
-"""Accepted ``CampaignEngine.mode`` values: ``auto`` batches every
-all-:class:`SimCell` pending set, ``serial`` never batches (the
-reference the batch-identity checks compare against)."""
+"""Accepted ``CampaignEngine.mode`` values: ``auto`` runs analytic cells
+and batchable sim cells fused, ``serial`` never batches (the reference
+the batch-identity checks compare against)."""
+
+ANALYTIC_CHUNK_CELLS = 512
+"""Analytic cells per fused :func:`~repro.cpu.pipeline.run_workloads`
+call.  Each chunk is cached as soon as it returns, so the bound is what a
+raise or a kill can cost; the shipped 1325-cell campaign runs as three
+chunks."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +131,10 @@ class Cell:
 class SimCell:
     """One event-simulation campaign cell: a device at an operating point.
 
-    Unlike :class:`Cell`, a sim cell is *batchable*: the engine fuses
-    many of them into single kernel invocations.  ``engine`` is a per-cell
-    preference (``auto`` lets the cell join a batch; ``scalar``/``vector``
-    force a solo engine and opt the cell out of batching); it is excluded
+    The engine fuses many sim cells into single kernel invocations.
+    ``engine`` is a per-cell preference (``auto`` lets the cell join a
+    batch; ``scalar``/``vector`` force a solo engine and opt the cell out
+    of batching); it is excluded
     from :meth:`key` because every engine returns byte-identical results,
     so all of them collapse onto one cache entry.
     """
@@ -542,37 +558,74 @@ class CampaignEngine:
         pending_keys: List[str],
         resolved: Dict[str, Optional[RunResult]],
     ) -> int:
-        """Fail-fast execution: one fused batch if every cell may join it.
+        """Fail-fast execution under the one batching rule.
 
-        Mixed sets never batch: analytic cells have no batch kernel, and
-        a sim cell pinned to ``scalar``/``vector`` (or running under a
-        tracer) asked for solo semantics.  Every result is cached the
-        moment it exists -- a serial cell as soon as it returns, a fused
-        batch as soon as the batch returns -- so a raise or a kill costs
-        at most the cell or batch in flight.
+        In ``auto`` mode a pending set splits by kind: analytic cells run
+        fused through :func:`~repro.cpu.pipeline.run_workloads`, in chunks
+        of :data:`ANALYTIC_CHUNK_CELLS`, and sim cells through one
+        :meth:`_execute_batch` when every one of them may join it.  A sim
+        cell pinned to ``scalar``/``vector`` (or running under a tracer)
+        asked for solo semantics, so then the set's sim cells run one by
+        one; ``serial`` mode runs every cell one by one.  Every result is
+        cached the moment it exists -- a serial cell as soon as it
+        returns, a fused chunk as soon as the chunk returns -- so a raise
+        or a kill costs at most the cell or chunk in flight.
         """
         if not pending:
             return 0
-        batch = self.mode == "auto" and all(
-            isinstance(cell, SimCell) and cell.batchable for cell in pending
-        )
-        self.stats.last_plan = "batch" if batch else "serial"
+        items = list(zip(pending, pending_keys))
+        analytic: List[Tuple[AnyCell, str]] = []
+        sims: List[Tuple[AnyCell, str]] = []
+        serial = items
+        if self.mode == "auto":
+            analytic = [item for item in items if isinstance(item[0], Cell)]
+            sims = [item for item in items if isinstance(item[0], SimCell)]
+            serial = []
+            if not all(cell.batchable for cell, _ in sims):
+                serial, sims = sims, []
+        fused = len(analytic) + len(sims)
+        self.stats.last_plan = "batch" if fused else "serial"
         metrics().counter(
             "runtime.planner_choice", choice=self.stats.last_plan
         ).inc()
-        if batch:
+        if fused:
             self.stats.planner_batch += 1
-            results = self._execute_batch(pending)
         else:
             self.stats.planner_serial += 1
-            self.stats.cells_serial += len(pending)
-            metrics().counter("runtime.cells_serial").inc(len(pending))
-            # Lazy: zip below stores each cell before the next one runs.
-            results = (_execute_cell(cell) for cell in pending)
-        for key, result in zip(pending_keys, results):
+        for lo in range(0, len(analytic), ANALYTIC_CHUNK_CELLS):
+            chunk = analytic[lo:lo + ANALYTIC_CHUNK_CELLS]
+            self._commit(chunk, run_workloads([
+                (cell.workload, cell.platform, cell.target, cell.config)
+                for cell, _ in chunk
+            ]), resolved, batched=True)
+        if sims:
+            self._commit(
+                sims, self._execute_batch([cell for cell, _ in sims]),
+                resolved, batched=True,
+            )
+        if serial:
+            self.stats.cells_serial += len(serial)
+            metrics().counter("runtime.cells_serial").inc(len(serial))
+            # Lazy: _commit stores each cell before the next one runs.
+            self._commit(
+                serial, (_execute_cell(cell) for cell, _ in serial), resolved
+            )
+        return len(pending)
+
+    def _commit(
+        self,
+        items: Sequence[Tuple[AnyCell, str]],
+        results: Iterable[object],
+        resolved: Dict[str, Optional[RunResult]],
+        batched: bool = False,
+    ) -> None:
+        """Cache and resolve each of ``items``' results in turn."""
+        for (_, key), result in zip(items, results):
             self._store(key, result)
             resolved[key] = result
-        return len(pending)
+        if batched:
+            self.stats.cells_batched += len(items)
+            metrics().counter("runtime.cells_batched").inc(len(items))
 
     def _store(self, key: str, result) -> None:
         """Cache one result in every tier the cache has.
@@ -605,10 +658,7 @@ class CampaignEngine:
             )
             for cell in pending
         ]
-        results = simulate_batch(points)
-        self.stats.cells_batched += len(pending)
-        metrics().counter("runtime.cells_batched").inc(len(pending))
-        return results
+        return simulate_batch(points)
 
     # -- resilient mode ----------------------------------------------------
 

@@ -221,3 +221,37 @@ class TestBatchChunks:
         spans = batch_chunks([10] * 20, banks)
         for lo, hi in spans:
             assert sum(banks[lo:hi]) <= BATCH_CHUNK_LANES
+
+    def test_ragged_mix_splits_on_padded_size(self):
+        """One 16000-request cell beside 127 two-request cells fits the
+        request and lane caps, but stacked it would pad 127 rows to 16000
+        requests; the long cell must get a chunk of its own."""
+        from repro.hw.cxl.kernels import BATCH_CHUNK_ELEMS
+
+        ns = [16_000] + [2] * 127
+        banks = [16] + [32] * 127
+        spans = batch_chunks(ns, banks)
+        assert spans == [(0, 1), (1, 128)]
+        for lo, hi in spans:
+            assert hi - lo == 1 or (hi - lo) * max(ns[lo:hi]) \
+                <= BATCH_CHUNK_ELEMS
+
+    def test_ragged_mix_results_match_solo(self):
+        cxl_a = EventDrivenDevice(CXL_DEVICES["CXL-A"]())
+        cxl_b = EventDrivenDevice(CXL_DEVICES["CXL-B"]())
+        points = [(cxl_b, 16_000, 6.0, 1.0)] + [
+            (cxl_a, 2, 1.0 + 0.1 * i, 1.0) for i in range(127)
+        ]
+        batch = simulate_batch(points)
+        for (sim, n, gbps, rf), got in zip(points, batch):
+            _assert_identical(sim.simulate(n, gbps, rf, engine="vector"), got)
+
+    def test_uniform_grid_spans_unchanged(self):
+        """The simgrid shape -- 144 cells of 2000 requests over the four
+        devices' bank counts -- splits on the request target alone, into
+        the same eight-cell spans as before the padded bound."""
+        ns = [2_000] * 144
+        banks = [32] * 36 + [16] * 36 + [32] * 36 + [32] * 36
+        assert batch_chunks(ns, banks) == [
+            (lo, lo + 8) for lo in range(0, 144, 8)
+        ]

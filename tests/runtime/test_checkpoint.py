@@ -225,17 +225,18 @@ class TestSigkillResume:
             for t in (campaign.platform.local_target(),) + campaign.targets
             for w in campaign.workloads
         ]
-        real_run, calls = executor.run_workload, []
+        real_run, calls = executor.run_workloads, []
 
-        def run_workload(*args):
-            calls.append(args)
-            if len(calls) == 4:
+        def run_workloads(chunk):
+            calls.append(chunk)
+            if len(calls) == 2:
                 os._exit(9)  # abrupt death, SIGKILL-style: no cleanup
-            return real_run(*args)
+            return real_run(chunk)
 
-        executor.run_workload = run_workload
+        executor.run_workloads = run_workloads
+        executor.ANALYTIC_CHUNK_CELLS = 3
         # Fail-fast and no checkpointer: the run cache alone must keep
-        # the three cells that finished before the kill.
+        # the three-cell fused chunk that finished before the kill.
         CampaignEngine(cache=RunCache(cache_dir)).run_cells(cells)
     """)
 

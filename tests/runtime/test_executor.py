@@ -3,7 +3,7 @@
 import pytest
 
 import repro.runtime.executor as executor_mod
-from repro.cpu.pipeline import PipelineConfig, run_workload
+from repro.cpu.pipeline import PipelineConfig, run_workload, run_workloads
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine, Cell, SimCell
 
@@ -64,14 +64,38 @@ class TestRunCells:
         def boom(*args, **kwargs):
             raise RuntimeError("a genuine run failure")
 
+        # The fused path runs run_workloads, the serial one run_workload.
         monkeypatch.setattr(executor_mod, "run_workload", boom)
+        monkeypatch.setattr(executor_mod, "run_workloads", boom)
         with pytest.raises(RuntimeError):
             engine.run_cells(grid)
 
     def test_finished_cells_survive_a_failing_batch(self, grid, tmp_path,
                                                     monkeypatch):
         # No checkpointer: the run cache alone is the progress record,
-        # so the cells that finished before the 4th raised stay cached.
+        # so the fused chunk that finished before the second one raised
+        # stays cached.
+        calls = []
+
+        def second_chunk_fails(cells):
+            calls.append(cells)
+            if len(calls) == 2:
+                raise RuntimeError("a genuine run failure")
+            return run_workloads(cells)
+
+        monkeypatch.setattr(executor_mod, "ANALYTIC_CHUNK_CELLS", 3)
+        monkeypatch.setattr(executor_mod, "run_workloads", second_chunk_fails)
+        engine = CampaignEngine(cache=RunCache(str(tmp_path)))
+        with pytest.raises(RuntimeError):
+            engine.run_cells(grid)
+        fresh = RunCache(str(tmp_path))
+        assert [fresh.get(cell.key()) is not None for cell in grid] == [
+            True, True, True, False, False, False,
+        ]
+
+    def test_serial_mode_caches_each_cell_before_the_next(
+        self, grid, tmp_path, monkeypatch
+    ):
         calls = []
 
         def fourth_fails(*args):
@@ -81,7 +105,7 @@ class TestRunCells:
             return run_workload(*args)
 
         monkeypatch.setattr(executor_mod, "run_workload", fourth_fails)
-        engine = CampaignEngine(cache=RunCache(str(tmp_path)))
+        engine = CampaignEngine(cache=RunCache(str(tmp_path)), mode="serial")
         with pytest.raises(RuntimeError):
             engine.run_cells(grid)
         fresh = RunCache(str(tmp_path))
@@ -123,9 +147,10 @@ class TestStats:
 
 
 class TestBatchRule:
-    """``auto`` runs a pending set as one fused batch exactly when every
-    cell is a batchable sim cell; results are byte-identical either way,
-    but no batch ever groups incompatible cells."""
+    """``auto`` splits a pending set by kind: analytic cells run fused
+    through ``run_workloads`` and sim cells through one fused batch when
+    every sim cell may join it; results are byte-identical either way and
+    come back in input order."""
 
     @pytest.fixture
     def sim_cells(self):
@@ -144,17 +169,53 @@ class TestBatchRule:
         engine.run_cells(cells)
         return engine.stats
 
-    def test_analytic_set_never_batches(self, grid):
+    def test_analytic_set_batches(self, grid):
         stats = self._ran(grid)
-        assert stats.cells_batched == 0
-        assert (stats.planner_serial, stats.planner_batch) == (1, 0)
-        assert stats.last_plan == "serial"
+        assert stats.cells_batched == len(grid)
+        assert stats.cells_serial == 0
+        assert (stats.planner_serial, stats.planner_batch) == (0, 1)
+        assert stats.last_plan == "batch"
 
-    def test_mixed_set_never_batches(self, grid, sim_cells):
-        stats = self._ran(grid + sim_cells)
-        assert stats.cells_batched == 0
-        assert stats.cells_serial == len(grid) + len(sim_cells)
-        assert stats.last_plan == "serial"
+    def test_mixed_set_splits_by_kind(self, grid, sim_cells):
+        import numpy as np
+
+        mixed = [cell for pair in zip(grid, sim_cells) for cell in pair]
+        mixed += sim_cells[len(grid):]
+        engine = CampaignEngine(cache=RunCache())
+        results = engine.run_cells(mixed)
+        assert engine.stats.cells_batched == len(mixed)
+        assert engine.stats.cells_serial == 0
+        assert engine.stats.last_plan == "batch"
+        for cell, result in zip(mixed, results):
+            if isinstance(cell, Cell):
+                assert result == run_workload(
+                    cell.workload, cell.platform, cell.target, cell.config
+                )
+            else:
+                np.testing.assert_array_equal(
+                    result.latencies_ns, cell.run().latencies_ns
+                )
+
+    def test_pinned_sim_cell_leaves_analytic_cells_fused(self, grid,
+                                                         sim_cells):
+        pinned = SimCell(device=sim_cells[0].device, n_requests=600,
+                         offered_gbps=99.0, engine="scalar")
+        stats = self._ran(grid + sim_cells + [pinned])
+        assert stats.cells_batched == len(grid)
+        assert stats.cells_serial == len(sim_cells) + 1
+        assert stats.last_plan == "batch"
+
+    def test_fused_analytic_identical_to_serial(self, grid):
+        from repro.runtime.serialize import run_result_to_dict
+
+        serial_engine = CampaignEngine(cache=RunCache(), mode="serial")
+        serial = serial_engine.run_cells(grid)
+        fused = CampaignEngine(cache=RunCache()).run_cells(grid)
+        assert serial_engine.stats.cells_batched == 0
+        assert serial_engine.stats.cells_serial == len(grid)
+        assert [run_result_to_dict(r) for r in serial] == [
+            run_result_to_dict(r) for r in fused
+        ]
 
     def test_engine_pinned_cell_opts_whole_set_out(self, sim_cells):
         pinned = sim_cells[:-1] + [

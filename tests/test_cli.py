@@ -159,9 +159,9 @@ class TestRuntimeFlags:
     ])
     def test_process_pool_options_rejected(self, capsys, argv):
         """Removed options exit 2: there is no process pool (``--shards
-        N`` fans out), campaign cells never batch, so there is no
-        engine to pick, and every finished cell is cached at once, so
-        there is no checkpoint interval."""
+        N`` fans out), the engine batches by one fixed rule, so there is
+        no engine to pick, and every finished cell or fused chunk is
+        cached at once, so there is no checkpoint interval."""
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
