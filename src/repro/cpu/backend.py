@@ -37,6 +37,7 @@ Mechanisms modelled (each traceable to a paper finding):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -150,12 +151,15 @@ def _traffic_points(workload: WorkloadSpec, avg_load: float):
     return ((1.0 - b, quiet), (b, burst))
 
 
+@lru_cache(maxsize=4096)
 def _other_stall_fraction(workload_name: str) -> float:
     """Deterministic per-workload share of un-modelled stalls (0.5-2.5%).
 
     These feed Figure 14's "Other" category and make Spa's accuracy
     validation non-trivial: they appear in total cycles and P6 but not in
-    the memory-stall counters.
+    the memory-stall counters.  Memoized by name (the draw is a pure
+    function of it): seeding a generator for every solve row took about
+    a quarter of the batched fixed point's time.
     """
     rng = generator_for(DEFAULT_SEED, "other-stalls", workload_name)
     return 0.005 + 0.02 * float(rng.random())

@@ -175,7 +175,7 @@ def check_dist_row_digest(ctx: DiagContext) -> Iterator[Violation]:
     for name in ("w1", "w2"):
         worker = Worker("127.0.0.1", 0, name=name)
         worker.adopt_welcome(welcome)
-        entry, vector = worker.run_lease(lease)
+        [(entry, vector)] = worker.run_grant([lease])
         if vector is None:
             yield bad("execute", "the worker failed to execute the unit",
                       worker=name, message=str(entry.get("message")))

@@ -110,7 +110,10 @@ def unit_cells(campaign, fingerprint: str) -> List[Tuple[WorkUnit, Cell]]:
 
     Exactly the cells :func:`repro.core.melody.campaign_cells` plans for
     a solo run (capacity skips never become units), each paired with
-    the :class:`~repro.runtime.executor.Cell` that computes it.  Unit ids
+    the :class:`~repro.runtime.executor.Cell` that computes it.  Grid
+    units come target-major -- each target's workloads in campaign
+    order -- so a grant of consecutive units mostly holds one target,
+    which a worker's batched run solves as one group.  Unit ids
     fold the campaign fingerprint with the cell's names, so the
     coordinator and every worker -- in any process, on any host --
     compute the same ids, and two campaigns never share one.
@@ -119,6 +122,8 @@ def unit_cells(campaign, fingerprint: str) -> List[Tuple[WorkUnit, Cell]]:
     from repro.runtime.cache import run_key
 
     base_workloads, grid, _ = campaign_cells(campaign)
+    rank = {id(target): i for i, target in enumerate(campaign.targets)}
+    grid = sorted(grid, key=lambda pair: rank[id(pair[1])])
     baseline_target = campaign.baseline or campaign.platform.local_target()
     cells = [
         ("baseline", baseline_token(fingerprint, workload.name),

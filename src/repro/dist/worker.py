@@ -3,9 +3,11 @@
 A :class:`Worker` dials one coordinator, rebuilds the campaign locally
 from the :class:`~repro.dist.spec.CampaignSpec` in the welcome frame
 (verifying the fingerprint before touching a single cell), and then
-loops: fetch a grant of leases, execute its cells in order through the
-very same ``_execute_cell_attempt`` path the solo engine uses -- fault
-plan installed, host chaos policy honored -- and deliver every result
+loops: fetch a grant of leases, run the grant's cells as one batch
+through :func:`~repro.cpu.pipeline.run_workloads`, the fused path the
+solo engine uses -- fault plan installed, the host chaos policy applied
+to each lease before the batch, and a batch that raises rerun one cell
+at a time so only a failing unit is charged -- and deliver every result
 of the grant in one ``results`` frame.  A result travels as the analytic
 store row :class:`~repro.store.store.StoreWriter` would write
 (:func:`encode_row`): a JSON header entry naming its skeleton ref,
@@ -32,8 +34,9 @@ Everything about the worker is built to be killed:
   connection has not carried yet (the coordinator folds a duplicate
   away);
 * ``die_after=N`` arms a self-destruct on lease ``N+1`` for chaos
-  harnesses -- usually mid-grant, so the grant's results are never
-  delivered and every unit in it is released: ``hard_exit`` makes it a
+  harnesses -- usually mid-grant: the leases before it run, then the
+  worker dies, so the grant's results are never delivered and every
+  unit in it is released: ``hard_exit`` makes it a
   real ``os._exit`` (SIGKILL semantics, exercised by the CI smoke),
   otherwise the worker abandons the socket and returns, which an
   in-process harness can assert on; :meth:`Worker.kill` does the same
@@ -49,17 +52,18 @@ from __future__ import annotations
 import os
 import socket
 import time
-from contextlib import nullcontext
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cpu.pipeline import run_workloads
 from repro.dist.chaos import ChaosTransport
 from repro.dist.coordinator import PROTOCOL_VERSION, unit_cells
 from repro.dist.frames import FrameError, FrameTransport
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
-from repro.faults.chaos import ChaosPolicy, NetChaosPolicy, chaos_injection
+from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
 from repro.obs.events import events
 from repro.obs.metrics import metrics
+from repro.runtime.executor import Cell, _execute_cell
 
 EXIT_OK = 0
 EXIT_FINGERPRINT_MISMATCH = 2
@@ -251,9 +255,7 @@ class Worker:
                 )
             self.adopt_welcome(welcome)
             self._welcomed = True
-            with (chaos_injection(self.cell_chaos)
-                  if self.cell_chaos is not None else nullcontext()):
-                return self._lease_loop(transport)
+            return self._lease_loop(transport)
         finally:
             transport.close()
 
@@ -314,18 +316,7 @@ class Worker:
             if not isinstance(leases, list):
                 raise FrameError("grant frame carries no lease list")
             entries, tail, skeletons = [], [], {}
-            for lease in leases:
-                self._leases_taken += 1
-                if self.die_after is not None \
-                        and self._leases_taken > self.die_after:
-                    # Abrupt death mid-grant: no goodbye, no results,
-                    # the socket just goes dark (close happens in
-                    # _session's finally for the in-process flavor;
-                    # hard_exit skips even that).
-                    if self.hard_exit:
-                        os._exit(EXIT_SELF_DESTRUCT)
-                    raise _SelfDestruct()
-                entry, vector = self.run_lease(lease)
+            for entry, vector in self.run_grant(leases):
                 if vector is not None:
                     ref = entry["row"]["skeleton"]
                     if ref not in self._carried:
@@ -347,57 +338,120 @@ class Worker:
             raise ConnectionResetError("coordinator hung up")
         return reply
 
-    def run_lease(
-        self, lease: dict
-    ) -> Tuple[Dict[str, Any], Optional[bytes]]:
-        """Execute one granted unit (or recall its memoized row).
+    def run_grant(
+        self, leases: List[dict]
+    ) -> List[Tuple[Dict[str, Any], Optional[bytes]]]:
+        """Execute one grant's units (or recall their memoized rows).
 
-        Returns its results-frame entry and, for an ``ok`` entry, the
-        row's packed vector (``None`` for an error entry); the caller
-        places the vector in the frame's tail.
+        Returns each lease's results-frame entry in lease order, with the
+        row's packed vector for an ``ok`` entry (``None`` for an error
+        entry); the caller places the vectors in the frame's tail.  Each
+        lease is counted against ``die_after``, and each unit this worker
+        has not finished yet meets ``cell_chaos`` first (an injected
+        error becomes that unit's error entry).  The units left then run
+        through one :meth:`_execute` batch.  When ``die_after`` runs out
+        mid-grant, the leases before the fatal one run and the worker
+        dies without delivering any of them.
         """
-        unit = lease.get("unit") or {}
-        unit_id = str(unit.get("unit_id", ""))
-        lease_id = str(lease.get("lease_id", ""))
-        attempt = int(lease.get("attempt", 1))
-        entry = {"unit_id": unit_id, "lease_id": lease_id}
-        cell = self._cells.get(unit_id)
-        if cell is None:
-            return dict(
-                entry, status="error", reason="error",
-                message=f"worker has no cell for unit {unit_id!r}",
-            ), None
-        memo = self._rows.get(unit_id)
-        elapsed = 0.0
-        if memo is None:
-            start = time.perf_counter()
-            try:
-                memo = self._execute(cell, attempt)
-            except Exception as exc:
-                metrics().counter("dist.worker_cell_errors").inc()
-                events().emit(
-                    "dist.worker.cell_error", level="warn",
-                    worker=self.name, unit=unit_id[-40:],
-                    attempt=attempt, error=str(exc)[:200],
+        dying = (self.die_after is not None
+                 and self._leases_taken + len(leases) > self.die_after)
+        if dying:
+            leases = leases[:self.die_after - self._leases_taken]
+        self._leases_taken += len(leases)
+        chaos = self.cell_chaos
+        entries: List[Dict[str, Any]] = []
+        fresh: List[Tuple[Dict[str, Any], Cell, int]] = []
+        for lease in leases:
+            unit_id = str((lease.get("unit") or {}).get("unit_id", ""))
+            attempt = int(lease.get("attempt", 1))
+            entry = {
+                "unit_id": unit_id,
+                "lease_id": str(lease.get("lease_id", "")),
+            }
+            entries.append(entry)
+            cell = self._cells.get(unit_id)
+            if cell is None:
+                entry.update(
+                    status="error", reason="error",
+                    message=f"worker has no cell for unit {unit_id!r}",
                 )
-                return dict(
-                    entry, status="error", reason="error",
-                    message=f"{type(exc).__name__}: {exc}",
-                ), None
-            elapsed = time.perf_counter() - start
-            self.units_executed += 1
-            self._rows[unit_id] = memo
-        row, vector = memo
-        return dict(
-            entry, status="ok", row=row,
-            elapsed_s=round(float(elapsed), 6),
-        ), vector
+            elif unit_id not in self._rows:
+                try:
+                    if chaos is not None:
+                        chaos.apply(cell.key(), attempt)
+                except Exception as exc:
+                    self._cell_error(entry, attempt, exc)
+                else:
+                    fresh.append((entry, cell, attempt))
+        if fresh:
+            self._execute(fresh)
+        if dying:
+            # Abrupt death mid-grant: no goodbye, no results, the socket
+            # just goes dark (close happens in _session's finally for
+            # the in-process flavor; hard_exit skips even that).
+            if self.hard_exit:
+                os._exit(EXIT_SELF_DESTRUCT)
+            raise _SelfDestruct()
+        out = []
+        for entry in entries:
+            if "status" in entry:  # an error entry
+                out.append((entry, None))
+                continue
+            row, vector = self._rows[entry["unit_id"]]
+            out.append((dict(
+                entry, status="ok", row=row,
+                elapsed_s=entry.get("elapsed_s", 0.0),
+            ), vector))
+        return out
 
-    def _execute(self, cell, attempt: int) -> Tuple[Dict[str, str], bytes]:
-        from repro.runtime.executor import _execute_cell_attempt
+    def _execute(self, fresh: List[Tuple[Dict[str, Any], Cell, int]]) -> None:
+        """Run ``(entry, cell, attempt)`` units and memoize their rows.
 
-        return encode_row(
-            _execute_cell_attempt(cell, attempt), self._skeletons
+        One :func:`~repro.cpu.pipeline.run_workloads` call runs them all
+        (its rows equal the solo engine's bit for bit), and each
+        finished entry gets an equal share of its wall time as
+        ``elapsed_s``.  If the batch raises, the units rerun one by one,
+        so only a unit whose own run raises becomes an error entry.
+        """
+        start = time.perf_counter()
+        try:
+            rows = [
+                encode_row(result, self._skeletons)
+                for result in run_workloads([
+                    (cell.workload, cell.platform, cell.target, cell.config)
+                    for _, cell, _ in fresh
+                ])
+            ]
+        except Exception:
+            rows = []
+            for entry, cell, attempt in fresh:
+                try:
+                    rows.append(
+                        encode_row(_execute_cell(cell), self._skeletons)
+                    )
+                except Exception as exc:
+                    self._cell_error(entry, attempt, exc)
+                    rows.append(None)
+        share = round((time.perf_counter() - start) / len(fresh), 6)
+        for (entry, _, _), row in zip(fresh, rows):
+            if row is not None:
+                self._rows[entry["unit_id"]] = row
+                entry["elapsed_s"] = share
+                self.units_executed += 1
+
+    def _cell_error(
+        self, entry: Dict[str, Any], attempt: int, exc: Exception
+    ) -> None:
+        """Turn ``entry`` into the error entry of a failed cell attempt."""
+        metrics().counter("dist.worker_cell_errors").inc()
+        events().emit(
+            "dist.worker.cell_error", level="warn",
+            worker=self.name, unit=entry["unit_id"][-40:],
+            attempt=attempt, error=str(exc)[:200],
+        )
+        entry.update(
+            status="error", reason="error",
+            message=f"{type(exc).__name__}: {exc}",
         )
 
 

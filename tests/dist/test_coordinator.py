@@ -306,11 +306,12 @@ class TestSilentWorker:
         leases = []
 
         class Recording(Worker):
-            def run_lease(self, lease):
-                leases.append(
+            def run_grant(self, grant):
+                leases.extend(
                     (lease["unit"]["unit_id"], lease["attempt"])
+                    for lease in grant
                 )
-                return super().run_lease(lease)
+                return super().run_grant(grant)
 
         silent = FrameTransport(
             socket.create_connection(("127.0.0.1", port), timeout=5.0)

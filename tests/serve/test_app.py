@@ -8,6 +8,7 @@ own response while the server stays healthy; overload answers 429.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -31,6 +32,18 @@ FAST_QUERY = {
 
 def body_of(query: dict) -> bytes:
     return json.dumps(query).encode()
+
+
+async def admitted(app, active, queued, timeout_s=10.0):
+    """Wait until ``app`` holds ``active`` running and ``queued`` waiting
+    leaders (bounded: a server that never gets there fails the test)."""
+    deadline = time.monotonic() + timeout_s
+    while (app.admission.active, app.admission.queued) != (active, queued):
+        assert time.monotonic() < deadline, (
+            f"admission stuck at {app.admission.active} active, "
+            f"{app.admission.queued} queued"
+        )
+        await asyncio.sleep(0.002)
 
 
 def with_app(config: ServeConfig, scenario):
@@ -276,12 +289,14 @@ class TestHttpSurface:
                        for _ in queries]
             tasks = []
             try:
-                for client, payload in zip(clients[:2], queries[:2]):
+                for queued, (client, payload) in enumerate(
+                    zip(clients[:2], queries[:2])
+                ):
                     await client.connect()
                     tasks.append(asyncio.ensure_future(client.request(
                         "POST", "/v1/characterize", payload
                     )))
-                    await asyncio.sleep(0.1)
+                    await admitted(app, active=1, queued=queued)
                 # Slot and queue are now both occupied by slow leaders.
                 rejected = await fetch(
                     "127.0.0.1", app.port, "POST", "/v1/characterize",
