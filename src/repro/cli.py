@@ -49,8 +49,9 @@ shorthand for a loopback coordinator with N workers, and so is
 ``--cell-timeout`` (with ``--dist-workers`` workers).  ``repro
 coordinate`` and ``repro worker`` are the standalone halves for real
 multi-host fleets.
-Finished cells are promoted into the append-only columnar store under
-``<cache-dir>/store/``, which ``repro query`` scans across campaigns.
+With ``--cache-dir``, every finished analytic cell is appended to the
+columnar store under ``<cache-dir>/store/`` as it finishes, under the
+campaign's fingerprint; ``repro query`` scans it across campaigns.
 """
 
 from __future__ import annotations
@@ -268,14 +269,11 @@ def cmd_campaign(args) -> int:
         result = campaign_melody().run(campaign)
         if checkpointer is not None:
             checkpointer.finalize(engine.failed)
-        promoted = _promote_to_store(args, engine, campaign)
         from repro.analysis.report import format_cdf_row
 
         print(f"{len(result.records)} records "
               f"({len(result.skipped)} skipped for capacity)")
         print(engine.stats.summary())
-        if promoted:
-            print(f"promoted {promoted} results to the columnar store")
         for target in result.target_names():
             print("  " + format_cdf_row(target, result.slowdowns(target)))
         if args.csv:
@@ -286,7 +284,10 @@ def cmd_campaign(args) -> int:
             print(f"wrote {rows} records to {args.json}")
         finish()
     finally:
-        restore_plan()
+        try:
+            engine.cache.close()
+        finally:
+            restore_plan()
     return _report_failed_cells(result.failed, args.strict_cells)
 
 
@@ -294,9 +295,10 @@ def _attach_checkpointer(args, engine, campaign):
     """Create/resume the campaign's quarantine checkpoint (``--cache-dir``).
 
     Finished cells need no checkpoint: the run cache already holds each
-    one.  ``--resume`` restores the quarantine ledger, and ``--job-id``
-    scopes the checkpoint document to one job, so concurrent runs of the
-    same campaign do not clobber each other.
+    one, as a store row named (like the checkpoint) by the campaign
+    fingerprint and ``--job-id``.  ``--resume`` restores the quarantine
+    ledger, and ``--job-id`` scopes the checkpoint document to one job,
+    so concurrent runs of the same campaign do not clobber each other.
     """
     if not args.cache_dir:
         return None
@@ -308,6 +310,7 @@ def _attach_checkpointer(args, engine, campaign):
 
     fingerprint = campaign_fingerprint(campaign)
     job_id = getattr(args, "job_id", None) or ""
+    engine.cache.name_rows(fingerprint, job_id)
     if args.resume:
         state = load_checkpoint(args.cache_dir, fingerprint, job_id)
         if state is None:
@@ -325,15 +328,6 @@ def _attach_checkpointer(args, engine, campaign):
     )
     engine.checkpointer = checkpointer
     return checkpointer
-
-
-def _promote_to_store(args, engine, campaign) -> int:
-    """Promote this campaign's finished runs into the columnar store."""
-    if not args.cache_dir:
-        return 0
-    from repro.runtime import campaign_fingerprint
-
-    return engine.cache.promote_store(campaign_fingerprint(campaign))
 
 
 def _parse_endpoint(text: str, default_host: str = "127.0.0.1"):
@@ -649,19 +643,22 @@ def cmd_figures(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     wanted = set(args.ids)
     ran = 0
-    for module in ALL_EXPERIMENTS:
-        name = module.__name__.split(".")[-1]
-        if wanted and not any(w in name for w in wanted):
-            continue
-        with experiment_timer(name, "run"):
-            result = module.run(fast=not args.full)
-        with experiment_timer(name, "render"):
-            text = module.render(result)
-        print(text)
-        print()
-        if out_dir:
-            (out_dir / f"{name}.txt").write_text(text + "\n")
-        ran += 1
+    try:
+        for module in ALL_EXPERIMENTS:
+            name = module.__name__.split(".")[-1]
+            if wanted and not any(w in name for w in wanted):
+                continue
+            with experiment_timer(name, "run"):
+                result = module.run(fast=not args.full)
+            with experiment_timer(name, "render"):
+                text = module.render(result)
+            print(text)
+            print()
+            if out_dir:
+                (out_dir / f"{name}.txt").write_text(text + "\n")
+            ran += 1
+    finally:
+        engine.cache.close()
     if ran == 0:
         names = [m.__name__.split(".")[-1] for m in ALL_EXPERIMENTS]
         print(f"no experiment matches {sorted(wanted)}; "

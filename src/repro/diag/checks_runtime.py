@@ -54,6 +54,7 @@ def check_cache_fidelity(ctx: DiagContext) -> Iterator[Violation]:
             reference = run_result_to_dict(result)
             key = run_key(workload, platform, target, config)
             cache.put(key, result)
+            cache.flush()
             cache.clear_memory()
             reloaded = cache.get(key)
             if reloaded is None:

@@ -1,11 +1,15 @@
 """Store-layer invariants: the columnar tier must be invisible.
 
-The columnar store's contract is byte-identity -- a result promoted
-into segments + manifest and read back must be indistinguishable from
-the JSON-tier document it came from, and scans must agree with
-brute-force filtering.  These checks build real event-sim and
-analytic results, push them through a temporary store, and compare
-canonical documents (ndarray-normalized, so float bit patterns count).
+The columnar store's contract is byte-identity -- a result written into
+segments + manifest and read back must be indistinguishable from the
+result it came from, and scans must agree with brute-force filtering.
+These checks build real event-sim and analytic results, push them
+through a temporary store, and compare canonical documents
+(ndarray-normalized, so float bit patterns count).  Analytic runs have
+no other on-disk form, so their check compares the row encoder against
+the generic reference split and a fresh-open read against the run in
+memory; event-sim results still have a JSON document too, and their
+store read must equal it.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from repro.cpu.pipeline import PipelineConfig, run_workload
 from repro.diag.context import DiagContext
 from repro.diag.registry import invariant, subjects
 from repro.diag.report import Violation
-from repro.runtime.cache import RunCache, run_key
+from repro.runtime.cache import RunCache, blob_ref, run_document, run_key
 from repro.store import (
     ResultStore,
     canonical_document,
     skeleton_ref,
     split_document,
 )
-from repro.store.store import ROW_FIELDS
+from repro.store.store import ROW_FIELDS, encode_row, split_row
 
 
 def _sim_result(ctx: DiagContext):
@@ -62,7 +66,7 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
     """Split/store/reassemble reproduces both result kinds bit-exactly.
 
     Each sampled workload's run document is written twice: bare (no
-    blob refs) and with the refs ``RunCache.promote_store`` adds.  All
+    blob refs) and with the refs a store row carries.  All
     of them whose shape agrees once the manifest row's fields are
     removed -- across workloads and variants -- must commit to one
     skeleton, or the manifest grows a skeleton per cell.
@@ -88,13 +92,13 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
             expected["a" * 64] = ("eventsim", _canonical_json(doc))
         target = ctx.targets[0]
         config = PipelineConfig(seed=ctx.seed)
-        platform_ref = RunCache._blob_ref(EMR2S, platform_to_dict)
+        platform_ref = blob_ref(EMR2S, platform_to_dict)
         for index, workload in enumerate(workloads):
             result = run_workload(workload, EMR2S, target, config)
             bare = run_result_to_dict(result, embed_context=False)
             with_refs = dict(
                 bare,
-                workload_ref=RunCache._blob_ref(workload, workload_to_dict),
+                workload_ref=blob_ref(workload, workload_to_dict),
                 platform_ref=platform_ref,
             )
             for variant, doc in enumerate((bare, with_refs)):
@@ -199,31 +203,29 @@ def check_store_scan_consistency(ctx: DiagContext) -> Iterator[Violation]:
 @invariant(
     name="store-json-equivalence",
     layer="store",
-    description="a warm RunCache read served from the columnar tier "
-    "equals the JSON-tier read bit-identically",
+    description="a warm RunCache read of an event-sim result served "
+    "from the columnar tier equals its JSON-document read "
+    "bit-identically",
 )
 def check_store_json_equivalence(ctx: DiagContext) -> Iterator[Violation]:
-    """The store tier and the JSON tier are interchangeable on read."""
-    from repro.hw.platform import EMR2S
-    from repro.runtime.serialize import run_result_to_dict
+    """Event-sim results read the same from the store and their JSON
+    documents (the only results still written to both)."""
+    from repro.hw.cxl.eventdevice import EventDrivenDevice
 
-    workloads = ctx.sampled_workloads()
-    subjects(check_store_json_equivalence, len(workloads))
-    if not workloads:
-        return
-    target = ctx.targets[0]
-    config = PipelineConfig(seed=ctx.seed)
+    devices = ctx.cxl_devices()[:2]
+    subjects(check_store_json_equivalence, len(devices))
     with tempfile.TemporaryDirectory(prefix="repro-diag-") as tmp:
         cache = RunCache(tmp)
         keys = {}
-        for workload in workloads:
-            key = run_key(workload, EMR2S, target, config)
-            cache.put(key, run_workload(workload, EMR2S, target, config))
-            keys[key] = workload.name
+        for index, device in enumerate(devices):
+            key = f"{index:064x}"
+            cache.put_memory(key, EventDrivenDevice(
+                device, seed=ctx.seed
+            ).simulate(1_000, 4.0, read_fraction=0.75))
+            keys[key] = device.name
         cache.promote_store("b" * 64, keys=list(keys))
         for key, name in keys.items():
-            json_only = RunCache(tmp, store_tier=False)
-            from_json = json_only.get(key)
+            from_json = RunCache(tmp, store_tier=False).get(key)
             cache.clear_memory()
             store_hits = cache.store_hits
             from_store = cache.get(key)
@@ -237,8 +239,8 @@ def check_store_json_equivalence(ctx: DiagContext) -> Iterator[Violation]:
                     context={"key": key[:16]},
                 )
                 continue
-            reference = _canonical_json(run_result_to_dict(from_json))
-            if _canonical_json(run_result_to_dict(from_store)) != reference:
+            if from_json is None or _canonical_json(from_store.to_dict()) \
+                    != _canonical_json(from_json.to_dict()):
                 yield Violation(
                     layer="store",
                     check="store-json-equivalence",
@@ -247,3 +249,102 @@ def check_store_json_equivalence(ctx: DiagContext) -> Iterator[Violation]:
                     "read",
                     context={"key": key[:16]},
                 )
+
+
+@invariant(
+    name="analytic-row-identity",
+    layer="store",
+    description="the analytic row encoder equals the generic reference "
+    "split, each document shape has one skeleton, and a fresh-open "
+    "read equals the run in memory",
+)
+def check_analytic_row_identity(ctx: DiagContext) -> Iterator[Violation]:
+    """The store row is a lossless, shared-skeleton encoding of a run.
+
+    Three parts, over the sampled workloads plus every phased one
+    (their documents have shapes of their own) on two targets: (a)
+    :func:`~repro.store.store.encode_row` returns exactly what
+    ``split_row(run_document(r))`` does -- row, skeleton, ref and vector
+    bytes; (b) the rows written through a :class:`RunCache` use one
+    skeleton per distinct shape; (c) a fresh ``RunCache`` opened on the
+    directory reads every run back equal to the one in memory.
+    """
+    from repro.hw.platform import EMR2S
+    from repro.runtime.serialize import run_result_to_dict
+
+    workloads = tuple({
+        workload.name: workload
+        for workload in ctx.sampled_workloads() + tuple(
+            workload for workload in ctx.workloads if workload.phases
+        )
+    }.values())
+    targets = ctx.targets[:2]
+    subjects(check_analytic_row_identity, len(workloads) * len(targets))
+    if not workloads:
+        return
+    config = PipelineConfig(seed=ctx.seed)
+    with tempfile.TemporaryDirectory(prefix="repro-diag-") as tmp:
+        cache = RunCache(tmp)
+        runs = {}
+        shapes = set()
+        for target in targets:
+            for workload in workloads:
+                key = run_key(workload, EMR2S, target, config)
+                result = run_workload(workload, EMR2S, target, config)
+                row, ref, skeleton, vector = encode_row(result)
+                want_row, want_skeleton, want_vector = split_row(
+                    run_document(result)
+                )
+                shapes.add(skeleton_ref(want_skeleton))
+                if (row, skeleton, ref) != (
+                    want_row, want_skeleton, skeleton_ref(want_skeleton)
+                ) or vector.tobytes() != want_vector.tobytes():
+                    yield Violation(
+                        layer="store",
+                        check="analytic-row-identity",
+                        subject=f"{workload.name}@{target.name}",
+                        message="the row encoder disagrees with the "
+                        "reference split",
+                        context={"key": key[:16]},
+                    )
+                cache.put(key, result)
+                runs[key] = (f"{workload.name}@{target.name}", result)
+        cache.close()
+        skeletons = {
+            ref
+            for manifest in ResultStore(Path(tmp) / "store").manifests()
+            for ref in manifest.skeletons
+        }
+        if skeletons != shapes:
+            yield Violation(
+                layer="store",
+                check="analytic-row-identity",
+                subject="skeletons",
+                message=f"{len(shapes)} document shapes were stored "
+                f"under {len(skeletons)} skeletons",
+                context={"shapes": len(shapes)},
+            )
+        fresh = RunCache(tmp)
+        for key, (subject, result) in runs.items():
+            reloaded = fresh.get(key)
+            if reloaded is None or _canonical_json(
+                run_result_to_dict(reloaded)
+            ) != _canonical_json(run_result_to_dict(result)):
+                yield Violation(
+                    layer="store",
+                    check="analytic-row-identity",
+                    subject=subject,
+                    message="a fresh-open read differs from the run in "
+                    "memory",
+                    context={"key": key[:16]},
+                )
+        if fresh.store_hits != len(runs) or fresh.store_errors:
+            yield Violation(
+                layer="store",
+                check="analytic-row-identity",
+                subject="reads",
+                message=f"{fresh.store_hits} of {len(runs)} fresh-open "
+                f"reads came from the store ({fresh.store_errors} "
+                "errors)",
+                context={"runs": len(runs)},
+            )

@@ -34,12 +34,14 @@ rebuild a ``RunResult`` around the campaign's own workload and platform.
 A row that fails charges the attempt like a worker error.  The commit
 digest is sha256 over the row as received, with no re-encode.
 
-A committed row goes into the shared
-:class:`~repro.runtime.cache.RunCache` (the per-cell JSON tier) and,
-still split, into one coordinator :class:`~repro.store.store.StoreWriter`
-that is committed when the campaign settles; only units the cache held
-before the coordinator started are promoted into the store then.  The
-final checkpoint (the quarantine ledger) is written through
+A committed row is appended, as received, to one coordinator
+:class:`~repro.store.store.StoreWriter` -- the store row is the only
+on-disk form of a result -- and the rows of each ``results`` frame are
+flushed (made durable as one part manifest) before the connection's
+next frame is read, so a killed coordinator loses at most the frame in
+flight.  The writer's parts merge into the campaign's manifest when the
+campaign settles.  The final checkpoint (the quarantine ledger) is
+written through
 :mod:`repro.runtime.checkpoint` -- after which a plain ``repro campaign
 --resume`` pass over the same cache dir assembles exports
 byte-identical to a solo run.  That equivalence is the contract the
@@ -70,7 +72,7 @@ from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
 from repro.obs.events import events
 from repro.obs.metrics import metrics
-from repro.runtime.cache import RunCache
+from repro.runtime.cache import RunCache, blob_ref
 from repro.runtime.executor import Cell, FailedCell, RetryPolicy
 from repro.runtime.serialize import (
     platform_to_dict,
@@ -288,14 +290,10 @@ class Coordinator:
         self._cache = RunCache(cache_dir)
         # A cached unit is done before any worker connects: it counts as
         # committed (summary, checkpoint) but is never leased, so
-        # resuming a finished campaign grants nothing.  Only these
-        # units are promoted into the store at the end: every other
-        # committed row is appended to the store as it commits.
-        self._precached: List[str] = []
+        # resuming a finished campaign grants nothing.
         for unit in units:
             if self._cache.get(unit.key) is not None:
                 self.table.commit_cached(unit.unit_id)
-                self._precached.append(unit.key)
         self._fault_plan_key = (
             self._plan.key()
             if self._plan is not None and self._plan.enabled else ""
@@ -602,10 +600,17 @@ class Coordinator:
             return False
         for ref, body in skeletons.items():
             self._adopt_skeleton(conn, ref, body)
-        for entry in entries:
-            if not self._handle_result(conn, entry, tail):
-                return False
-        return True
+        try:
+            for entry in entries:
+                if not self._handle_result(conn, entry, tail):
+                    return False
+            return True
+        finally:
+            # Durable before this connection's next frame is read: a
+            # worker learns of a commit only through its next fetch.
+            with self._store_lock:
+                if self._writer is not None:
+                    self._writer.flush()
 
     def _adopt_skeleton(self, conn: _Connection, ref: str, body) -> None:
         """Keep one skeleton body for ``conn`` if it hashes to ``ref``.
@@ -629,11 +634,12 @@ class Coordinator:
     def _decode_row(
         self, conn: _Connection, unit_id: str, message: dict, tail: list
     ):
-        """Validate one ``ok`` entry; returns (row, vector bytes,
-        result).
+        """Validate one ``ok`` entry; returns (row, vector bytes).
 
         Everything is checked against the coordinator's own objects:
-        the connection's skeletons, the unit's cell and its blob refs.
+        the connection's skeletons, the unit's cell and its blob refs,
+        and the joined document must rebuild a ``RunResult`` (which is
+        then dropped: the row as received is what gets stored).
         Raises on anything it cannot commit.
         """
         cell = self._cells.get(unit_id)
@@ -656,12 +662,8 @@ class Coordinator:
             raise ValueError(f"row vector index {index!r} is not in the tail")
         expected = {
             "target_name": cell.target.name,
-            "workload_ref": RunCache._blob_ref(
-                cell.workload, workload_to_dict
-            ),
-            "platform_ref": RunCache._blob_ref(
-                cell.platform, platform_to_dict
-            ),
+            "workload_ref": blob_ref(cell.workload, workload_to_dict),
+            "platform_ref": blob_ref(cell.platform, platform_to_dict),
         }
         for field, value in expected.items():
             if row[field] != value:
@@ -672,10 +674,10 @@ class Coordinator:
         raw = tail[index]
         doc = known[1](np.frombuffer(raw, dtype="<f8"))
         doc.update(expected)  # the row fields the skeleton leaves out
-        result = run_result_from_dict(
+        run_result_from_dict(
             doc, workload=cell.workload, platform=cell.platform
         )
-        return row, raw, result
+        return row, raw
 
     def _handle_result(
         self, conn: _Connection, message: dict, tail: list
@@ -709,9 +711,7 @@ class Coordinator:
         # does not validate is a broken worker delivery -- charge it
         # like any other worker error report so the unit retries.
         try:
-            row, raw, result = self._decode_row(
-                conn, unit_id, message, tail
-            )
+            row, raw = self._decode_row(conn, unit_id, message, tail)
         except Exception as exc:
             with self._lock:
                 charged = self.table.fail(
@@ -734,10 +734,9 @@ class Coordinator:
             )
             done = self.table.done
         if verdict in ("committed", "late", "resurrected"):
-            key = self.table.unit(unit_id).key
-            self._cache.put(key, result)
             self._append_row(
-                key, conn.skeletons[row["skeleton"]][0], row, raw,
+                self.table.unit(unit_id).key,
+                conn.skeletons[row["skeleton"]][0], row, raw,
                 self._cells[unit_id],
             )
             registry.counter("dist.units_committed").inc()
@@ -822,7 +821,7 @@ class Coordinator:
     # -- finalization ------------------------------------------------------
 
     def _finalize(self, complete: bool) -> DistSummary:
-        """Commit the store rows, checkpoint, and summarize."""
+        """Merge the store rows, checkpoint, and summarize."""
         table = self.table
         with self._store_lock:
             writer, self._writer = self._writer, None
@@ -838,12 +837,6 @@ class Coordinator:
                     fingerprint=self.fingerprint,
                     name=self.campaign.name,
                 ).finalize(quarantined)
-                # After the writer's commit: promotion extends the
-                # manifest that commit wrote.
-                promoted = self._cache.promote_store(
-                    self.fingerprint, keys=self._precached
-                )
-                metrics().counter("dist.store_promoted").inc(promoted)
         summary = DistSummary(
             fingerprint=self.fingerprint,
             units=len(table),

@@ -9,8 +9,10 @@ solo engine uses -- fault plan installed, the host chaos policy applied
 to each lease before the batch, and a batch that raises rerun one cell
 at a time so only a failing unit is charged -- and deliver every result
 of the grant in one ``results`` frame.  A result travels as the analytic
-store row :class:`~repro.store.store.StoreWriter` would write
-(:func:`encode_row`): a JSON header entry naming its skeleton ref,
+store row :class:`~repro.store.store.StoreWriter` writes
+(:func:`wire_row` over :func:`~repro.store.store.encode_row`, the
+encoder the solo engine's store append uses): a JSON header entry naming
+its skeleton ref,
 ``target_name``, ``workload_ref`` and ``platform_ref``, and the packed
 ``<f8`` vector in the frame's binary tail.  Each skeleton body rides
 along the first time its connection needs it; the shipped campaign's
@@ -64,6 +66,7 @@ from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
 from repro.obs.events import events
 from repro.obs.metrics import metrics
 from repro.runtime.executor import Cell, _execute_cell
+from repro.store.store import encode_row
 
 EXIT_OK = 0
 EXIT_FINGERPRINT_MISMATCH = 2
@@ -81,32 +84,19 @@ REPLY_TIMEOUT_S = 10.0
 """How long a worker waits for the coordinator's reply to one fetch."""
 
 
-def encode_row(
+def wire_row(
     result, skeletons: Dict[str, Any]
 ) -> Tuple[Dict[str, str], bytes]:
     """One run as the store row a ``results`` entry carries.
 
-    Splits the JSON tier's document exactly as
-    :meth:`~repro.store.store.StoreWriter.add` does and returns
+    Encodes with :func:`~repro.store.store.encode_row` and returns
     ``(row, vector bytes)``: ``row`` holds the skeleton ref and the
     :data:`~repro.store.store.ROW_FIELDS` strings, the vector is packed
     little-endian float64.  ``skeletons`` maps the refs of the shapes
     seen so far to their bodies; a new shape is added to it.
     """
-    from repro.runtime.cache import run_document
-    from repro.store.codec import skeleton_ref
-    from repro.store.store import split_row
-
-    row, skeleton, vector = split_row(run_document(result))
-    # A skeleton's only literals are strings, bools, None and ints
-    # beyond 2**53, so equal skeletons dump to equal canonical JSON:
-    # one compare per known shape replaces a canonical dump per cell.
-    for ref, known in skeletons.items():
-        if known == skeleton:
-            break
-    else:
-        ref = skeleton_ref(skeleton)
-        skeletons[ref] = skeleton
+    row, ref, skeleton, vector = encode_row(result)
+    skeletons.setdefault(ref, skeleton)
     row["skeleton"] = ref
     return row, vector.astype("<f8", copy=False).tobytes()
 
@@ -416,7 +406,7 @@ class Worker:
         start = time.perf_counter()
         try:
             rows = [
-                encode_row(result, self._skeletons)
+                wire_row(result, self._skeletons)
                 for result in run_workloads([
                     (cell.workload, cell.platform, cell.target, cell.config)
                     for _, cell, _ in fresh
@@ -427,7 +417,7 @@ class Worker:
             for entry, cell, attempt in fresh:
                 try:
                     rows.append(
-                        encode_row(_execute_cell(cell), self._skeletons)
+                        wire_row(_execute_cell(cell), self._skeletons)
                     )
                 except Exception as exc:
                     self._cell_error(entry, attempt, exc)

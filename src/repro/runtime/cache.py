@@ -9,25 +9,43 @@ hashes a canonical fingerprint of the cell; :class:`RunCache` maps keys to
 * an **in-memory tier** shared by every campaign and experiment driver in
   the process (this is what lets ``python -m repro figures`` run the
   device campaign once instead of five times), and
-* an optional **on-disk tier** (one JSON document per run, sharded by key
-  prefix) so repeated CLI invocations skip finished cells entirely.
+* an optional **on-disk tier** under ``cache_dir`` so repeated CLI
+  invocations skip finished cells entirely.
 
-Disk entries that fail to parse -- truncated writes, stale schema versions
--- are treated as misses, never as errors.  Hygiene: a corrupt run document
-(or a run document whose referenced blob is corrupt) is *deleted* on
-detection rather than left to fail every future load, and temp files from
-interrupted atomic writes are cleaned up on the failure path.  A damaged
-row of the columnar store tier falls through to the JSON documents, and
-is counted (``RunCache.store_errors``, ``runtime.store_read_errors``)
-rather than passing for an absent key.
+On disk an analytic run is written once, as its row in the columnar
+store (:mod:`repro.store`): :meth:`RunCache.put` encodes the row
+(:func:`~repro.store.store.encode_row`) and appends it to the cache's one
+:class:`~repro.store.store.StoreWriter`, named by :meth:`RunCache.name_rows`
+(the campaign fingerprint and job id where the caller has them, else
+:data:`UNNAMED_ROWS`).  :meth:`RunCache.flush` makes the appended rows
+durable -- the engine calls it once per fused chunk or serial cell, so a
+kill costs at most the chunk or cell in flight -- and
+:meth:`RunCache.close` merges the flushed parts into the one manifest of
+their (fingerprint, job) (the CLI closes in a ``finally``, and replacing
+the shared engine closes its cache; a cache never closed leaves
+O(log rows) parts, see :meth:`~repro.store.store.StoreWriter.flush`).
+Event-simulation results keep their self-contained JSON document per
+cell (``<cache_dir>/<k[:2]>/<k>.json``, written by
+:meth:`RunCache.put_memory`) and reach the store only through
+:meth:`RunCache.promote_store`; a JSON document of any other kind (an
+analytic document from an older cache) can never load and is a miss.
+
+Reads go memory, then store, then the JSON documents.  Disk entries that
+fail to parse -- truncated writes, stale schema versions -- are treated
+as misses, never as errors: a corrupt JSON document is *deleted* on
+detection rather than left to fail every future load, and temp files
+from interrupted atomic writes are cleaned up on the failure path.  A
+damaged store row is counted (``RunCache.store_errors``,
+``runtime.store_read_errors``) rather than passing for an absent key.
 
 Thread safety: one :class:`RunCache` may be shared by many threads (the
 ``repro serve`` worker pool runs one :class:`CampaignEngine` per query
-against a single cache).  An internal lock guards the memory tier, the
-blob memo, and the hit/miss statistics; temp-file names are unique per
-(process, thread, write) so two threads storing the same key can never
-race each other's ``os.replace``.  Disk I/O happens outside the lock, so
-a warm disk load never serializes unrelated lookups.
+against a single cache).  An internal lock guards the memory tier and
+the hit/miss statistics, and a second one the store writer; temp-file
+names are unique per (process, thread, write) so two threads storing
+the same key can never race each other's ``os.replace``.  Disk reads
+happen outside the locks, so a warm disk load never serializes
+unrelated lookups.
 """
 
 from __future__ import annotations
@@ -49,15 +67,13 @@ from repro.obs.metrics import metrics
 from repro.hw.target import MemoryTarget
 from repro.runtime.serialize import (
     FORMAT_VERSION,
-    platform_from_dict,
     platform_to_dict,
-    run_result_from_dict,
     run_result_to_dict,
     shallow_dict,
-    workload_from_dict,
     workload_to_dict,
 )
 from repro.store import ResultStore
+from repro.store.store import encode_row
 from repro.workloads.base import WorkloadSpec
 
 
@@ -69,6 +85,11 @@ def _canonical(payload) -> str:
 _FINGERPRINT_MEMO: Dict[int, Tuple[object, str]] = {}
 _FINGERPRINT_MEMO_CAP = 100_000
 _FINGERPRINT_LOCK = threading.Lock()
+_BLOB_REFS: Dict[int, Tuple[object, str]] = {}
+
+UNNAMED_ROWS = "runs"
+"""Manifest name of the rows a cache appends before (or without) a
+:meth:`RunCache.name_rows` call: figure runs, embedders, tests."""
 
 _TMP_SEQ = itertools.count()
 """Process-wide sequence for temp-file names.
@@ -145,32 +166,47 @@ def run_key(
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
-def run_document(result: RunResult) -> Dict[str, object]:
-    """The JSON tier's document of one run: its context-free dict plus
-    the content refs of its workload and platform blobs.
+def blob_ref(obj, to_dict) -> str:
+    """Content ref of one workload/platform blob (memoized per object).
 
-    :meth:`RunCache.put` writes the same document (and the blobs), the
-    columnar tier stores it split, and a dist worker ships it split.
+    A store row names its workload and platform by these refs, and the
+    manifest embeds each referenced ``to_dict`` document once.
+    """
+    with _FINGERPRINT_LOCK:
+        entry = _BLOB_REFS.get(id(obj))
+        if entry is not None and entry[0] is obj:
+            return entry[1]
+    ref = hashlib.sha256(
+        _memoized(obj, to_dict).encode("utf-8")
+    ).hexdigest()[:32]
+    with _FINGERPRINT_LOCK:
+        if len(_BLOB_REFS) >= _FINGERPRINT_MEMO_CAP:
+            _BLOB_REFS.clear()
+        _BLOB_REFS[id(obj)] = (obj, ref)
+    return ref
+
+
+def run_document(result: RunResult) -> Dict[str, object]:
+    """One run's document: its context-free dict plus the content refs
+    of its workload and platform.
+
+    ``split_row(run_document(r))`` is the reference split the store's
+    :func:`~repro.store.store.encode_row` must reproduce.
     """
     doc = run_result_to_dict(result, embed_context=False)
-    doc["workload_ref"] = RunCache._blob_ref(
-        result.workload, workload_to_dict
-    )
-    doc["platform_ref"] = RunCache._blob_ref(
-        result.platform, platform_to_dict
-    )
+    doc["workload_ref"] = blob_ref(result.workload, workload_to_dict)
+    doc["platform_ref"] = blob_ref(result.platform, platform_to_dict)
     return doc
 
 
 class RunCache:
     """Two-tier (memory + optional disk) store of finished runs.
 
-    On disk a run document stores its workload and platform by *reference*
-    -- a content hash pointing into ``blobs/`` -- so the hundreds of runs
-    of one campaign share a single copy of each spec.  Blob loads are
-    memoized per cache instance, which makes warm campaign loads cheap:
-    each workload/platform is parsed and validated once per process, not
-    once per cell.
+    On disk an analytic run is one store row; its workload and platform
+    are referenced by content hash and embedded once per manifest, so
+    the hundreds of runs of one campaign share a single copy of each
+    spec.  Event-simulation results are JSON documents, promoted into
+    the store on request (:meth:`promote_store`).
     """
 
     def __init__(
@@ -183,24 +219,30 @@ class RunCache:
             raise ConfigurationError(
                 f"cache dir {cache_dir!r} exists and is not a directory"
             )
-        # The columnar tier (repro.store) sits between memory and the
-        # per-cell JSON documents: warm reads of promoted campaigns come
-        # from mmapped segments instead of re-parsing JSON.
-        # ``store_tier=False`` exists for benchmarks that need to time
-        # the JSON tier in isolation.
+        # The columnar tier (repro.store) holds every analytic run and
+        # the promoted event-sim results: warm reads are mmapped
+        # segment slices.  ``store_tier=False`` exists for benchmarks
+        # that time the event-sim JSON documents in isolation; such a
+        # cache keeps analytic runs in memory only.
         self.store: Optional[ResultStore] = (
             ResultStore(self.cache_dir / "store")
             if self.cache_dir is not None and store_tier
             else None
         )
         self._made_shards = set()
-        self._blobs: Dict[str, object] = {}
-        self._blobs_written = set()
         self._lock = threading.RLock()
+        # The one writer analytic rows append to, its (fingerprint,
+        # job) name, and the blob documents it embeds, built once per
+        # ref; all guarded by _writer_lock.
+        self._writer_lock = threading.Lock()
+        self._writer = None
+        self._rows_name: Tuple[str, str] = (UNNAMED_ROWS, "")
+        self._blob_docs: Dict[str, dict] = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.store_hits = 0
-        # Store reads that hit a damaged entry (the JSON tier answered).
+        # Store reads that hit a damaged entry (counted; the JSON
+        # documents are tried next).
         self.store_errors = 0
         self.misses = 0
         self.stores = 0
@@ -215,61 +257,6 @@ class RunCache:
         if self.cache_dir is None:
             return None
         return os.path.join(str(self.cache_dir), key[:2], f"{key}.json")
-
-    def _blob_path(self, ref: str) -> str:
-        return os.path.join(str(self.cache_dir), "blobs", f"{ref}.json")
-
-    # -- blob tier -------------------------------------------------------
-
-    @staticmethod
-    def _blob_ref(obj, to_dict) -> str:
-        """Content ref of one workload/platform blob.
-
-        Shared by the JSON tier's blob writes and :func:`run_document`,
-        so a stored or shipped run document carries exactly the refs
-        its JSON twin does.
-        """
-        return hashlib.sha256(
-            _memoized(obj, to_dict).encode("utf-8")
-        ).hexdigest()[:32]
-
-    def _write_blob(self, obj, to_dict) -> str:
-        """Store one workload/platform blob; returns its content ref."""
-        ref = self._blob_ref(obj, to_dict)
-        with self._lock:
-            self._blobs[ref] = obj
-            if ref in self._blobs_written:
-                return ref
-        path = self._blob_path(ref)
-        self._ensure_shard(os.path.dirname(path))
-        if not os.path.exists(path):
-            self._atomic_write(path, to_dict(obj))
-        with self._lock:
-            self._blobs_written.add(ref)
-        return ref
-
-    def _load_blob(self, ref: str, from_dict):
-        """Recall a blob (memoized); raises ``KeyError`` when absent.
-
-        A blob file that exists but fails to parse or reconstruct is deleted
-        on detection: it can never satisfy a future load, and dropping it
-        lets the next :meth:`put` of the same content rewrite it cleanly.
-        """
-        with self._lock:
-            obj = self._blobs.get(ref)
-        if obj is None:
-            path = self._blob_path(ref)
-            try:
-                with open(path, "r") as handle:
-                    obj = from_dict(json.load(handle))
-            except OSError as exc:
-                raise KeyError(f"missing blob {ref}") from exc
-            except (ValueError, TypeError, KeyError) as exc:
-                self._recover(path)
-                raise KeyError(f"corrupt blob {ref}") from exc
-            with self._lock:
-                self._blobs[ref] = obj
-        return obj
 
     # -- hygiene helpers -------------------------------------------------
 
@@ -346,10 +333,10 @@ class RunCache:
     def get(self, key: str) -> Optional[RunResult]:
         """Look a run up; promotes disk hits into the memory tier.
 
-        Tier order is memory, then the columnar store, then the JSON
-        documents: a promoted campaign's warm reads are mmap slices,
-        and the JSON tier only pays its parse cost for cells nobody
-        promoted yet.
+        Tier order is memory, then the columnar store, then the
+        event-sim JSON documents: warm reads of stored runs are mmap
+        slices, and a JSON document is only opened for a key the store
+        does not hold.
         """
         with self._lock:
             hit = self._memory.get(key)
@@ -360,7 +347,7 @@ class RunCache:
             # A single lookup: get_result raises KeyError for a key the
             # store never had.  A damaged entry (truncated segment,
             # garbled manifest row) raises something else; it falls
-            # through to the JSON tier too, but visibly.
+            # through to the JSON documents too, but visibly.
             try:
                 result = self.store.get_result(key)
             except KeyError:
@@ -385,32 +372,17 @@ class RunCache:
                 self._recover(path)
                 self._miss()
                 return None
-            if isinstance(data, dict) and data.get("kind") == "eventsim":
-                # Event-simulation documents carry their payload inline
-                # (no workload/platform blobs to resolve).
-                from repro.hw.cxl.eventdevice import EventSimResult
+            from repro.hw.cxl.eventdevice import EventSimResult
 
-                try:
-                    result = EventSimResult.from_dict(data)
-                except (ValueError, KeyError, TypeError):
-                    self._recover(path)
-                    self._miss()
-                    return None
-                return self._promote(key, result)
             try:
-                result = run_result_from_dict(
-                    data,
-                    workload=self._load_blob(
-                        data["workload_ref"], workload_from_dict
-                    ),
-                    platform=self._load_blob(
-                        data["platform_ref"], platform_from_dict
-                    ),
-                )
+                if not isinstance(data, dict) \
+                        or data.get("kind") != "eventsim":
+                    # Not an event-sim document (an analytic document
+                    # of an older cache, a stale schema): it can never
+                    # load again -- drop it.
+                    raise ValueError("not an event-sim document")
+                result = EventSimResult.from_dict(data)
             except (ValueError, KeyError, TypeError):
-                # Stale schema or unusable blob reference: the document can
-                # never load again -- drop it (corrupt blobs were already
-                # dropped by ``_load_blob``).
                 self._recover(path)
                 self._miss()
                 return None
@@ -437,22 +409,63 @@ class RunCache:
         return incumbent
 
     def put(self, key: str, result: RunResult) -> None:
-        """Store a run in both tiers (atomic writes, blobs first)."""
+        """Store a run in memory and append its row to the store writer.
+
+        The row is durable after the next :meth:`flush`; a cache without
+        a store keeps the run in memory only.
+        """
         with self._lock:
             self._memory[key] = result
             self.stores += 1
-        path = self._disk_path(key)
-        if path is None:
+        if self.store is None:
             return
-        data = run_result_to_dict(result, embed_context=False)
-        data["workload_ref"] = self._write_blob(
-            result.workload, workload_to_dict
-        )
-        data["platform_ref"] = self._write_blob(
-            result.platform, platform_to_dict
-        )
-        self._ensure_shard(os.path.dirname(path))
-        self._atomic_write(path, data)
+        row, ref, skeleton, vector = encode_row(result)
+        plan = active_fault_plan()
+        plan_key = plan.key() if plan is not None and plan.enabled else ""
+        with self._writer_lock:
+            docs = self._blob_docs
+            for field_name, obj, to_dict in (
+                ("workload_ref", result.workload, workload_to_dict),
+                ("platform_ref", result.platform, platform_to_dict),
+            ):
+                if row[field_name] not in docs:
+                    docs[row[field_name]] = to_dict(obj)
+            if self._writer is None:
+                self._writer = self.store.writer(*self._rows_name)
+            self._writer.add_row(
+                key, ref, skeleton, vector, row,
+                workload_doc=docs[row["workload_ref"]],
+                platform_doc=docs[row["platform_ref"]],
+                fault_plan=plan_key,
+            )
+
+    def name_rows(self, fingerprint: str, job_id: str = "") -> None:
+        """Append the analytic rows put from now on under
+        ``(fingerprint, job_id)``; rows appended under another name are
+        merged first (:meth:`close`)."""
+        with self._writer_lock:
+            if (fingerprint, job_id) == self._rows_name:
+                return
+            writer, self._writer = self._writer, None
+            self._rows_name = (fingerprint, job_id)
+        if writer is not None:
+            writer.commit()
+
+    def flush(self) -> None:
+        """Make every row :meth:`put` appended durable (one part
+        manifest; see :meth:`~repro.store.store.StoreWriter.flush`)."""
+        with self._writer_lock:
+            if self._writer is not None:
+                self._writer.flush()
+
+    def close(self) -> None:
+        """Merge this cache's rows, flushed or not, into the one
+        manifest of their (fingerprint, job).  The cache stays usable;
+        a later :meth:`put` opens a fresh writer."""
+        with self._writer_lock:
+            writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.commit()
 
     def put_memory(self, key: str, result) -> None:
         """Store a non-pipeline result (event-sim cells) in both tiers.
@@ -476,18 +489,17 @@ class RunCache:
     def promote_store(
         self, fingerprint: str, job_id: str = "", keys=None
     ) -> int:
-        """Promote finished runs from the memory tier into the columnar
-        store under campaign ``fingerprint``.
+        """Promote finished event-sim results from the memory tier into
+        the columnar store under campaign ``fingerprint``.
 
         ``keys`` restricts promotion to one campaign's cells (the usual
         call, at campaign end); ``None`` promotes everything in memory.
         Keys already present in the store are skipped, so repeated
         promotions accrete without duplicating segments.  The documents
-        written are byte-for-byte the JSON tier's documents -- event-sim
-        ``to_dict`` output and analytic run documents with the same
-        content-addressed blob refs -- which is what makes the two
-        tiers interchangeable on read.  Returns how many runs were
-        promoted.
+        written are byte-for-byte the JSON tier's ``to_dict`` documents,
+        which is what makes the two tiers interchangeable on read.
+        Analytic runs are never promoted: :meth:`put` already appended
+        them.  Returns how many results were promoted.
         """
         if self.store is None:
             return 0
@@ -504,32 +516,16 @@ class RunCache:
             key: result
             for key, result in snapshot.items()
             if key not in self.store
+            and getattr(result, "to_dict", None) is not None
         }
         if not pending:
             return 0
-        plan = active_fault_plan()
-        plan_key = plan.key() if plan is not None and plan.enabled else ""
         writer = self.store.writer(fingerprint, job_id)
-        promoted = 0
         for key, result in pending.items():
-            to_dict = getattr(result, "to_dict", None)
-            if to_dict is not None:
-                writer.add(key, to_dict())
-                promoted += 1
-                continue
-            if not isinstance(result, RunResult):
-                continue  # unserializable ad-hoc result: memory-only
-            writer.add(
-                key,
-                run_document(result),
-                workload_doc=workload_to_dict(result.workload),
-                platform_doc=platform_to_dict(result.platform),
-                fault_plan=plan_key,
-            )
-            promoted += 1
+            writer.add(key, result.to_dict())
         writer.commit()
-        metrics().counter("runtime.store_promoted").inc(promoted)
-        return promoted
+        metrics().counter("runtime.store_promoted").inc(len(pending))
+        return len(pending)
 
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier survives)."""

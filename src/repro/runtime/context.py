@@ -40,10 +40,12 @@ def configure_runtime(
     A ``cache_dir`` left as ``None`` keeps the current engine's;
     ``policy`` always takes the given value (passing ``None`` returns to
     fail-fast execution).  The in-memory cache always starts fresh (the
-    disk tier, if any, persists).
+    disk tier, if any, persists: the replaced cache is closed, which
+    merges the rows it appended).
     """
     global _engine
     current = get_engine()
+    current.cache.close()
     _engine = CampaignEngine(
         cache=RunCache(cache_dir if cache_dir is not None
                        else (str(current.cache.cache_dir)
@@ -54,9 +56,12 @@ def configure_runtime(
 
 
 def reset_runtime() -> None:
-    """Forget the shared engine (tests use this for isolation)."""
+    """Close and forget the shared engine (tests use this for
+    isolation)."""
     global _engine
-    _engine = None
+    engine, _engine = _engine, None
+    if engine is not None:
+        engine.cache.close()
 
 
 def runtime_stats() -> EngineStats:

@@ -49,9 +49,10 @@ wedges its process is bounded by lease expiry on the coordinator
 (:mod:`repro.dist`, the CLI's ``--cell-timeout``).
 
 The run cache is the campaign's progress record: a serial cell is cached
-as soon as it returns and a fused chunk as soon as the chunk returns, so
-an error or a kill costs at most the cell or chunk in flight and a rerun
-over the same cache skips everything that finished.  The quarantine
+(and its store row flushed) as soon as it returns and a fused chunk as
+soon as the chunk returns, so an error or a kill costs at most the cell
+or chunk in flight and a rerun over the same cache skips everything that
+finished.  The quarantine
 ledger is the one thing the cache cannot hold; an attached
 ``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists it
 whenever a cell is quarantined.
@@ -324,7 +325,8 @@ class EngineStats:
     cells_cached: int = 0
     cells_from_store: int = 0
     """Cache hits served by the columnar store tier (a subset of
-    ``cells_cached``); the JSON tier served the rest of the disk hits.
+    ``cells_cached``); event-sim JSON documents served the rest of the
+    disk hits.
     Counted as the cache's ``store_hits`` delta across each batch's
     resolution loop, so on a cache shared by concurrent engines the
     split is approximate -- the per-engine total never exceeds the
@@ -606,10 +608,8 @@ class CampaignEngine:
         if serial:
             self.stats.cells_serial += len(serial)
             metrics().counter("runtime.cells_serial").inc(len(serial))
-            # Lazy: _commit stores each cell before the next one runs.
-            self._commit(
-                serial, (_execute_cell(cell) for cell, _ in serial), resolved
-            )
+            for item in serial:  # each cell is stored before the next runs
+                self._commit([item], (_execute_cell(item[0]),), resolved)
         return len(pending)
 
     def _commit(
@@ -619,26 +619,26 @@ class CampaignEngine:
         resolved: Dict[str, Optional[RunResult]],
         batched: bool = False,
     ) -> None:
-        """Cache and resolve each of ``items``' results in turn."""
+        """Cache and resolve ``items``' results, then make them durable.
+
+        A :class:`RunResult` goes through :meth:`RunCache.put`, which
+        appends its store row, and the one :meth:`RunCache.flush` after
+        the loop makes every row of the chunk or cell durable at once.
+        An :class:`EventSimResult` goes through
+        :meth:`RunCache.put_memory`, which writes its ``to_dict``
+        document to the JSON tier at once; :meth:`RunCache.promote_store`
+        later stores it as a row.
+        """
         for (_, key), result in zip(items, results):
-            self._store(key, result)
+            if isinstance(result, RunResult):
+                self.cache.put(key, result)
+            else:
+                self.cache.put_memory(key, result)
             resolved[key] = result
+        self.cache.flush()
         if batched:
             self.stats.cells_batched += len(items)
             metrics().counter("runtime.cells_batched").inc(len(items))
-
-    def _store(self, key: str, result) -> None:
-        """Cache one result in every tier the cache has.
-
-        A :class:`RunResult` goes through :meth:`RunCache.put`; an
-        :class:`EventSimResult` goes through :meth:`RunCache.put_memory`,
-        which also writes its ``to_dict`` document to the JSON tier, and
-        :meth:`RunCache.promote_store` later stores it as a row.
-        """
-        if isinstance(result, RunResult):
-            self.cache.put(key, result)
-        else:
-            self.cache.put_memory(key, result)
 
     def _execute_batch(self, pending: List[SimCell]) -> List[object]:
         """Fused execution: all pending sim cells through one batch call.
@@ -696,8 +696,7 @@ class CampaignEngine:
             except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
                 message = f"{type(exc).__name__}: {exc}"
             else:
-                self._store(key, result)
-                resolved[key] = result
+                self._commit([(cell, key)], (result,), resolved)
                 self.stats.cells_serial += 1
                 ok += 1
                 continue

@@ -16,11 +16,16 @@ hundred KB, not a 10k-file directory:
   per distinct shape, content-addressed;
 * workload/platform blobs referenced by analytic entries are embedded,
   so a store directory is self-contained -- it can be copied between
-  hosts without dragging the JSON tier along.
+  hosts on its own.
 
-Manifests are immutable once written (``<fingerprint>.json``, or
-``<fingerprint>.<job_id>.json`` for one job's slice) and written
-atomically, mirroring the run cache's temp-file idiom.
+Manifests are immutable once written and written atomically (temp file,
+then ``os.replace``).  One (fingerprint, job) owns one manifest,
+``<fingerprint>.json`` or ``<fingerprint>.<job_id>.json``, plus the
+*parts* its writers flushed since their last merge,
+``<stem>@<token>.json`` (``@`` never occurs in a fingerprint or job id):
+a part holds only the rows of one flush, and
+:meth:`~repro.store.store.StoreWriter.commit` folds the parts into the
+one manifest (see :meth:`Manifest.absorb`).
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ the next writer of its (fingerprint, job) replaces it."""
 KEY_HEX = 64
 """Cell keys are sha256 hex digests; the fixed width is what lets the
 key column concatenate into one sliceable string."""
+
+PART_MARK = "@"
+"""Separates a part manifest's stem from its token: job ids and
+fingerprints never contain it, so ``<stem>@*.json`` globs exactly one
+(fingerprint, job)'s parts."""
 
 KIND_EVENTSIM = "eventsim"
 KIND_ANALYTIC = "analytic"
@@ -235,6 +245,55 @@ class Manifest:
         for row in range(len(self._keys)):
             yield self.entry(row)
 
+    # -- parts and merges ------------------------------------------------
+
+    def absorb(self, other: "Manifest", start: int = 0) -> int:
+        """Append ``other``'s rows from ``start`` on whose keys this
+        manifest lacks, with the skeletons and blobs they reference.
+
+        A flush's part is an empty manifest absorbing the rows since the
+        last flush (O(those rows), whatever came before them), and the
+        merge of :meth:`~repro.store.store.StoreWriter.commit` absorbs
+        whole manifests: claims of one key are bit-identical by
+        construction, so the first one kept wins.  Returns how many rows
+        were taken.
+        """
+        have = self.key_index()
+        rows = []
+        for row in range(start, len(other._keys)):
+            key = other._keys[row]
+            if key not in have:
+                have[key] = len(self._keys) + len(rows)
+                rows.append(row)
+        if not rows:
+            return 0
+        self._keys.extend(other._keys[row] for row in rows)
+        for name in _VOCAB_COLUMNS:
+            vocab = other._vocab[name]
+            codes = other._codes[name]
+            remap = {}
+            out = self._codes[name]
+            for row in rows:
+                code = codes[row]
+                mine = remap.get(code)
+                if mine is None:
+                    mine = remap[code] = self._code(name, vocab[code])
+                out.append(mine)
+        for name in _FLOAT_COLUMNS:
+            values = other._floats[name]
+            self._floats[name].extend(values[row] for row in rows)
+        for name in _INT_COLUMNS:
+            values = other._ints[name]
+            self._ints[name].extend(values[row] for row in rows)
+        for ref in {other.value_at("skeleton", row) for row in rows}:
+            self.skeletons.setdefault(ref, other.skeletons[ref])
+        for column in ("workload_ref", "platform_ref"):
+            for ref in {other.value_at(column, row) for row in rows}:
+                if ref in other.blobs:
+                    self.blobs.setdefault(ref, other.blobs[ref])
+        self._arrays.clear()
+        return len(rows)
+
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -304,17 +363,26 @@ class Manifest:
 
     # -- disk ------------------------------------------------------------
 
-    def filename(self) -> str:
-        """``<fp>.json``, or ``<fp>.<job_id>.json`` for a job slice."""
+    def stem(self) -> str:
+        """``<fp>``, or ``<fp>.<job_id>`` for a job slice."""
         if self.job_id:
-            return f"{self.fingerprint}.{self.job_id}.json"
-        return f"{self.fingerprint}.json"
+            return f"{self.fingerprint}.{self.job_id}"
+        return self.fingerprint
 
-    def write(self, directory: Path) -> Path:
-        """Atomically write this manifest into ``directory``."""
+    def filename(self) -> str:
+        """``<stem>.json``: the one merged manifest of its (fp, job)."""
+        return f"{self.stem()}.json"
+
+    def part_filename(self, token: str) -> str:
+        """``<stem>@<token>.json``: one flushed part of its (fp, job)."""
+        return f"{self.stem()}{PART_MARK}{token}.json"
+
+    def write(self, directory: Path, filename: Optional[str] = None) -> Path:
+        """Atomically write this manifest into ``directory``, under
+        ``filename`` (default :meth:`filename`)."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / self.filename()
+        path = directory / (filename or self.filename())
         tmp = Path(
             f"{path}.tmp.{os.getpid()}."
             f"{threading.get_ident()}.{next(_TMP_SEQ)}"

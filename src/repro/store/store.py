@@ -4,6 +4,8 @@ Layout, under ``<cache_dir>/store/``::
 
     manifests/<fingerprint>.json            one campaign's manifest
     manifests/<fingerprint>.<job_id>.json   one job's slice of it
+    manifests/<stem>@<token>.json           one flush not merged yet
+    manifests/merge.lock                    serializes manifest merges
     segments/<writer_id>-<seq>.f64          packed float64 payloads
 
 Reads are O(1): key -> (manifest row) -> ``np.memmap`` slice ->
@@ -17,11 +19,14 @@ shadowed rows, so a cell is never reported twice.
 
 from __future__ import annotations
 
+import fcntl
 import math
+import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from repro.store.codec import (
 from repro.store.manifest import (
     KIND_ANALYTIC,
     KIND_EVENTSIM,
+    PART_MARK,
     Manifest,
     ManifestEntry,
 )
@@ -41,6 +47,12 @@ from repro.store.segments import SegmentWriter, open_segment
 
 MANIFEST_DIR = "manifests"
 SEGMENT_DIR = "segments"
+MERGE_LOCK = "merge.lock"
+"""Lock file (under ``manifests/``) serializing every manifest merge of
+one store, across threads and processes."""
+PART_FAN_IN = 16
+"""How many parts of one level a writer folds into one part of the next
+level (see :meth:`StoreWriter.flush`)."""
 
 ROW_FIELDS = {
     "target_name": "target",
@@ -77,6 +89,154 @@ def split_row(
     return row, skeleton, vector
 
 
+_EXACT_INT = 2 ** 53
+_GETTERS: Dict[type, Any] = {}
+_LEAF_PLANS: Dict[tuple, Tuple[Tuple[int, ...], Tuple[int, ...], Any]] = {}
+_SHAPES: Dict[tuple, Tuple[str, Any]] = {}
+_MEMO_CAP = 4096
+
+
+def _sorted_fields(obj) -> tuple:
+    """``obj``'s dataclass field values in sorted field-name order:
+    the order :func:`split_document` walks the ``shallow_dict``."""
+    cls = type(obj)
+    getter = _GETTERS.get(cls)
+    if getter is None:
+        names = sorted(f.name for f in fields(cls))
+        getter = attrgetter(*names) if len(names) > 1 \
+            else (lambda o, n=names[0]: (getattr(o, n),))
+        _GETTERS[cls] = getter
+    return getter(obj)
+
+
+_RUNTIME: Optional[tuple] = None
+
+
+def _runtime() -> tuple:
+    """``(blob_ref, workload_to_dict, platform_to_dict, FORMAT_VERSION)``,
+    imported on first use (:mod:`repro.runtime` imports this module)."""
+    global _RUNTIME
+    if _RUNTIME is None:
+        from repro.runtime.cache import blob_ref
+        from repro.runtime.serialize import (
+            FORMAT_VERSION,
+            platform_to_dict,
+            workload_to_dict,
+        )
+
+        _RUNTIME = (blob_ref, workload_to_dict, platform_to_dict,
+                    FORMAT_VERSION)
+    return _RUNTIME
+
+
+def _run_leaves(result, version: int) -> Tuple[list, tuple]:
+    """Every leaf of ``result``'s run document in skeleton order, plus
+    the structure the leaf types do not show (phase multiplier keys).
+
+    Mirrors :func:`~repro.runtime.serialize.run_result_to_dict` with
+    ``embed_context=False`` minus the row fields: ``components``,
+    ``counters``, ``cycles``, ``instructions``, ``phases`` (each
+    ``components``, ``counters``, ``instructions``, ``operating_point``
+    with ``prefetch`` nested in place, ``phase``), ``version``.
+    """
+    leaves = [
+        *_sorted_fields(result.components),
+        *_sorted_fields(result.counters),
+        result.cycles,
+        result.instructions,
+    ]
+    structure = []
+    for phase in result.phases:
+        leaves += _sorted_fields(phase.components)
+        leaves += _sorted_fields(phase.counters)
+        leaves.append(phase.instructions)
+        for value in _sorted_fields(phase.operating_point):
+            if hasattr(value, "__dataclass_fields__"):
+                leaves += _sorted_fields(value)
+            else:
+                leaves.append(value)
+        spec = phase.phase
+        multipliers = spec.multipliers
+        names = tuple(sorted(multipliers))
+        structure.append(names)
+        leaves.append(spec.label)
+        leaves += [multipliers[name] for name in names]
+        leaves.append(spec.weight)
+    leaves.append(version)
+    return leaves, tuple(structure)
+
+
+def _leaf_plan(kinds: tuple):
+    """(literal positions, int positions, number gatherer) of one leaf
+    type signature; ``None`` when a leaf is not a plain scalar."""
+    plan = _LEAF_PLANS.get(kinds)
+    if plan is None:
+        if not set(kinds) <= {float, int, bool, str, type(None)}:
+            return None
+        literals = tuple(
+            i for i, kind in enumerate(kinds) if kind not in (float, int)
+        )
+        ints = tuple(i for i, kind in enumerate(kinds) if kind is int)
+        numbers = [i for i, kind in enumerate(kinds) if kind in (float, int)]
+        plan = (literals, ints, itemgetter(*numbers) if len(numbers) > 1
+                else (lambda leaves, i=numbers[0]: (leaves[i],)))
+        if len(_LEAF_PLANS) >= _MEMO_CAP:
+            _LEAF_PLANS.clear()
+        _LEAF_PLANS[kinds] = plan
+    return plan
+
+
+def encode_row(
+    result
+) -> Tuple[Dict[str, str], str, Any, np.ndarray]:
+    """One :class:`~repro.cpu.pipeline.RunResult` as its analytic store
+    row: ``(row, skeleton ref, skeleton, vector)``.
+
+    Equal to ``split_row(run_document(result))`` (the oracle) with the
+    skeleton's ref, but built straight from the result's dataclasses:
+    the leaves are gathered in skeleton order, the skeleton and its ref
+    are memoized per shape (leaf types, literal values, phase
+    structure), and the vector is the numeric leaves as ``float64``.  A
+    result the fast path cannot vouch for -- a row field that is not a
+    non-empty string, an int beyond 2**53, a leaf of an unexpected type
+    -- goes through the oracle instead.  The engine's store append
+    (:meth:`~repro.runtime.cache.RunCache.put`) and the dist worker both
+    encode with this.
+    """
+    blob_ref, workload_to_dict, platform_to_dict, version = _runtime()
+    row = {
+        "target_name": result.target_name,
+        "workload_ref": blob_ref(result.workload, workload_to_dict),
+        "platform_ref": blob_ref(result.platform, platform_to_dict),
+    }
+    leaves, structure = _run_leaves(result, version)
+    kinds = tuple(map(type, leaves))
+    plan = _leaf_plan(kinds)
+    if plan is not None and type(row["target_name"]) is str \
+            and row["target_name"]:
+        literals, ints, numbers = plan
+        if all(-_EXACT_INT <= leaves[i] <= _EXACT_INT for i in ints):
+            shape = (kinds, structure, tuple(leaves[i] for i in literals))
+            known = _SHAPES.get(shape)
+            if known is None:
+                _, skeleton, _ = _oracle_row(result)
+                known = (skeleton_ref(skeleton), skeleton)
+                if len(_SHAPES) >= _MEMO_CAP:
+                    _SHAPES.clear()
+                _SHAPES[shape] = known
+            vector = np.array(numbers(leaves), dtype=np.float64)
+            return row, known[0], known[1], vector
+    row, skeleton, vector = _oracle_row(result)
+    return row, skeleton_ref(skeleton), skeleton, vector
+
+
+def _oracle_row(result):
+    """``split_row(run_document(result))``: the generic reference split."""
+    from repro.runtime.cache import run_document
+
+    return split_row(run_document(result))
+
+
 @dataclass(frozen=True)
 class ScanHit:
     """One row matched by :meth:`ResultStore.scan`.
@@ -111,12 +271,25 @@ class ScanHit:
 class StoreWriter:
     """Appends results of one (fingerprint, job) into the store.
 
-    Re-opening an existing manifest extends it (new vectors land in
-    fresh segment files; prior spans keep pointing where they were), so
-    repeated promotions of one campaign accrete instead of clobbering;
-    a manifest that cannot be loaded is replaced instead.
-    Writers of distinct (fingerprint, job) pairs never share a segment
-    file, which is what lets concurrent jobs write safely.
+    Rows accumulate in memory (``manifest``) and their vectors in this
+    writer's own segment files.  :meth:`flush` makes the rows added
+    since the last flush durable as one immutable *part* manifest --
+    segment bytes first, then the part's atomic ``os.replace`` -- at a
+    cost of O(rows flushed), whatever the manifest's size.
+    Once :data:`PART_FAN_IN` parts of one level pile up, the flush
+    folds them into one part of the next level, so a writer that is
+    never committed leaves O(log rows) part files and writes each row
+    O(log rows) times.
+    :meth:`commit` merges: under the store's merge lock it folds this
+    writer's rows, the manifest as it is on disk at that moment, and
+    every other part of the stem the store has loaded (one a killed
+    writer left, say) into the one manifest, replaces it, then deletes
+    the parts it folded.  Writers whose lifetimes overlap therefore
+    never drop each other's rows, and a kill at any point leaves every
+    flushed row readable (from a part, the manifest, or both).  A
+    manifest that cannot be loaded is replaced by the merge.  Writers
+    of distinct (fingerprint, job) pairs never share a segment file,
+    which is what lets concurrent jobs write safely.
     """
 
     def __init__(
@@ -124,19 +297,16 @@ class StoreWriter:
     ) -> None:
         self.store = store
         self.manifest = Manifest(fingerprint, job_id)
-        try:
-            self.manifest = Manifest.load(
-                store.manifest_dir / self.manifest.filename()
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            # Absent, or unreadable as in ``ResultStore._load`` (e.g.
-            # truncated): start afresh; commit's atomic replace then
-            # overwrites the damaged file.
-            pass
+        self._flushed = 0  # rows of ``manifest`` already in a part
+        # (file name, first row, level) of each part this writer wrote
+        # and has not merged; the parts cover ``manifest[:_flushed]``
+        # in order, and their levels never rise along the list.
+        self._parts: List[Tuple[str, int, int]] = []
         writer_id = fingerprint[:12] + (f".{job_id}" if job_id else "")
         self._segments = SegmentWriter(store.segment_dir, writer_id)
 
     def __len__(self) -> int:
+        """Rows this writer added."""
         return len(self.manifest)
 
     def add(
@@ -232,13 +402,99 @@ class StoreWriter:
         self.manifest.add(entry)
         return entry
 
+    def flush(self) -> Optional[Path]:
+        """Make the rows added since the last flush durable: flush their
+        segment bytes, then write them as one part manifest.  Returns
+        the newest part's path (``None`` when there was nothing to
+        flush)."""
+        if self._flushed == len(self.manifest):
+            return None
+        self._segments.flush()
+        path = self._write_part(self._flushed, 0)
+        self._flushed = len(self.manifest)
+        while len(self._parts) >= PART_FAN_IN and len(
+            {level for _, _, level in self._parts[-PART_FAN_IN:]}
+        ) == 1:
+            folded = self._parts[-PART_FAN_IN:]
+            del self._parts[-PART_FAN_IN:]
+            _, start, level = folded[0]
+            path = self._write_part(
+                start, level + 1, replaces=[name for name, _, _ in folded]
+            )
+        return path
+
+    def _write_part(
+        self, start: int, level: int, replaces: Sequence[str] = ()
+    ) -> Path:
+        """Write ``manifest[start:_flushed]``'s rows as one part that
+        takes over from the parts ``replaces`` (then deleted)."""
+        part = Manifest(self.manifest.fingerprint, self.manifest.job_id)
+        part.absorb(self.manifest, start)
+        name = part.part_filename(os.urandom(8).hex())
+        path = part.write(self.store.manifest_dir, name)
+        self._parts.append((name, start, level))
+        self.store._install(name, part, replaces=replaces)
+        for old in replaces:
+            try:
+                os.unlink(self.store.manifest_dir / old)
+            except FileNotFoundError:
+                pass  # a concurrent merge folded it already
+        return path
+
     def commit(self) -> Path:
-        """Flush segments, write the manifest, refresh the live index."""
+        """Merge this writer's rows, the on-disk manifest and the parts
+        of this (fingerprint, job) the store has seen into the one
+        manifest (see the class docstring); refreshes the live index.
+        """
         self._segments.flush()
         self._segments.close()
-        path = self.manifest.write(self.store.manifest_dir)
-        self.store._install(path.name, self.manifest)
+        directory = self.store.manifest_dir
+        directory.mkdir(parents=True, exist_ok=True)
+        with open(directory / MERGE_LOCK, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            merged, folded = self._merge(directory)
+            path = merged.write(directory)
+            for name in folded:
+                try:
+                    os.unlink(directory / name)
+                except OSError:
+                    pass
+        self._flushed = len(self.manifest)
+        self._parts = []
+        self.store._install(path.name, merged, replaces=folded)
         return path
+
+    def _merge(self, directory: Path):
+        """(merged manifest, part names folded into it), lock held.
+
+        Folds the manifest as it is on disk now and, besides this
+        writer's own parts, every part of the stem the store loaded (a
+        killed writer's, say) -- no directory scan.  This writer's rows
+        come first, so a row it rewrote (a damaged claim read as a
+        miss, then recomputed) takes over the key.
+        """
+        mine = [name for name, _, _ in self._parts]
+        loaded = [
+            (name, manifest)
+            for name, manifest in self.store._parts_of(self.manifest.stem())
+            if name not in mine
+        ]
+        others = [manifest for _, manifest in loaded]
+        folded = mine + [name for name, _ in loaded]
+        try:
+            others.insert(0, Manifest.load(
+                directory / self.manifest.filename()
+            ))
+        except (OSError, ValueError, KeyError, TypeError):
+            # Absent, or unreadable as in ``ResultStore._load``: the
+            # merge replaces it.
+            pass
+        if not others:
+            return self.manifest, folded
+        merged = Manifest(self.manifest.fingerprint, self.manifest.job_id)
+        for manifest in (self.manifest, *others):
+            merged.absorb(manifest)
+        return merged, folded
 
 
 class ResultStore:
@@ -284,37 +540,55 @@ class ResultStore:
 
     def _load(self) -> None:
         with self._lock:
-            if self._loaded:
-                return
-            self._loaded = True
-            if not self.manifest_dir.is_dir():
-                return
-            for path in sorted(self.manifest_dir.glob("*.json")):
-                try:
-                    manifest = Manifest.load(path)
-                except (OSError, ValueError, KeyError, TypeError):
-                    # A truncated manifest must not take the whole store
-                    # down; it is counted, skipped, and left in place
-                    # for `repro validate --layer store` to report.
-                    self.corrupt_manifests += 1
-                    continue
-                self._install_locked(path.name, manifest)
+            while not self._loaded:
+                self._loaded = self._scan()
 
-    def _install(self, name: str, manifest: Manifest) -> None:
+    def _scan(self) -> bool:
+        """Index every manifest under ``manifests/``; lock held.  False
+        when a listed manifest vanished before it could be read: a
+        merge folded that part between the listing and the open, so the
+        rows it held are in a manifest the listing may predate, and the
+        caller scans again."""
+        if not self.manifest_dir.is_dir():
+            return True
+        for path in sorted(self.manifest_dir.glob("*.json")):
+            try:
+                manifest = Manifest.load(path)
+            except FileNotFoundError:
+                self._manifests.clear()
+                self._index.clear()
+                self.corrupt_manifests = 0
+                return False
+            except (OSError, ValueError, KeyError, TypeError):
+                # A truncated manifest must not take the whole store
+                # down; it is counted, skipped, and left in place
+                # for `repro validate --layer store` to report.
+                self.corrupt_manifests += 1
+                continue
+            self._install_locked(path.name, manifest)
+        return True
+
+    def _install(
+        self, name: str, manifest: Manifest, replaces: Sequence[str] = ()
+    ) -> None:
         with self._lock:
             self._load()
-            self._install_locked(name, manifest)
+            self._install_locked(name, manifest, replaces)
 
-    def _install_locked(self, name: str, manifest: Manifest) -> None:
-        previous = self._manifests.get(name)
-        if previous is not None:
-            # Re-install (a writer extended this manifest): drop the
-            # stale rows so the fresh ones claim the keys.
-            self._index = {
-                key: claim
-                for key, claim in self._index.items()
-                if claim[0] is not previous
-            }
+    def _install_locked(
+        self, name: str, manifest: Manifest, replaces: Sequence[str] = ()
+    ) -> None:
+        # A re-install (a merge rewrote this manifest) or the parts a
+        # merge or fold replaced: drop their claims so the fresh
+        # manifest's rows claim the keys.  O(their rows), not O(index).
+        for old in (name, *replaces):
+            stale = self._manifests.pop(old, None)
+            if stale is None:
+                continue
+            for key in stale.key_index():
+                claim = self._index.get(key)
+                if claim is not None and claim[0] is stale:
+                    del self._index[key]
         self._manifests[name] = manifest
         for key, row in manifest.key_index().items():
             self._index.setdefault(key, (manifest, row))
@@ -347,6 +621,17 @@ class ResultStore:
         self._load()
         with self._lock:
             return list(self._index)
+
+    def _parts_of(self, stem: str) -> List[Tuple[str, Manifest]]:
+        """(file name, manifest) of every loaded part of ``stem``."""
+        prefix = f"{stem}{PART_MARK}"
+        self._load()
+        with self._lock:
+            return [
+                (name, manifest)
+                for name, manifest in self._manifests.items()
+                if name.startswith(prefix)
+            ]
 
     def manifests(self) -> List[Manifest]:
         """All loaded manifests, one per (fingerprint, job) file."""
@@ -414,8 +699,38 @@ class ResultStore:
         through the manifest's embedded workload/platform blobs.
         Raises ``KeyError`` when the key is absent or an analytic
         entry's blob is missing.
+
+        A claim that fails to read (a torn segment, a missing blob)
+        hands the key over to the first other loaded manifest whose row
+        of it does read -- a recomputed row a flush put in a part, say
+        -- so a damaged row costs one recompute, not one per reopen
+        until a merge drops it.  With no such row the error stands.
         """
         manifest, row = self._claim(key)
+        try:
+            return self._result(manifest, row)
+        except (KeyError, ValueError, TypeError, OSError):
+            with self._lock:
+                others = [
+                    (other, other.key_index().get(key))
+                    for other in self._manifests.values()
+                    if other is not manifest
+                ]
+            for other, other_row in others:
+                if other_row is None:
+                    continue
+                try:
+                    result = self._result(other, other_row)
+                except (KeyError, ValueError, TypeError, OSError):
+                    continue
+                with self._lock:
+                    self._index[key] = (other, other_row)
+                return result
+            raise
+
+    def _result(self, manifest: Manifest, row: int):
+        """The live object of ``manifest``'s ``row`` (see
+        :meth:`get_result`)."""
         entry = manifest.entry(row)
         doc = self._document(manifest, entry)
         if entry.kind == KIND_EVENTSIM:

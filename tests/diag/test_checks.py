@@ -102,6 +102,32 @@ class TestBrokenModels:
         vector = {s for s in subjects if s.endswith("/vector")}
         assert vector and subjects - vector == {"all-devices/batch"}
 
+    def test_drifting_row_encoder_trips_analytic_row_identity(
+        self, monkeypatch
+    ):
+        import repro.diag.checks_store as checks_store
+        import repro.runtime.cache as cache_mod
+
+        encode = cache_mod.encode_row
+
+        def drifting(result):
+            # Stands in for an encoder that gathers leaves out of order.
+            row, ref, skeleton, vector = encode(result)
+            return row, ref, skeleton, vector[::-1].copy()
+
+        monkeypatch.setattr(checks_store, "encode_row", drifting)
+        monkeypatch.setattr(cache_mod, "encode_row", drifting)
+        report = run_checks(layers=["store"])
+        assert _failed_checks(report) == {"analytic-row-identity"}
+        messages = {
+            v.message for v in report.violations
+            if v.check == "analytic-row-identity"
+        }
+        assert "the row encoder disagrees with the reference split" \
+            in messages
+        assert "a fresh-open read differs from the run in memory" \
+            in messages
+
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown diag layer"):
             run_checks(layers=["device", "nope"])

@@ -33,7 +33,7 @@ from repro.dist.harness import (
     solo_records,
 )
 from repro.dist.lease import LeaseTable
-from repro.dist.worker import Worker, encode_row
+from repro.dist.worker import Worker, wire_row
 from repro.faults.chaos import ChaosPolicy
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import load_checkpoint
@@ -80,30 +80,19 @@ class TestCacheResume:
         assert state is not None and state.complete
 
     def test_only_uncached_units_stay_pending(self, tmp_path):
-        units = campaign_units(
-            SMOKE_SPEC.build_campaign(), "unused-fingerprint"
-        )
-        solo_records(SMOKE_SPEC, str(tmp_path))  # warms every unit
-        cache = RunCache(str(tmp_path))
-        missing = units[-1].key
-        os.unlink(cache._disk_path(missing))
+        units = _warm_all_but_the_last_unit(str(tmp_path))
         coordinator = Coordinator(SMOKE_SPEC, cache_dir=str(tmp_path))
         assert coordinator.table.progress()["committed"] == len(units) - 1
         assert coordinator.table.pending == 1
         coordinator.stop()
 
-
     def test_resumed_campaign_stores_every_unit_in_one_manifest(
         self, tmp_path
     ):
-        # Nine units come from the cache (promoted at the end), one from
-        # a worker (appended as it commits): the promotion must extend
-        # the manifest the coordinator's writer committed, not race it.
-        units = campaign_units(
-            SMOKE_SPEC.build_campaign(), "unused-fingerprint"
-        )
-        solo_records(SMOKE_SPEC, str(tmp_path))  # JSON tier only
-        os.unlink(RunCache(str(tmp_path))._disk_path(units[-1].key))
+        # Nine units come from the solo run's manifest, one from a
+        # worker (appended as it commits): the coordinator's merge must
+        # extend the manifest the solo run committed, not replace it.
+        units = _warm_all_but_the_last_unit(str(tmp_path))
         outcome = run_dist_campaign(
             str(tmp_path), workers=(WorkerPlan(name="w0"),)
         )
@@ -112,6 +101,21 @@ class TestCacheResume:
         store = ResultStore(tmp_path / "store")
         assert sorted(store.keys()) == sorted(unit.key for unit in units)
         assert len(store.manifests()) == 1
+
+
+def _warm_all_but_the_last_unit(cache_dir):
+    """Store every unit of the smoke campaign but the last, as a solo
+    campaign run names its rows; returns the units."""
+    from repro.runtime.checkpoint import campaign_fingerprint
+
+    campaign = SMOKE_SPEC.build_campaign()
+    pairs = unit_cells(campaign, "unused-fingerprint")
+    cache = RunCache(cache_dir)
+    cache.name_rows(campaign_fingerprint(campaign))
+    for unit, cell in pairs[:-1]:
+        cache.put(unit.key, _execute_cell_attempt(cell, 1))
+    cache.close()
+    return [unit for unit, _ in pairs]
 
 
 class TestHostileFleet:
@@ -442,7 +446,7 @@ class TestResultValidation:
                 lease = grant["leases"][0]
                 unit_id = lease["unit"]["unit_id"]
                 skeletons = {}
-                row, vector = encode_row(
+                row, vector = wire_row(
                     _execute_cell_attempt(cells[unit_id], 1), skeletons
                 )
                 row, vector, skeletons = tamper(row, vector, skeletons)

@@ -15,7 +15,7 @@ from repro.core.melody import campaign_cells
 from repro.dist.coordinator import MAX_GRANT, grant_size, unit_cells
 from repro.dist.harness import SMOKE_SPEC
 from repro.dist.spec import CampaignSpec
-from repro.dist.worker import Worker, encode_row
+from repro.dist.worker import Worker, wire_row
 from repro.faults.chaos import ChaosPolicy
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.executor import _execute_cell, _execute_cell_attempt
@@ -76,7 +76,7 @@ class TestBatchedRows:
             for (unit, cell), (entry, vector) in zip(grant, entries):
                 assert entry["unit_id"] == unit.unit_id
                 assert entry["status"] == "ok"
-                row, expected = encode_row(
+                row, expected = wire_row(
                     _execute_cell_attempt(cell, 1), skeletons
                 )
                 assert entry["row"] == row
@@ -138,7 +138,7 @@ class TestPerUnitFailures:
         skeletons = {}
         for (_, cell), (entry, vector) in zip(grant, entries):
             if entry["status"] == "ok":
-                row, expected = encode_row(_execute_cell(cell), skeletons)
+                row, expected = wire_row(_execute_cell(cell), skeletons)
                 assert (entry["row"], vector) == (row, expected)
         assert worker.units_executed == 4
 

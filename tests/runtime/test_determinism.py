@@ -53,7 +53,7 @@ class TestWarmCacheDeterminism:
         cached.run(fig8a_subset)  # populate the disk tier
         reloaded, engine = _private_melody(cache_dir=str(tmp_path))
         actual = reloaded.run(fig8a_subset)
-        assert engine.cache.disk_hits > 0
+        assert engine.cache.store_hits > 0
         for target in expected.target_names():
             np.testing.assert_array_equal(
                 expected.slowdowns(target), actual.slowdowns(target)

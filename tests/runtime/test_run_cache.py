@@ -77,63 +77,65 @@ class TestMemoryTier:
 
 
 class TestDiskTier:
+    """Analytic runs persist as store rows, durable once flushed."""
+
     def test_round_trip_identical(self, tmp_path, run, simple_workload, emr,
                                   device_a):
         key = run_key(simple_workload, emr, device_a)
         writer = RunCache(str(tmp_path))
         writer.put(key, run)
+        writer.flush()
 
         reader = RunCache(str(tmp_path))
         reloaded = reader.get(key)
         assert reloaded == run
-        assert reader.disk_hits == 1
+        assert reader.store_hits == 1
+        assert reader.disk_hits == 0
 
-    def test_documents_are_json_dumps_bytes(self, tmp_path, run,
-                                           simple_workload, emr, device_a):
-        # Run documents and blobs are written as one json.dumps string:
-        # the bytes on disk are exactly what json.dumps makes of them.
-        from repro.runtime.serialize import run_result_to_dict
-
+    def test_unflushed_rows_are_not_on_disk(self, tmp_path, run,
+                                            simple_workload, emr, device_a):
         key = run_key(simple_workload, emr, device_a)
         RunCache(str(tmp_path)).put(key, run)
-        files = [tmp_path / key[:2] / f"{key}.json"]
-        files += sorted((tmp_path / "blobs").glob("*.json"))
-        assert len(files) == 3
-        for path in files:
-            text = path.read_text()
-            assert text == json.dumps(json.loads(text))
-        doc = json.loads(files[0].read_text())
-        expected = run_result_to_dict(run, embed_context=False)
-        assert {k: v for k, v in doc.items()
-                if not k.endswith("_ref")} == json.loads(json.dumps(expected))
+        assert RunCache(str(tmp_path)).get(key) is None
+        assert list(tmp_path.rglob("*.json")) == []
 
     def test_blobs_shared_across_runs(self, tmp_path, simple_workload, emr,
                                       device_a, device_b):
+        from repro.store import ResultStore
+
         cache = RunCache(str(tmp_path))
         for target in (device_a, device_b):
             cache.put(
                 run_key(simple_workload, emr, target),
                 run_workload(simple_workload, emr, target),
             )
+        cache.close()
         # One workload blob + one platform blob, not two of each.
-        blobs = list((tmp_path / "blobs").glob("*.json"))
-        assert len(blobs) == 2
+        (manifest,) = ResultStore(tmp_path / "store").manifests()
+        assert len(manifest) == 2
+        assert len(manifest.blobs) == 2
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, run, simple_workload,
                                      emr, device_a):
         key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{not json")
-        assert RunCache(str(tmp_path)).get(key) is None
+        cache = RunCache(str(tmp_path))
+        cache.put(key, run)
+        cache.flush()
+        (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
+        segment.write_bytes(segment.read_bytes()[:8])  # truncated
+        fresh = RunCache(str(tmp_path))
+        assert fresh.get(key) is None
+        assert (fresh.store_errors, fresh.misses) == (1, 1)
 
     def test_missing_blob_is_a_miss(self, tmp_path, run, simple_workload,
                                     emr, device_a):
         key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        path = tmp_path / key[:2] / f"{key}.json"
+        cache = RunCache(str(tmp_path))
+        cache.put(key, run)
+        cache.close()
+        (path,) = (tmp_path / "store" / "manifests").glob("*.json")
         data = json.loads(path.read_text())
-        data["workload_ref"] = "0" * 32
+        data["blobs"] = {}
         path.write_text(json.dumps(data))
         assert RunCache(str(tmp_path)).get(key) is None
 
@@ -150,69 +152,89 @@ class TestDiskTier:
         key = run_key(simple_workload, emr, device_a)
         cache = RunCache(str(tmp_path))
         cache.put(key, run)
+        cache.flush()
         cache.clear_memory()
         assert len(cache) == 0
         assert cache.get(key) == run
-        assert cache.disk_hits == 1
+        assert cache.store_hits == 1
+
+    def test_close_merges_parts_into_one_named_manifest(
+        self, tmp_path, simple_workload, emr, device_a, device_b
+    ):
+        cache = RunCache(str(tmp_path))
+        cache.name_rows("ab" * 16, "job1")
+        keys = []
+        for target in (device_a, device_b):
+            keys.append(run_key(simple_workload, emr, target))
+            cache.put(keys[-1], run_workload(simple_workload, emr, target))
+            cache.flush()
+        manifests = tmp_path / "store" / "manifests"
+        assert len(list(manifests.glob("*@*.json"))) == 2
+        cache.close()
+        assert [p.name for p in manifests.glob("*.json")] \
+            == [f"{'ab' * 16}.job1.json"]
+        fresh = RunCache(str(tmp_path))
+        assert all(fresh.get(key) is not None for key in keys)
+        assert fresh.store_hits == 2
+
+    def test_old_analytic_document_is_a_miss(self, tmp_path, run,
+                                             simple_workload, emr,
+                                             device_a):
+        from repro.runtime.cache import run_document
+
+        key = run_key(simple_workload, emr, device_a)
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(run_document(run)))
+        cache = RunCache(str(tmp_path))
+        assert cache.get(key) is None
+        assert not path.exists()
+
+
+def _sim():
+    from repro.hw.cxl.eventdevice import EventDrivenDevice
+
+    return EventDrivenDevice(cxl_a()).simulate(200, 4.0)
 
 
 class TestHygiene:
-    """Corrupt entries are deleted on detection."""
+    """Corrupt JSON documents (event-sim results) are deleted on
+    detection."""
+
+    KEY = "e" * 64
 
     def _entry_path(self, tmp_path, key):
         return tmp_path / key[:2] / f"{key}.json"
 
-    def test_corrupt_entry_deleted_on_detection(self, tmp_path, run,
-                                                simple_workload, emr,
-                                                device_a):
-        key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        path = self._entry_path(tmp_path, key)
+    def test_corrupt_entry_deleted_on_detection(self, tmp_path):
+        RunCache(str(tmp_path)).put_memory(self.KEY, _sim())
+        path = self._entry_path(tmp_path, self.KEY)
         path.write_text("{not json")
         cache = RunCache(str(tmp_path))
-        assert cache.get(key) is None
+        assert cache.get(self.KEY) is None
         assert not path.exists()
         assert cache.corrupt_dropped == 1
         assert cache.recovered == 1
 
-    def test_recovery_visible_in_metrics(self, tmp_path, run,
-                                         simple_workload, emr, device_a):
+    def test_recovery_visible_in_metrics(self, tmp_path):
         from repro import obs
 
-        key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        self._entry_path(tmp_path, key).write_text("{not json")
+        RunCache(str(tmp_path)).put_memory(self.KEY, _sim())
+        self._entry_path(tmp_path, self.KEY).write_text("{not json")
         obs.enable_metrics()
         try:
-            RunCache(str(tmp_path)).get(key)
+            RunCache(str(tmp_path)).get(self.KEY)
             counter = obs.metrics().counter("runtime.cache_recovered")
             assert counter.value == 1
         finally:
             obs.disable_metrics()
 
-    def test_corrupt_blob_deleted_on_detection(self, tmp_path, run,
-                                               simple_workload, emr,
-                                               device_a):
-        key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        doc = json.loads(self._entry_path(tmp_path, key).read_text())
-        blob = tmp_path / "blobs" / f"{doc['workload_ref']}.json"
-        blob.write_text("{not json")
-        cache = RunCache(str(tmp_path))
-        assert cache.get(key) is None
-        # Both the unusable blob and the document referencing it are gone.
-        assert not blob.exists()
-        assert not self._entry_path(tmp_path, key).exists()
-        assert cache.corrupt_dropped == 2
-
-    def test_stale_schema_entry_deleted(self, tmp_path, run, simple_workload,
-                                        emr, device_a):
-        key = run_key(simple_workload, emr, device_a)
-        RunCache(str(tmp_path)).put(key, run)
-        path = self._entry_path(tmp_path, key)
+    def test_stale_schema_entry_deleted(self, tmp_path):
+        RunCache(str(tmp_path)).put_memory(self.KEY, _sim())
+        path = self._entry_path(tmp_path, self.KEY)
         path.write_text(json.dumps({"format_version": -1}))
         cache = RunCache(str(tmp_path))
-        assert cache.get(key) is None
+        assert cache.get(self.KEY) is None
         assert not path.exists()
 
     def test_failed_write_cleans_temp_file(self, tmp_path, run,

@@ -67,11 +67,16 @@ class TestDiskTierThreads:
         def body(index):
             for _ in range(100):
                 cache.put(key, run)
+                cache.flush()
 
         _hammer(8, body)
         reloaded = RunCache(str(tmp_path)).get(key)
         assert reloaded == run
         assert list(tmp_path.rglob("*.tmp.*")) == []
+        cache.close()
+        (manifest,) = (tmp_path / "store" / "manifests").glob("*.json")
+        fresh = RunCache(str(tmp_path))
+        assert fresh.get(key) == run and fresh.store_hits == 1
 
     def test_writers_survive_a_concurrent_prune_loop(
         self, tmp_path, run, simple_workload, emr, device_a, device_b,
@@ -88,6 +93,7 @@ class TestDiskTierThreads:
         def write_loop(index):
             for _ in range(150):
                 cache.put(keys[index % len(keys)], run)
+                cache.flush()
 
         _hammer(2, write_loop)
         for key in keys:

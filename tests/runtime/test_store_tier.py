@@ -1,4 +1,6 @@
-"""Store-tier tests: promotion, warm reads, stats, and read errors."""
+"""Store-tier tests: event-sim promotion, warm reads, stats, and read
+errors.  Analytic runs reach the store through ``RunCache.put`` and a
+flush; event-sim results through ``RunCache.promote_store``."""
 
 import json
 
@@ -16,12 +18,21 @@ FP = "c" * 64
 
 @pytest.fixture
 def warm_cache(tmp_path, simple_workload, emr, device_a):
-    """A cache with one analytic run promoted into the store tier."""
+    """A cache with one analytic run flushed into the store tier."""
     cache = RunCache(str(tmp_path))
     key = run_key(simple_workload, emr, device_a)
     cache.put(key, run_workload(simple_workload, emr, device_a))
-    assert cache.promote_store(FP) == 1
+    cache.flush()
     return cache, key
+
+
+@pytest.fixture
+def sim_cache(tmp_path, device_a):
+    """A cache with one event-sim result promoted into the store tier."""
+    cache = RunCache(str(tmp_path))
+    cache.put_memory("e" * 64, EventDrivenDevice(device_a).simulate(500, 4.0))
+    assert cache.promote_store(FP) == 1
+    return cache, "e" * 64
 
 
 class TestPromotion:
@@ -40,16 +51,29 @@ class TestPromotion:
         assert canonical(cache.store.get("e" * 64)) == \
             canonical(sim.to_dict())
 
-    def test_keys_argument_scopes_promotion(self, tmp_path, simple_workload,
-                                            emr, device_a, device_b):
+    def test_keys_argument_scopes_promotion(self, tmp_path, device_a,
+                                            device_b):
         cache = RunCache(str(tmp_path))
-        key_a = run_key(simple_workload, emr, device_a)
-        key_b = run_key(simple_workload, emr, device_b)
-        cache.put(key_a, run_workload(simple_workload, emr, device_a))
-        cache.put(key_b, run_workload(simple_workload, emr, device_b))
+        key_a, key_b = "a" * 64, "b" * 64
+        cache.put_memory(key_a, EventDrivenDevice(device_a).simulate(
+            500, 4.0))
+        cache.put_memory(key_b, EventDrivenDevice(device_b).simulate(
+            500, 4.0))
         assert cache.promote_store(FP, keys=[key_a]) == 1
         assert key_a in cache.store
         assert key_b not in cache.store
+
+    def test_analytic_runs_are_never_promoted(self, tmp_path, simple_workload,
+                                              emr, device_a):
+        # put appends the row; there is nothing left to promote, flushed
+        # or not.
+        cache = RunCache(str(tmp_path))
+        key = run_key(simple_workload, emr, device_a)
+        cache.put(key, run_workload(simple_workload, emr, device_a))
+        assert cache.promote_store(FP) == 0
+        assert key not in cache.store
+        cache.flush()
+        assert key in cache.store
 
 
 class TestDamagedManifest:
@@ -94,12 +118,21 @@ class TestWarmReads:
         assert cache.disk_hits == 0
         assert result is not None
 
-    def test_store_read_equals_json_read(self, warm_cache, tmp_path):
-        cache, key = warm_cache
+    def test_store_read_equals_json_read(self, sim_cache, tmp_path):
+        cache, key = sim_cache
         json_only = RunCache(str(tmp_path), store_tier=False)
-        reference = run_result_to_dict(json_only.get(key))
+        reference = canonical(json_only.get(key).to_dict())
         cache.clear_memory()
-        assert run_result_to_dict(cache.get(key)) == reference
+        assert canonical(cache.get(key).to_dict()) == reference
+        assert cache.store_hits == 1
+
+    def test_store_read_equals_the_run_in_memory(self, warm_cache,
+                                                 tmp_path):
+        cache, key = warm_cache
+        reference = run_result_to_dict(cache.get(key))
+        assert run_result_to_dict(RunCache(str(tmp_path)).get(key)) \
+            == reference
+        assert RunCache(str(tmp_path), store_tier=False).get(key) is None
 
     def test_store_tier_optional(self, tmp_path):
         assert RunCache(str(tmp_path), store_tier=False).store is None
@@ -112,8 +145,7 @@ class TestEngineStats:
         cache = RunCache(str(tmp_path))
         cell = Cell(simple_workload, emr, device_a)
         engine = CampaignEngine(cache=cache)
-        engine.run_cells([cell])
-        cache.promote_store(FP)
+        engine.run_cells([cell])  # appends and flushes the row
         cache.clear_memory()
         warm = CampaignEngine(cache=cache)
         warm.run_cells([cell])
@@ -136,34 +168,75 @@ class TestEngineStats:
         registry = obs.MetricsRegistry()
         obs.enable_metrics(registry)
         try:
-            cache.promote_store(FP)
             cache.clear_memory()
             CampaignEngine(cache=cache).run_cells([cell])
             snapshot = json.loads(registry.to_json())
             assert snapshot["gauges"]["runtime.store_hits"] == 1
-            assert snapshot["counters"]["runtime.store_promoted"] == 1
         finally:
             obs.disable_metrics()
 
 
 class TestStoreReadErrors:
-    def test_damaged_segment_counted_and_json_serves(self, warm_cache,
+    def test_damaged_segment_counted_and_json_serves(self, sim_cache,
                                                      tmp_path):
-        cache, key = warm_cache
-        reference = run_result_to_dict(cache.get(key))
+        cache, key = sim_cache
+        reference = canonical(cache.get(key).to_dict())
         (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
         segment.write_bytes(segment.read_bytes()[:8])  # truncated
         registry = obs.MetricsRegistry()
         obs.enable_metrics(registry)
         try:
             fresh = RunCache(str(tmp_path))
-            assert run_result_to_dict(fresh.get(key)) == reference
+            assert canonical(fresh.get(key).to_dict()) == reference
             assert fresh.store_errors == 1
             assert (fresh.store_hits, fresh.disk_hits) == (0, 1)
             snapshot = json.loads(registry.to_json())
             assert snapshot["counters"]["runtime.store_read_errors"] == 1
         finally:
             obs.disable_metrics()
+
+    def test_damaged_analytic_row_is_a_counted_miss(self, warm_cache,
+                                                    tmp_path):
+        _, key = warm_cache
+        (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
+        segment.write_bytes(segment.read_bytes()[:8])  # truncated
+        fresh = RunCache(str(tmp_path))
+        assert fresh.get(key) is None
+        assert (fresh.store_errors, fresh.misses) == (1, 1)
+
+    def test_recomputed_row_heals_a_damaged_claim(
+        self, warm_cache, tmp_path, simple_workload, emr, device_a
+    ):
+        _, key = warm_cache
+        (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
+        segment.write_bytes(segment.read_bytes()[:8])  # truncated
+        cache = RunCache(str(tmp_path))
+        CampaignEngine(cache=cache).run_cells(
+            [Cell(simple_workload, emr, device_a)]
+        )
+        cache.close()  # this writer's row takes over the key
+        fresh = RunCache(str(tmp_path))
+        assert fresh.get(key) is not None
+        assert (fresh.store_hits, fresh.store_errors) == (1, 0)
+
+    def test_flushed_recompute_takes_over_before_any_merge(
+        self, warm_cache, tmp_path, simple_workload, emr, device_a
+    ):
+        _, key = warm_cache
+        (segment,) = (tmp_path / "store" / "segments").glob("*.f64")
+        segment.write_bytes(segment.read_bytes()[:8])  # truncated
+        cache = RunCache(str(tmp_path))
+        CampaignEngine(cache=cache).run_cells(
+            [Cell(simple_workload, emr, device_a)]
+        )
+        assert cache.store_errors == 1  # the recompute flushed, no merge
+        cache.clear_memory()
+        assert cache.get(key) is not None
+        assert (cache.store_hits, cache.store_errors) == (1, 1)
+        for _ in range(2):  # every reopen before a merge reads it too
+            fresh = RunCache(str(tmp_path))
+            assert fresh.get(key) is not None
+            assert (fresh.store_hits, fresh.store_errors) == (1, 0)
 
     def test_absent_key_is_not_an_error(self, warm_cache):
         cache, _ = warm_cache

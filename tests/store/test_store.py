@@ -14,7 +14,7 @@ from repro.runtime.serialize import (
     run_result_to_dict,
     workload_to_dict,
 )
-from repro.runtime.cache import RunCache, run_key
+from repro.runtime.cache import RunCache, blob_ref, run_key
 from repro.store import (
     Manifest,
     ManifestEntry,
@@ -24,7 +24,7 @@ from repro.store import (
     skeleton_ref,
     split_document,
 )
-from repro.store.store import ROW_FIELDS
+from repro.store.store import PART_FAN_IN, ROW_FIELDS
 
 FP = "f" * 64
 
@@ -159,14 +159,118 @@ class TestMergeAndAccretion:
         writer.add(key_of(0), sim_doc(gbps=2.0))
         writer.commit()
         again = store.writer(FP)
-        assert len(again) == 1  # picked up the committed rows
+        assert len(again) == 0  # counts only its own rows
         again.add(key_of(1), sim_doc(gbps=8.0))
-        again.commit()
+        again.commit()  # merges with the committed manifest
         fresh = ResultStore(tmp_path / "store")
         assert set(fresh.keys()) == {key_of(0), key_of(1)}
+        assert len(fresh.manifests()) == 1
         # the first span still reads back intact
         assert canonical_document(fresh.get(key_of(0))) == \
             canonical_document(store.get(key_of(0)))
+
+    def test_overlapping_writers_keep_every_row(self, tmp_path, store):
+        # Both writers of one (fingerprint, job) are open before either
+        # commits: the later commit merges, it does not replace.
+        first, second = store.writer(FP), store.writer(FP)
+        first.add(key_of(0), sim_doc(gbps=2.0))
+        second.add(key_of(1), sim_doc(gbps=4.0))
+        first.flush()
+        second.add(key_of(2), sim_doc(gbps=6.0))
+        first.add(key_of(3), sim_doc(gbps=8.0))
+        first.commit()
+        second.commit()
+        fresh = ResultStore(tmp_path / "store")
+        assert set(fresh.keys()) == {key_of(i) for i in range(4)}
+        (manifest,) = fresh.manifests()
+        assert len(manifest) == 4
+        for i in range(4):
+            assert canonical_document(fresh.get(key_of(i))) == \
+                canonical_document(store.get(key_of(i)))
+
+    def test_flush_writes_only_the_new_rows(self, tmp_path, store):
+        writer = store.writer(FP)
+        writer.add(key_of(0), sim_doc(gbps=2.0))
+        first = Manifest.load(writer.flush())
+        assert writer.flush() is None  # nothing new
+        writer.add(key_of(1), sim_doc(gbps=8.0))
+        second = Manifest.load(writer.flush())
+        assert (first.keys(), second.keys()) == ([key_of(0)], [key_of(1)])
+        assert set(store.keys()) == {key_of(0), key_of(1)}
+        fresh = ResultStore(tmp_path / "store")
+        assert set(fresh.keys()) == {key_of(0), key_of(1)}
+        assert len(fresh.manifests()) == 2
+        writer.commit()
+        assert [p.name for p in store.manifest_dir.glob("*.json")] \
+            == [f"{FP}.json"]
+        assert len(store.manifests()) == 1
+
+    def test_unmerged_parts_fold_by_level(self, tmp_path, store):
+        # F**2 + 3 flushes (F = PART_FAN_IN): one part of F**2 rows, none
+        # of F, three of one; every row still readable, fresh or live.
+        fan = PART_FAN_IN
+        writer, doc = store.writer(FP), sim_doc()
+        for i in range(fan * fan + 3):
+            writer.add(key_of(i), doc)
+            writer.flush()
+        parts = sorted(
+            len(Manifest.load(path))
+            for path in store.manifest_dir.glob("*.json")
+        )
+        assert parts == [1, 1, 1, fan * fan]
+        keys = {key_of(i) for i in range(fan * fan + 3)}
+        assert set(store.keys()) == keys
+        assert len(store.manifests()) == 4
+        assert set(ResultStore(tmp_path / "store").keys()) == keys
+        writer.commit()
+        assert [p.name for p in store.manifest_dir.glob("*.json")] \
+            == [f"{FP}.json"]
+
+    def test_fold_killed_before_its_unlinks_keeps_every_row(
+        self, tmp_path, store, monkeypatch
+    ):
+        import os
+        import types
+
+        import repro.store.store as store_module
+
+        class Killed(Exception):
+            pass
+
+        def unlink(path):
+            raise Killed(path)
+
+        writer, doc = store.writer(FP), sim_doc()
+        for i in range(PART_FAN_IN - 1):
+            writer.add(key_of(i), doc)
+            writer.flush()
+        monkeypatch.setattr(store_module, "os", types.SimpleNamespace(
+            urandom=os.urandom, unlink=unlink,
+        ))
+        writer.add(key_of(PART_FAN_IN - 1), doc)
+        with pytest.raises(Killed):
+            writer.flush()  # the folded part is written, nothing deleted
+        monkeypatch.undo()
+        keys = {key_of(i) for i in range(PART_FAN_IN)}
+        fresh = ResultStore(tmp_path / "store")
+        assert set(fresh.keys()) == keys
+        assert len(fresh.manifests()) == PART_FAN_IN + 1
+        assert fresh.corrupt_manifests == 0
+        fresh.writer(FP).commit()  # a later merge folds them all
+        (manifest,) = ResultStore(tmp_path / "store").manifests()
+        assert set(manifest.keys()) == keys
+
+    def test_commit_folds_parts_a_killed_writer_left(self, tmp_path, store):
+        orphan = store.writer(FP)
+        orphan.add(key_of(0), sim_doc(gbps=2.0))
+        orphan.flush()  # ...and never commits
+        writer = ResultStore(tmp_path / "store").writer(FP)
+        writer.add(key_of(1), sim_doc(gbps=8.0))
+        writer.commit()
+        assert [p.name for p in store.manifest_dir.glob("*.json")] \
+            == [f"{FP}.json"]
+        assert set(ResultStore(tmp_path / "store").keys()) \
+            == {key_of(0), key_of(1)}
 
     def test_store_is_self_contained(self, tmp_path, store, simple_workload,
                                      emr, device_a):
@@ -192,13 +296,13 @@ class TestMergeAndAccretion:
 
 
 def analytic_doc(workload, platform, target, refs=True):
-    """The run document ``RunCache.promote_store`` writes for one run."""
+    """One run's document with the blob refs its store row carries."""
     doc = run_result_to_dict(
         run_workload(workload, platform, target), embed_context=False
     )
     if refs:
-        doc["workload_ref"] = RunCache._blob_ref(workload, workload_to_dict)
-        doc["platform_ref"] = RunCache._blob_ref(platform, platform_to_dict)
+        doc["workload_ref"] = blob_ref(workload, workload_to_dict)
+        doc["platform_ref"] = blob_ref(platform, platform_to_dict)
     return doc
 
 
@@ -224,7 +328,7 @@ class TestSharedSkeletons:
                 key = run_key(workload, emr, target)
                 cache.put(key, run_workload(workload, emr, target))
                 docs[key] = analytic_doc(workload, emr, target)
-        assert cache.promote_store(FP) == len(docs)
+        cache.close()
         fresh = ResultStore(tmp_path / "store")
         (manifest,) = fresh.manifests()
         assert len(manifest) == len(docs)
@@ -320,7 +424,6 @@ class TestSharedSkeletons:
             for i, workload in enumerate(workloads)
         }
         writer = ResultStore(tmp_path / "store").writer(FP)
-        assert len(writer) == len(old_docs)
         for key, doc in new_docs.items():
             writer.add(key, doc,
                        workload_doc=workload_to_dict(
