@@ -131,7 +131,8 @@ def check_run_key_stability(ctx: DiagContext) -> Iterator[Violation]:
     name="analytic-batch-identity",
     layer="runtime",
     description="a fused pending set of analytic cells returns byte-identical "
-    "results to the serial engine, cell by cell",
+    "results to the serial engine, cell by cell, with or without a retry "
+    "policy and a doomed cell",
 )
 def check_analytic_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     """The engine's fused analytic path is indistinguishable from serial.
@@ -139,18 +140,21 @@ def check_analytic_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     One heterogeneous pending set -- sampled, multi-phase, bursty and
     bandwidth-bound workloads on every target kind (plus CXL+NUMA, a
     switch and an interleaved pair), on two platforms, prefetchers on and
-    off -- runs once through ``mode="serial"`` and once through the
-    default fused path; each cell's serialized result must match byte for
-    byte.
+    off -- runs once through ``mode="serial"``, once through the default
+    fused path, and once through a resilient engine with one cell doomed
+    by chaos; each cell's serialized result must match byte for byte.
+    The resilient pass must still run every other cell fused and
+    quarantine exactly the doomed one.
     """
     import json
 
+    from repro.faults.chaos import ChaosPolicy, chaos_injection
     from repro.hw.topology import (
         CxlNumaTopology,
         CxlSwitchTopology,
         InterleavedTarget,
     )
-    from repro.runtime.executor import CampaignEngine, Cell
+    from repro.runtime.executor import CampaignEngine, Cell, RetryPolicy
 
     workloads = list(ctx.sampled_workloads())
     extras = [
@@ -190,24 +194,39 @@ def check_analytic_batch_identity(ctx: DiagContext) -> Iterator[Violation]:
     serial = CampaignEngine(cache=RunCache(), mode="serial").run_cells(cells)
     engine = CampaignEngine(cache=RunCache())
     fused = engine.run_cells(cells)
-    if engine.stats.cells_batched != len(cells):
-        yield Violation(
-            layer="runtime",
-            check="analytic-batch-identity",
-            subject="engine",
-            message="the default engine did not run the analytic set fused",
-            context={"cells": len(cells),
-                     "batched": engine.stats.cells_batched},
-        )
-    for cell, one, other in zip(cells, serial, fused):
-        if json.dumps(run_result_to_dict(one), sort_keys=True) != json.dumps(
-            run_result_to_dict(other), sort_keys=True
-        ):
+    doomed = cells[len(cells) // 2].key()
+    resilient = CampaignEngine(
+        cache=RunCache(), policy=RetryPolicy(max_attempts=2,
+                                             backoff_base_s=0.0),
+    )
+    with chaos_injection(ChaosPolicy(doomed=(doomed,))):
+        isolated = resilient.run_cells(cells)
+    for label, run, results, quarantined in (
+        ("default", engine, fused, []),
+        ("resilient", resilient, isolated, [doomed]),
+    ):
+        if run.stats.cells_batched != len(cells) - len(quarantined) \
+                or [record.key for record in run.failed] != quarantined:
+            yield Violation(
+                layer="runtime",
+                check="analytic-batch-identity",
+                subject=f"{label}-engine",
+                message=f"the {label} engine did not run the analytic set "
+                "fused, or did not quarantine exactly the doomed cells",
+                context={"cells": len(cells),
+                         "batched": run.stats.cells_batched,
+                         "quarantined": len(run.failed)},
+            )
+        for cell, one, other in zip(cells, serial, results):
+            if cell.key() in quarantined or other is not None and json.dumps(
+                run_result_to_dict(one), sort_keys=True
+            ) == json.dumps(run_result_to_dict(other), sort_keys=True):
+                continue
             yield Violation(
                 layer="runtime",
                 check="analytic-batch-identity",
                 subject=f"{cell.platform.name}/{cell.target.name}/"
                 f"{cell.workload.name}/pf={cell.config.prefetchers_enabled}",
-                message="fused result differs from the serial engine's",
+                message=f"{label} result differs from the serial engine's",
                 context={"key": cell.key()[:16]},
             )

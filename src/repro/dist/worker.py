@@ -3,12 +3,11 @@
 A :class:`Worker` dials one coordinator, rebuilds the campaign locally
 from the :class:`~repro.dist.spec.CampaignSpec` in the welcome frame
 (verifying the fingerprint before touching a single cell), and then
-loops: fetch a grant of leases, run the grant's cells as one batch
-through :func:`~repro.cpu.pipeline.run_workloads`, the fused path the
-solo engine uses -- fault plan installed, the host chaos policy applied
-to each lease before the batch, and a batch that raises rerun one cell
-at a time so only a failing unit is charged -- and deliver every result
-of the grant in one ``results`` frame.  A result travels as the analytic
+loops: fetch a grant of leases, run the grant's cells through the solo
+engine's own :func:`~repro.runtime.executor.run_items` -- fault plan
+and host chaos policy installed, isolated, so a grant runs as one fused
+batch and only a failing unit is charged -- and deliver every result of
+the grant in one ``results`` frame.  A result travels as the analytic
 store row :class:`~repro.store.store.StoreWriter` writes
 (:func:`wire_row` over :func:`~repro.store.store.encode_row`, the
 encoder the solo engine's store append uses): a JSON header entry naming
@@ -56,16 +55,15 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cpu.pipeline import run_workloads
 from repro.dist.chaos import ChaosTransport
 from repro.dist.coordinator import PROTOCOL_VERSION, unit_cells
 from repro.dist.frames import FrameError, FrameTransport
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
-from repro.faults.chaos import ChaosPolicy, NetChaosPolicy
+from repro.faults.chaos import ChaosPolicy, NetChaosPolicy, chaos_injection
 from repro.obs.events import events
 from repro.obs.metrics import metrics
-from repro.runtime.executor import Cell, _execute_cell
+from repro.runtime.executor import WorkItem, run_items
 from repro.store.store import encode_row
 
 EXIT_OK = 0
@@ -149,7 +147,7 @@ class Worker:
         # Lazily built from the first welcome frame.
         self._spec: Optional[CampaignSpec] = None
         self._fingerprint = ""
-        self._cells: Dict[str, object] = {}
+        self._cells: Dict[str, Tuple[Any, str]] = {}  # id -> (cell, key)
 
     # -- top level ---------------------------------------------------------
 
@@ -279,7 +277,7 @@ class Worker:
         self._spec = spec
         self._fingerprint = fingerprint
         for unit, cell in unit_cells(campaign, fingerprint):
-            self._cells[unit.unit_id] = cell
+            self._cells[unit.unit_id] = (cell, unit.key)
         events().emit(
             "dist.worker.adopted", worker=self.name,
             fingerprint=fingerprint[:12], units=len(self._cells),
@@ -336,45 +334,54 @@ class Worker:
         Returns each lease's results-frame entry in lease order, with the
         row's packed vector for an ``ok`` entry (``None`` for an error
         entry); the caller places the vectors in the frame's tail.  Each
-        lease is counted against ``die_after``, and each unit this worker
-        has not finished yet meets ``cell_chaos`` first (an injected
-        error becomes that unit's error entry).  The units left then run
-        through one :meth:`_execute` batch.  When ``die_after`` runs out
-        mid-grant, the leases before the fatal one run and the worker
-        dies without delivering any of them.
+        lease is counted against ``die_after``.  Units this worker has
+        not finished yet run through :func:`run_items`, isolated and
+        under ``cell_chaos``: a failed attempt becomes its unit's error
+        entry, a finished unit gets an equal share of the call's wall
+        time as ``elapsed_s``.  When ``die_after`` runs out mid-grant,
+        the leases before the fatal one run and the worker dies without
+        delivering any of them.
         """
         dying = (self.die_after is not None
                  and self._leases_taken + len(leases) > self.die_after)
         if dying:
             leases = leases[:self.die_after - self._leases_taken]
         self._leases_taken += len(leases)
-        chaos = self.cell_chaos
         entries: List[Dict[str, Any]] = []
-        fresh: List[Tuple[Dict[str, Any], Cell, int]] = []
+        fresh: List[Dict[str, Any]] = []
+        items: List[WorkItem] = []
         for lease in leases:
             unit_id = str((lease.get("unit") or {}).get("unit_id", ""))
-            attempt = int(lease.get("attempt", 1))
             entry = {
                 "unit_id": unit_id,
                 "lease_id": str(lease.get("lease_id", "")),
             }
             entries.append(entry)
-            cell = self._cells.get(unit_id)
-            if cell is None:
+            cell_and_key = self._cells.get(unit_id)
+            if cell_and_key is None:
                 entry.update(
                     status="error", reason="error",
                     message=f"worker has no cell for unit {unit_id!r}",
                 )
             elif unit_id not in self._rows:
-                try:
-                    if chaos is not None:
-                        chaos.apply(cell.key(), attempt)
-                except Exception as exc:
-                    self._cell_error(entry, attempt, exc)
-                else:
-                    fresh.append((entry, cell, attempt))
-        if fresh:
-            self._execute(fresh)
+                fresh.append(entry)
+                items.append((*cell_and_key, int(lease.get("attempt", 1))))
+        start = time.perf_counter()
+        with chaos_injection(self.cell_chaos):
+            for outcomes, _ in run_items(items, isolate=True):
+                for index, outcome in outcomes:
+                    entry = fresh[index]
+                    if isinstance(outcome, Exception):
+                        self._cell_error(entry, items[index][2], outcome)
+                        continue
+                    self._rows[entry["unit_id"]] = wire_row(
+                        outcome, self._skeletons
+                    )
+                    self.units_executed += 1
+        share = round((time.perf_counter() - start) / max(len(fresh), 1), 6)
+        for entry in fresh:
+            if "status" not in entry:
+                entry["elapsed_s"] = share
         if dying:
             # Abrupt death mid-grant: no goodbye, no results, the socket
             # just goes dark (close happens in _session's finally for
@@ -393,41 +400,6 @@ class Worker:
                 elapsed_s=entry.get("elapsed_s", 0.0),
             ), vector))
         return out
-
-    def _execute(self, fresh: List[Tuple[Dict[str, Any], Cell, int]]) -> None:
-        """Run ``(entry, cell, attempt)`` units and memoize their rows.
-
-        One :func:`~repro.cpu.pipeline.run_workloads` call runs them all
-        (its rows equal the solo engine's bit for bit), and each
-        finished entry gets an equal share of its wall time as
-        ``elapsed_s``.  If the batch raises, the units rerun one by one,
-        so only a unit whose own run raises becomes an error entry.
-        """
-        start = time.perf_counter()
-        try:
-            rows = [
-                wire_row(result, self._skeletons)
-                for result in run_workloads([
-                    (cell.workload, cell.platform, cell.target, cell.config)
-                    for _, cell, _ in fresh
-                ])
-            ]
-        except Exception:
-            rows = []
-            for entry, cell, attempt in fresh:
-                try:
-                    rows.append(
-                        wire_row(_execute_cell(cell), self._skeletons)
-                    )
-                except Exception as exc:
-                    self._cell_error(entry, attempt, exc)
-                    rows.append(None)
-        share = round((time.perf_counter() - start) / len(fresh), 6)
-        for (entry, _, _), row in zip(fresh, rows):
-            if row is not None:
-                self._rows[entry["unit_id"]] = row
-                entry["elapsed_s"] = share
-                self.units_executed += 1
 
     def _cell_error(
         self, entry: Dict[str, Any], attempt: int, exc: Exception

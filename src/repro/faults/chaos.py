@@ -213,8 +213,10 @@ def clear_chaos() -> None:
 
 
 @contextmanager
-def chaos_injection(policy: ChaosPolicy) -> Iterator[ChaosPolicy]:
-    """Scope a chaos policy to a block, restoring the previous after."""
+def chaos_injection(
+    policy: Optional[ChaosPolicy],
+) -> Iterator[Optional[ChaosPolicy]]:
+    """Scope a chaos policy (or none) to a block, restoring the previous."""
     token = _ACTIVE.set(policy)
     try:
         yield policy

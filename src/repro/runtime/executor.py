@@ -22,12 +22,11 @@ Execution strategy per batch:
 2. deduplicate the misses by content key (submission order preserved, so
    callers that put baseline cells first get baseline-first scheduling and
    dependent cells hit the cache);
-3. run the unique misses under the one batching rule: in ``auto`` mode
-   the set splits by kind -- analytic cells run fused in chunks of
-   :data:`ANALYTIC_CHUNK_CELLS`, sim cells as one fused **batch** when
-   every one is batchable -- and anything else (``serial`` mode, a sim
-   set holding a pinned or traced cell) runs **serial**ly, caching each
-   result the moment it exists;
+3. run the unique misses through :func:`run_items`, the one
+   cell-execution path (the dist worker runs its grants through it too),
+   committing each fused chunk or serial cell to the cache the moment it
+   returns, so an error or a kill costs at most the chunk or cell in
+   flight and a rerun over the same cache skips everything that finished;
 4. assemble the per-cell list by key lookup.
 
 A cell's result is byte-identical whether it ran serially or batched (the
@@ -39,23 +38,14 @@ through the lease coordinator (:mod:`repro.dist`, the CLI's ``--shards
 N`` / ``--coordinator``).
 
 Genuine run errors propagate -- unless a :class:`RetryPolicy` is
-installed, which switches the engine into its **resilient mode**: each
-cell attempt runs in-process, failures retry with seeded exponential
-backoff + jitter (the sleep function is injectable, so tests use a fake
-clock), and cells that exhaust their attempts are quarantined into
-structured :class:`FailedCell` records instead of aborting the campaign.
-Crashes and hangs are not this module's business: a cell that kills or
-wedges its process is bounded by lease expiry on the coordinator
-(:mod:`repro.dist`, the CLI's ``--cell-timeout``).
-
-The run cache is the campaign's progress record: a serial cell is cached
-(and its store row flushed) as soon as it returns and a fused chunk as
-soon as the chunk returns, so an error or a kill costs at most the cell
-or chunk in flight and a rerun over the same cache skips everything that
-finished.  The quarantine
-ledger is the one thing the cache cannot hold; an attached
-``checkpointer`` (see :mod:`repro.runtime.checkpoint`) persists it
-whenever a cell is quarantined.
+installed, which switches the engine into its **resilient mode**: the
+same fused calls run isolated, failed cells retry with seeded
+exponential backoff + jitter, and cells that exhaust their attempts are
+quarantined into structured :class:`FailedCell` records, which an
+attached ``checkpointer`` (:mod:`repro.runtime.checkpoint`) persists at
+once -- the one progress record the cache cannot hold.  A cell that
+kills or wedges its process is bounded by lease expiry on the
+coordinator instead (the CLI's ``--cell-timeout``).
 
 Observability: every batch feeds the process-wide metrics registry
 (:mod:`repro.obs`) -- cells requested/run/cached/deduped, batch wall-time
@@ -70,13 +60,12 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -127,12 +116,19 @@ class Cell:
         """Content-addressed identity of this cell."""
         return run_key(self.workload, self.platform, self.target, self.config)
 
+    def run(self) -> RunResult:
+        """Run this cell solo (serial runs and isolated reruns)."""
+        return run_workload(
+            self.workload, self.platform, self.target, self.config
+        )
+
 
 @dataclass(frozen=True)
 class SimCell:
     """One event-simulation campaign cell: a device at an operating point.
 
-    The engine fuses many sim cells into single kernel invocations.
+    :func:`run_items` fuses many sim cells into single kernel
+    invocations, with or without a retry policy.
     ``engine`` is a per-cell preference (``auto`` lets the cell join a
     batch; ``scalar``/``vector`` force a solo engine and opt the cell out
     of batching); it is excluded
@@ -171,7 +167,7 @@ class SimCell:
         return self.engine == "auto" and tracing() is None
 
     def run(self):
-        """Run this cell solo (the serial and resilient paths)."""
+        """Run this cell solo (serial runs and isolated reruns)."""
         return _simulator_for(self.device, self.seed).simulate(
             self.n_requests,
             self.offered_gbps,
@@ -216,24 +212,94 @@ def _cell_names(cell: AnyCell) -> Tuple[str, str, str]:
     return (cell.workload.name, cell.platform.name, cell.target.name)
 
 
-def _execute_cell(cell: AnyCell):
-    """Run one cell of either kind."""
-    if isinstance(cell, SimCell):
-        return cell.run()
-    return run_workload(cell.workload, cell.platform, cell.target, cell.config)
+WorkItem = Tuple[AnyCell, str, int]  # (cell, key, attempt)
+Outcome = Tuple[int, object]  # (item index, result or raised exception)
 
 
-def _execute_cell_attempt(cell: Cell, attempt: int = 1) -> RunResult:
-    """Run one cell under the (optional) chaos policy.
+def run_items(
+    items: Sequence[WorkItem], mode: str = "auto", isolate: bool = False
+) -> Iterator[Tuple[List[Outcome], bool]]:
+    """Run cell attempts under the one batching rule, yielding outcomes.
 
-    Chaos sabotage -- worker kill, hang, injected error -- happens
-    *before* the real run, keyed by (cell, attempt), so a sabotaged
-    attempt is reproducible and a later attempt can succeed.
+    Each item first meets the installed chaos policy, keyed by its (key,
+    attempt); the exception sabotage raises is its outcome.  In ``auto``
+    mode the rest split by kind: analytic cells run fused through
+    :func:`~repro.cpu.pipeline.run_workloads` in chunks of
+    :data:`ANALYTIC_CHUNK_CELLS`, sim cells through one
+    :func:`~repro.hw.cxl.eventdevice.simulate_batch` call when every one
+    is batchable (a pinned or traced sim cell asked for solo semantics);
+    anything else, and every cell in ``serial`` mode, runs alone.
+
+    Yields ``(outcomes, fused)``: first the sabotaged items, then each
+    chunk or single cell as it returns, in item order within a cell
+    kind.  A fused call that raises propagates, unless ``isolate`` is
+    set: then its cells rerun one at a time, so only a cell whose own
+    run raises fails.
     """
     chaos = active_chaos()
-    if chaos is not None:
-        chaos.apply(cell.key(), attempt)
-    return _execute_cell(cell)
+    sabotaged: List[Outcome] = []
+    analytic: List[Tuple[int, AnyCell]] = []
+    sims: List[Tuple[int, AnyCell]] = []
+    for index, (cell, key, attempt) in enumerate(items):
+        try:
+            if chaos is not None:
+                chaos.apply(key, attempt)
+        except Exception as exc:  # noqa: BLE001 -- the item's outcome
+            sabotaged.append((index, exc))
+        else:
+            (analytic if isinstance(cell, Cell) else sims).append(
+                (index, cell)
+            )
+    serial: List[Tuple[int, AnyCell]] = []
+    if mode != "auto":
+        serial, analytic, sims = sorted(analytic + sims), [], []
+    elif not all(cell.batchable for _, cell in sims):
+        serial, sims = sims, []
+    if sabotaged:
+        yield sabotaged, False
+    for lo in range(0, len(analytic), ANALYTIC_CHUNK_CELLS):
+        yield from _run_fused(analytic[lo:lo + ANALYTIC_CHUNK_CELLS], isolate)
+    if sims:
+        yield from _run_fused(sims, isolate)
+    for index, cell in serial:
+        yield [(index, _run_solo(cell))], False
+
+
+def _run_fused(
+    chunk: List[Tuple[int, AnyCell]], isolate: bool
+) -> Iterator[Tuple[List[Outcome], bool]]:
+    """One fused call over a one-kind chunk; isolated, a raise reruns
+    the chunk one cell at a time."""
+    cells = [cell for _, cell in chunk]
+    try:
+        if isinstance(cells[0], Cell):
+            results = run_workloads([
+                (cell.workload, cell.platform, cell.target, cell.config)
+                for cell in cells
+            ])
+        else:
+            from repro.hw.cxl.eventdevice import simulate_batch
+
+            results = simulate_batch([
+                (_simulator_for(cell.device, cell.seed), cell.n_requests,
+                 cell.offered_gbps, cell.read_fraction)
+                for cell in cells
+            ])
+    except Exception:
+        if not isolate:
+            raise
+        for index, cell in chunk:
+            yield [(index, _run_solo(cell))], False
+        return
+    yield [(index, res) for (index, _), res in zip(chunk, results)], True
+
+
+def _run_solo(cell: AnyCell) -> object:
+    """Run one cell alone: its result, or the exception it raised."""
+    try:
+        return cell.run()
+    except Exception as exc:  # noqa: BLE001 -- the cell's outcome
+        return exc
 
 
 @dataclass(frozen=True)
@@ -485,10 +551,7 @@ class CampaignEngine:
             pending.append(cell)
             pending_keys.append(key)
 
-        if self.policy is not None:
-            ran = self._execute_resilient(pending, pending_keys, resolved)
-        else:
-            ran = self._execute(pending, pending_keys, resolved)
+        ran = self._execute(pending, pending_keys, resolved)
 
         elapsed = time.perf_counter() - start
         cached = len(cells) - len(pending) - dupes - quarantine_hits
@@ -552,7 +615,7 @@ class CampaignEngine:
         """Run (or recall) a single cell."""
         return self.run_cells([Cell(workload, platform, target, config)])[0]
 
-    # -- execution backends ------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     def _execute(
         self,
@@ -560,153 +623,93 @@ class CampaignEngine:
         pending_keys: List[str],
         resolved: Dict[str, Optional[RunResult]],
     ) -> int:
-        """Fail-fast execution under the one batching rule.
+        """Run the pending set through :func:`run_items`; returns cells run.
 
-        In ``auto`` mode a pending set splits by kind: analytic cells run
-        fused through :func:`~repro.cpu.pipeline.run_workloads`, in chunks
-        of :data:`ANALYTIC_CHUNK_CELLS`, and sim cells through one
-        :meth:`_execute_batch` when every one of them may join it.  A sim
-        cell pinned to ``scalar``/``vector`` (or running under a tracer)
-        asked for solo semantics, so then the set's sim cells run one by
-        one; ``serial`` mode runs every cell one by one.  Every result is
-        cached the moment it exists -- a serial cell as soon as it
-        returns, a fused chunk as soon as the chunk returns -- so a raise
-        or a kill costs at most the cell or chunk in flight.
+        Without a policy the first failed outcome raises, and so does a
+        fused call.  Under ``self.policy`` the calls are isolated, and
+        failed cells go back on the queue as the next wave, each after
+        its seeded backoff (through ``sleep_fn``), until they succeed or
+        are quarantined.  Attempts run in-process, with no fork and no
+        timeout: ``repro serve`` worker threads run this path.
         """
         if not pending:
             return 0
-        items = list(zip(pending, pending_keys))
-        analytic: List[Tuple[AnyCell, str]] = []
-        sims: List[Tuple[AnyCell, str]] = []
-        serial = items
-        if self.mode == "auto":
-            analytic = [item for item in items if isinstance(item[0], Cell)]
-            sims = [item for item in items if isinstance(item[0], SimCell)]
-            serial = []
-            if not all(cell.batchable for cell, _ in sims):
-                serial, sims = sims, []
-        fused = len(analytic) + len(sims)
-        self.stats.last_plan = "batch" if fused else "serial"
+        policy = self.policy
+        wave: List[WorkItem] = [
+            (cell, key, 1) for cell, key in zip(pending, pending_keys)
+        ]
+        attempt, ran, fused_any = 1, 0, False
+        while wave:
+            if attempt > 1:
+                for _, key, _ in wave:
+                    delay = policy.backoff_s(key, attempt - 1)
+                    if delay > 0:
+                        self.sleep_fn(delay)
+            retry: List[int] = []
+            for outcomes, fused in run_items(
+                wave, self.mode, isolate=policy is not None
+            ):
+                failures = self._commit(wave, outcomes, resolved, fused)
+                ran += len(outcomes) - len(failures)
+                fused_any = fused_any or fused
+                for index, exc in failures:
+                    if policy is None:
+                        raise exc
+                    cell, key, _ = wave[index]
+                    if attempt < policy.max_attempts:
+                        self.stats.cells_retried += 1
+                        metrics().counter("runtime.cells_retried").inc()
+                        retry.append(index)
+                    else:
+                        self._quarantine(
+                            cell, key, attempt, "error",
+                            f"{type(exc).__name__}: {exc}",
+                        )
+            attempt += 1
+            wave = [wave[index][:2] + (attempt,) for index in sorted(retry)]
+        self.stats.last_plan = "batch" if fused_any else "serial"
         metrics().counter(
             "runtime.planner_choice", choice=self.stats.last_plan
         ).inc()
-        if fused:
+        if fused_any:
             self.stats.planner_batch += 1
         else:
             self.stats.planner_serial += 1
-        for lo in range(0, len(analytic), ANALYTIC_CHUNK_CELLS):
-            chunk = analytic[lo:lo + ANALYTIC_CHUNK_CELLS]
-            self._commit(chunk, run_workloads([
-                (cell.workload, cell.platform, cell.target, cell.config)
-                for cell, _ in chunk
-            ]), resolved, batched=True)
-        if sims:
-            self._commit(
-                sims, self._execute_batch([cell for cell, _ in sims]),
-                resolved, batched=True,
-            )
-        if serial:
-            self.stats.cells_serial += len(serial)
-            metrics().counter("runtime.cells_serial").inc(len(serial))
-            for item in serial:  # each cell is stored before the next runs
-                self._commit([item], (_execute_cell(item[0]),), resolved)
-        return len(pending)
+        return ran
 
     def _commit(
         self,
-        items: Sequence[Tuple[AnyCell, str]],
-        results: Iterable[object],
+        wave: List[WorkItem],
+        outcomes: List[Outcome],
         resolved: Dict[str, Optional[RunResult]],
-        batched: bool = False,
-    ) -> None:
-        """Cache and resolve ``items``' results, then make them durable.
+        fused: bool,
+    ) -> List[Outcome]:
+        """Cache and resolve the results among one chunk's or cell's
+        outcomes, flush their rows at once, and return the failures.
 
-        A :class:`RunResult` goes through :meth:`RunCache.put`, which
-        appends its store row, and the one :meth:`RunCache.flush` after
-        the loop makes every row of the chunk or cell durable at once.
         An :class:`EventSimResult` goes through
-        :meth:`RunCache.put_memory`, which writes its ``to_dict``
-        document to the JSON tier at once; :meth:`RunCache.promote_store`
-        later stores it as a row.
+        :meth:`RunCache.put_memory` (its JSON document), a
+        :class:`RunResult` through :meth:`RunCache.put` (its store row).
         """
-        for (_, key), result in zip(items, results):
+        done = [
+            (wave[index][1], result) for index, result in outcomes
+            if not isinstance(result, Exception)
+        ]
+        for key, result in done:
             if isinstance(result, RunResult):
                 self.cache.put(key, result)
             else:
                 self.cache.put_memory(key, result)
             resolved[key] = result
-        self.cache.flush()
-        if batched:
-            self.stats.cells_batched += len(items)
-            metrics().counter("runtime.cells_batched").inc(len(items))
-
-    def _execute_batch(self, pending: List[SimCell]) -> List[object]:
-        """Fused execution: all pending sim cells through one batch call.
-
-        ``simulate_batch`` auto-chunks internally, so a campaign-sized
-        pending set becomes a handful of cache-resident kernel
-        invocations rather than one per cell.
-        """
-        from repro.hw.cxl.eventdevice import simulate_batch
-
-        points = [
-            (
-                _simulator_for(cell.device, cell.seed),
-                cell.n_requests,
-                cell.offered_gbps,
-                cell.read_fraction,
-            )
-            for cell in pending
-        ]
-        return simulate_batch(points)
-
-    # -- resilient mode ----------------------------------------------------
-
-    def _execute_resilient(
-        self,
-        pending: List[Cell],
-        pending_keys: List[str],
-        resolved: Dict[str, Optional[RunResult]],
-    ) -> int:
-        """Retry/quarantine execution under ``self.policy``.
-
-        Cells run one in-process attempt at a time; an exception is an
-        ``error``.  There is no fork and no timeout here: ``repro serve``
-        worker threads run this path (forking from a thread while other
-        threads hold locks risks deadlocking the child), and a CLI
-        campaign that must survive crashes or hangs runs on the lease
-        coordinator instead.  Resilient mode never runs a fused batch:
-        one poisoned cell would take its whole chunk down.  Backoff
-        sleeps happen just before a retry runs, via the injectable
-        ``sleep_fn``.
-        """
-        policy = self.policy
-        queue: Deque[Tuple[Cell, str, int]] = deque(
-            (cell, key, 1) for cell, key in zip(pending, pending_keys)
-        )
-        ok = 0
-        while queue:
-            cell, key, attempt = queue.popleft()
-            if attempt > 1:
-                delay = policy.backoff_s(key, attempt - 1)
-                if delay > 0:
-                    self.sleep_fn(delay)
-            try:
-                result = _execute_cell_attempt(cell, attempt)
-            except Exception as exc:  # noqa: BLE001 -- becomes a FailedCell
-                message = f"{type(exc).__name__}: {exc}"
+        if done:
+            self.cache.flush()
+            if fused:
+                self.stats.cells_batched += len(done)
+                metrics().counter("runtime.cells_batched").inc(len(done))
             else:
-                self._commit([(cell, key)], (result,), resolved)
-                self.stats.cells_serial += 1
-                ok += 1
-                continue
-            if attempt >= policy.max_attempts:
-                self._quarantine(cell, key, attempt, "error", message)
-            else:
-                self.stats.cells_retried += 1
-                metrics().counter("runtime.cells_retried").inc()
-                queue.append((cell, key, attempt + 1))
-        return ok
+                self.stats.cells_serial += len(done)
+                metrics().counter("runtime.cells_serial").inc(len(done))
+        return [pair for pair in outcomes if isinstance(pair[1], Exception)]
 
     def _quarantine(
         self, cell: AnyCell, key: str, attempts: int, reason: str,

@@ -37,7 +37,7 @@ from repro.dist.worker import Worker, wire_row
 from repro.faults.chaos import ChaosPolicy
 from repro.runtime.cache import RunCache
 from repro.runtime.checkpoint import load_checkpoint
-from repro.runtime.executor import RetryPolicy, _execute_cell_attempt
+from repro.runtime.executor import RetryPolicy
 from repro.store import ResultStore
 from repro.store.codec import skeleton_ref
 from repro.store.store import ROW_FIELDS, split_row
@@ -113,7 +113,7 @@ def _warm_all_but_the_last_unit(cache_dir):
     cache = RunCache(cache_dir)
     cache.name_rows(campaign_fingerprint(campaign))
     for unit, cell in pairs[:-1]:
-        cache.put(unit.key, _execute_cell_attempt(cell, 1))
+        cache.put(unit.key, cell.run())
     cache.close()
     return [unit for unit, _ in pairs]
 
@@ -447,7 +447,7 @@ class TestResultValidation:
                 unit_id = lease["unit"]["unit_id"]
                 skeletons = {}
                 row, vector = wire_row(
-                    _execute_cell_attempt(cells[unit_id], 1), skeletons
+                    cells[unit_id].run(), skeletons
                 )
                 row, vector, skeletons = tamper(row, vector, skeletons)
                 transport.send({

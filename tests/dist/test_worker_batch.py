@@ -1,16 +1,16 @@
 """The dist worker runs each grant as one batch.
 
-A grant's fresh units go through one ``run_workloads`` call, yet every
-entry must carry exactly the row the solo engine's per-cell path
-encodes, per-lease sabotage must charge only its own unit, and a batch
-that raises must fall back to one cell at a time.  The unit order is
-what makes the batch pay: grid units come target-major, so a grant
-mostly holds one target group.
+A grant's fresh units go through the engine's ``run_items`` -- one
+``run_workloads`` call -- yet every entry must carry exactly the row the
+solo engine's per-cell path encodes, per-lease sabotage must charge only
+its own unit, and a batch that raises must fall back to one cell at a
+time.  The unit order is what makes the batch pay: grid units come
+target-major, so a grant mostly holds one target group.
 """
 
 import pytest
 
-import repro.dist.worker as worker_module
+import repro.runtime.executor as executor
 from repro.core.melody import campaign_cells
 from repro.dist.coordinator import MAX_GRANT, grant_size, unit_cells
 from repro.dist.harness import SMOKE_SPEC
@@ -18,7 +18,7 @@ from repro.dist.spec import CampaignSpec
 from repro.dist.worker import Worker, wire_row
 from repro.faults.chaos import ChaosPolicy
 from repro.runtime.checkpoint import campaign_fingerprint
-from repro.runtime.executor import _execute_cell, _execute_cell_attempt
+from repro.runtime.executor import Cell
 
 SHIPPED_SPEC = CampaignSpec(
     platform="EMR2S", targets=("numa", "cxl-a", "cxl-b", "cxl-d"),
@@ -76,9 +76,7 @@ class TestBatchedRows:
             for (unit, cell), (entry, vector) in zip(grant, entries):
                 assert entry["unit_id"] == unit.unit_id
                 assert entry["status"] == "ok"
-                row, expected = wire_row(
-                    _execute_cell_attempt(cell, 1), skeletons
-                )
+                row, expected = wire_row(cell.run(), skeletons)
                 assert entry["row"] == row
                 assert vector == expected
             # One batch: every fresh unit reports the same time share.
@@ -123,13 +121,15 @@ class TestPerUnitFailures:
         def batch_raises(cells):
             raise RuntimeError("batched solve failed")
 
-        def one_cell(cell):
-            if cell.key() == broken:
-                raise ValueError("this cell cannot run")
-            return _execute_cell(cell)
+        real_run = executor.run_workload
 
-        monkeypatch.setattr(worker_module, "run_workloads", batch_raises)
-        monkeypatch.setattr(worker_module, "_execute_cell", one_cell)
+        def one_cell(*args):
+            if Cell(*args).key() == broken:
+                raise ValueError("this cell cannot run")
+            return real_run(*args)
+
+        monkeypatch.setattr(executor, "run_workloads", batch_raises)
+        monkeypatch.setattr(executor, "run_workload", one_cell)
         entries = worker.run_grant(grant_of(grant))
         assert [entry["status"] for entry, _ in entries] \
             == ["ok", "ok", "ok", "error", "ok"]
@@ -138,7 +138,7 @@ class TestPerUnitFailures:
         skeletons = {}
         for (_, cell), (entry, vector) in zip(grant, entries):
             if entry["status"] == "ok":
-                row, expected = wire_row(_execute_cell(cell), skeletons)
+                row, expected = wire_row(cell.run(), skeletons)
                 assert (entry["row"], vector) == (row, expected)
         assert worker.units_executed == 4
 

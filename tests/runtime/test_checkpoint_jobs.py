@@ -122,9 +122,12 @@ class TestSigkillResumeWithTwin:
             # Private result caches keep the twin's cells out of job-a's
             # resume; the *checkpoints* directory is shared -- that is
             # the surface under test.  The chaos policy is per thread,
-            # so each job quarantines only its own doomed cell.
+            # so each job quarantines only its own doomed cell.  Serial
+            # mode runs one pipeline call per cell, which is what lets
+            # job-a die inside its 4th.
             engine = CampaignEngine(
                 cache=RunCache(result_dir),
+                mode="serial",
                 policy=RetryPolicy(max_attempts=1),
                 checkpointer=Checkpointer(
                     cache_dir=cache_dir, fingerprint=fingerprint,

@@ -2,14 +2,19 @@
 
 The engine retries in-process only; crashes and hangs are lease expiry
 on the coordinator (``tests/dist``).  A killed attempt is retried by the
-lease table, which the transient-kill test drives directly.
+lease table, which the transient-kill test drives directly.  Under a
+policy the engine runs the same fused path as a fail-fast one, isolated:
+only a cell whose own attempt fails leaves its chunk.
 """
 
 import itertools
+import json
 import os
 
 import pytest
 
+import repro.runtime.executor as executor
+from repro.cpu.pipeline import run_workloads
 from repro.dist.lease import LeaseTable, WorkUnit
 from repro.errors import ConfigurationError
 from repro.faults.chaos import ChaosPolicy, chaos_injection
@@ -19,8 +24,9 @@ from repro.runtime.executor import (
     Cell,
     FailedCell,
     RetryPolicy,
-    _execute_cell_attempt,
+    run_items,
 )
+from repro.runtime.serialize import run_result_to_dict
 
 
 @pytest.fixture
@@ -28,6 +34,20 @@ def cells(simple_workload, compute_workload, bandwidth_workload, emr,
           device_a):
     workloads = (simple_workload, compute_workload, bandwidth_workload)
     return [Cell(w, emr, device_a) for w in workloads]
+
+
+@pytest.fixture
+def grid(simple_workload, compute_workload, bandwidth_workload, emr,
+         device_a, device_b):
+    workloads = (simple_workload, compute_workload, bandwidth_workload)
+    return [
+        Cell(w, emr, t) for w in workloads for t in (device_a, device_b)
+    ]
+
+
+def dumped(results):
+    return [json.dumps(run_result_to_dict(r), sort_keys=True)
+            for r in results]
 
 
 def resilient_engine(**policy_kwargs):
@@ -134,8 +154,9 @@ class TestBackoffClock:
         # Nothing in the engine survives a kill: the worker process dies,
         # the fleet releases its lease (charging the attempt) and starts a
         # replacement, which gets the unit once its backoff has passed on
-        # the table's clock.  Here the kill is caught at os._exit.
-        class Killed(Exception):
+        # the table's clock.  Here the kill is caught at os._exit, as a
+        # BaseException that no cell outcome can swallow.
+        class Killed(BaseException):
             pass
 
         def killed(code):
@@ -165,12 +186,14 @@ class TestBackoffClock:
                     continue
                 cell = cell_of[lease.unit_id]
                 try:
-                    result = _execute_cell_attempt(cell, lease.attempt)
+                    [(outcomes, _)] = run_items(
+                        [(cell, cell.key(), lease.attempt)]
+                    )
                 except Killed:
                     assert len(table.release_worker(worker)) == 1
                     worker = next(workers)
                     continue
-                results[lease.unit_id] = result
+                [(_, results[lease.unit_id])] = outcomes
                 assert table.commit(lease.unit_id, lease.lease_id, worker,
                                     cell.key()) == "committed"
         assert table.quarantined() == []
@@ -181,3 +204,63 @@ class TestBackoffClock:
         assert slept == [policy.backoff_s(cells[0].key(), 1)]
         serial = CampaignEngine(cache=RunCache()).run_cells(cells)
         assert [results[unit.unit_id] for unit in units] == serial
+
+
+class TestFusedUnderPolicy:
+    """A resilient engine fuses like a fail-fast one, isolated."""
+
+    def test_doomed_cell_leaves_its_chunk_mates_fused(self, grid,
+                                                      monkeypatch):
+        monkeypatch.setattr(executor, "ANALYTIC_CHUNK_CELLS", 3)
+        engine = resilient_engine(
+            backoff_base_s=0.5, backoff_factor=2.0, backoff_max_s=4.0,
+            jitter_frac=0.25, seed=7,
+        )
+        slept = []
+        engine.sleep_fn = slept.append
+        doomed = grid[1].key()  # mid-chunk of the first chunk of three
+        with chaos_injection(ChaosPolicy(doomed=(doomed,))):
+            results = engine.run_cells(grid)
+        serial = CampaignEngine(cache=RunCache(), mode="serial") \
+            .run_cells(grid)
+        assert engine.stats.cells_batched == len(grid) - 1
+        assert results[1] is None
+        assert dumped(results[:1] + results[2:]) \
+            == dumped(serial[:1] + serial[2:])
+        [record] = engine.failed
+        assert (record.key, record.attempts) == (doomed, 3)
+        assert engine.stats.cells_retried == 2
+        assert engine.stats.cells_quarantined == 1
+        policy = engine.policy
+        assert slept == [
+            policy.backoff_s(doomed, 1),
+            policy.backoff_s(doomed, 2),
+        ]
+
+    def test_raising_chunk_reruns_its_cells_alone(self, grid, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def second_chunk_fails(cells):
+            calls.append(cells)
+            if len(calls) == 2:
+                raise RuntimeError("a genuine run failure")
+            return run_workloads(cells)
+
+        monkeypatch.setattr(executor, "ANALYTIC_CHUNK_CELLS", 3)
+        monkeypatch.setattr(executor, "run_workloads", second_chunk_fails)
+        engine = CampaignEngine(
+            cache=RunCache(str(tmp_path)),
+            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+        )
+        results = engine.run_cells(grid)
+        assert len(calls) == 2
+        assert engine.stats.cells_batched == 3
+        assert engine.stats.cells_serial == 3
+        assert engine.stats.cells_retried == 0
+        assert engine.failed == []
+        fresh = RunCache(str(tmp_path))
+        assert all(fresh.get(cell.key()) is not None for cell in grid)
+        serial = CampaignEngine(cache=RunCache(), mode="serial") \
+            .run_cells(grid)
+        assert dumped(results) == dumped(serial)

@@ -208,7 +208,8 @@ def _write_points(arm, run) -> int:
 
 
 class TestSoloKills:
-    # Fused: one chunk, one flush.  With retries: one flush per cell.
+    # One chunk, one flush, with retries or without: a resilient run
+    # fuses its cells as a fail-fast one does.
     @pytest.mark.parametrize("extra", [(), ("--cell-retries", "2")])
     def test_every_write_point(self, arm, reference, tmp_path, extra):
         exports, results = reference
