@@ -996,6 +996,21 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                    help="trace every Nth simulated request (default: 1)")
 
 
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    """The flags naming one campaign (``CampaignSpec.from_args`` reads
+    them), shared by ``campaign`` and ``coordinate``."""
+    p.add_argument("--platform", default="EMR2S")
+    p.add_argument("--targets", nargs="+", default=["numa", "cxl-a"],
+                   help="local|numa|cxl-a..d|cxl-X+numa")
+    p.add_argument("--suite", default=None, help="restrict to one suite")
+    p.add_argument("--sample", type=int, default=1,
+                   help="run every Nth workload")
+    p.add_argument("--fault-plan", default=None, metavar="PATH",
+                   help="JSON FaultPlan injected into every simulated cell "
+                        "(results land under a fault-keyed cache entry; "
+                        "dist workers receive it in the campaign spec)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI parser."""
     parser = argparse.ArgumentParser(
@@ -1019,21 +1034,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("campaign", help="run a slowdown campaign")
-    p.add_argument("--platform", default="EMR2S")
-    p.add_argument("--targets", nargs="+", default=["numa", "cxl-a"],
-                   help="local|numa|cxl-a..d|cxl-X+numa")
-    p.add_argument("--suite", default=None, help="restrict to one suite")
-    p.add_argument("--sample", type=int, default=1,
-                   help="run every Nth workload")
+    _add_campaign_flags(p)
     p.add_argument("--csv", default=None, help="export dataset CSV")
     p.add_argument("--json", default=None, help="export dataset JSON")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk run cache shared across invocations")
     p.add_argument("--strict", action="store_true",
                    help="promote invariant violations in results to errors")
-    p.add_argument("--fault-plan", default=None, metavar="PATH",
-                   help="JSON FaultPlan injected into every simulated cell "
-                        "(results land under a fault-keyed cache entry)")
     p.add_argument("--cell-timeout", "--dist-lease", type=float,
                    default=None, metavar="S",
                    help="lease length per cell attempt: runs the campaign "
@@ -1087,15 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate",
         help="serve one campaign to remote 'repro worker' processes",
     )
-    p.add_argument("--platform", default="EMR2S")
-    p.add_argument("--targets", nargs="+", default=["numa", "cxl-a"],
-                   help="local numa cxl-a..cxl-d cxl-X+numa")
-    p.add_argument("--suite", default=None, help="restrict to one suite")
-    p.add_argument("--sample", type=int, default=1,
-                   help="take every N-th workload")
-    p.add_argument("--fault-plan", default=None, metavar="PATH",
-                   help="JSON fault plan injected into every cell "
-                        "(workers receive it in the campaign spec)")
+    _add_campaign_flags(p)
     p.add_argument("--cache-dir", required=True,
                    help="shared cache directory results commit into")
     p.add_argument("--host", default="127.0.0.1")

@@ -29,19 +29,21 @@ frame's binary tail.  The coordinator keeps a skeleton body for a
 connection only if it hashes to its ref, and validates every row before
 committing it, from its own objects: the skeleton must be one its
 connection carried, the vector must fill it exactly, the strings must
-be the unit's own target and blob refs, and the joined document must
-rebuild a ``RunResult`` around the campaign's own workload and platform.
+be the unit's own target and blob refs, and the document a warm store
+read would decode (:func:`~repro.store.store.join_row`) must rebuild a
+``RunResult`` around the campaign's own workload and platform.
 A row that fails charges the attempt like a worker error.  The commit
 digest is sha256 over the row as received, with no re-encode.
 
-A committed row is appended, as received, to one coordinator
-:class:`~repro.store.store.StoreWriter` -- the store row is the only
-on-disk form of a result -- and the rows of each ``results`` frame are
-flushed (made durable as one part manifest) before the connection's
-next frame is read, so a killed coordinator loses at most the frame in
-flight.  The writer's parts merge into the campaign's manifest when the
-campaign settles.  The final checkpoint (the quarantine ledger) is
-written through
+A committed row is appended, as received, through the run cache's one
+store append (:meth:`~repro.runtime.cache.RunCache.append_row`, the
+path the solo engine's :meth:`~repro.runtime.cache.RunCache.put` takes
+too) -- the store row is the only on-disk form of a result -- and the
+rows of each ``results`` frame are flushed (made durable as one part
+manifest) before the connection's next frame is read, so a killed
+coordinator loses at most the frame in flight.  The cache merges the
+parts into the campaign's manifest when the campaign settles.  The
+final checkpoint (the quarantine ledger) is written through
 :mod:`repro.runtime.checkpoint` -- after which a plain ``repro campaign
 --resume`` pass over the same cache dir assembles exports
 byte-identical to a solo run.  That equivalence is the contract the
@@ -50,8 +52,8 @@ byte-identical to a solo run.  That equivalence is the contract the
 Threading model: an accept thread spawns one thread per worker
 connection; a monitor thread drives lease expiry; the
 :class:`~repro.dist.lease.LeaseTable` and connection registry are
-guarded by one lock, the store writer by another.  The table's clock is
-injectable for tests.
+guarded by one lock (the run cache locks its own row appends).  The
+table's clock is injectable for tests.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from repro.runtime.serialize import (
     workload_to_dict,
 )
 from repro.store.codec import compile_skeleton, skeleton_ref
-from repro.store.store import ROW_FIELDS
+from repro.store.store import ROW_FIELDS, join_row
 
 PROTOCOL_VERSION = 5
 """Bump on any incompatible frame/message change (2: batched grants;
@@ -285,9 +287,11 @@ class Coordinator:
             lease_s=lease_s,
             clock=clock,
         )
-        # Eager: connection threads share this one instance (a
-        # lazily-raced second instance would split the memory tier).
+        # Eager: connection threads share this one instance, so every
+        # row lands in one manifest.  Committed rows go straight to disk:
+        # the memory tier holds only the cached units found below.
         self._cache = RunCache(cache_dir)
+        self._cache.name_rows(self.fingerprint)
         # A cached unit is done before any worker connects: it counts as
         # committed (summary, checkpoint) but is never leased, so
         # resuming a finished campaign grants nothing.
@@ -298,12 +302,6 @@ class Coordinator:
             self._plan.key()
             if self._plan is not None and self._plan.enabled else ""
         )
-        # The store writer appending committed rows, opened by the
-        # first commit and committed by _finalize; blob documents are
-        # built once per ref.  Both are guarded by _store_lock.
-        self._store_lock = threading.Lock()
-        self._writer = None
-        self._blob_docs: Dict[str, dict] = {}
         self._lock = threading.Lock()
         self._connections: Dict[int, _Connection] = {}
         self._conn_counter = 0
@@ -608,9 +606,7 @@ class Coordinator:
         finally:
             # Durable before this connection's next frame is read: a
             # worker learns of a commit only through its next fetch.
-            with self._store_lock:
-                if self._writer is not None:
-                    self._writer.flush()
+            self._cache.flush()
 
     def _adopt_skeleton(self, conn: _Connection, ref: str, body) -> None:
         """Keep one skeleton body for ``conn`` if it hashes to ``ref``.
@@ -638,9 +634,10 @@ class Coordinator:
 
         Everything is checked against the coordinator's own objects:
         the connection's skeletons, the unit's cell and its blob refs,
-        and the joined document must rebuild a ``RunResult`` (which is
-        then dropped: the row as received is what gets stored).
-        Raises on anything it cannot commit.
+        and the document :func:`~repro.store.store.join_row` decodes --
+        exactly as a warm store read will -- must rebuild a
+        ``RunResult`` (which is then dropped: the row as received is
+        what gets stored).  Raises on anything it cannot commit.
         """
         cell = self._cells.get(unit_id)
         if cell is None:
@@ -672,10 +669,9 @@ class Coordinator:
                     f"{value[:32]!r}"
                 )
         raw = tail[index]
-        doc = known[1](np.frombuffer(raw, dtype="<f8"))
-        doc.update(expected)  # the row fields the skeleton leaves out
         run_result_from_dict(
-            doc, workload=cell.workload, platform=cell.platform
+            join_row(known[1], np.frombuffer(raw, dtype="<f8"), row),
+            workload=cell.workload, platform=cell.platform,
         )
         return row, raw
 
@@ -734,10 +730,12 @@ class Coordinator:
             )
             done = self.table.done
         if verdict in ("committed", "late", "resurrected"):
-            self._append_row(
+            cell = self._cells[unit_id]
+            self._cache.append_row(
                 self.table.unit(unit_id).key,
-                conn.skeletons[row["skeleton"]][0], row, raw,
-                self._cells[unit_id],
+                (row, row["skeleton"], conn.skeletons[row["skeleton"]][0],
+                 np.frombuffer(raw, dtype="<f8")),
+                cell.workload, cell.platform, self._fault_plan_key,
             )
             registry.counter("dist.units_committed").inc()
             if isinstance(elapsed, (int, float)):
@@ -761,30 +759,6 @@ class Coordinator:
         if done:
             self._done.set()
         return True
-
-    def _append_row(
-        self, key: str, skeleton, row: dict, raw: bytes, cell: Cell
-    ) -> None:
-        """Append one committed row, as received, to the store writer."""
-        with self._store_lock:
-            if self._writer is None:
-                self._writer = self._cache.store.writer(
-                    self.fingerprint
-                )
-            blobs = self._blob_docs
-            for ref, obj, to_dict in (
-                (row["workload_ref"], cell.workload, workload_to_dict),
-                (row["platform_ref"], cell.platform, platform_to_dict),
-            ):
-                if ref not in blobs:
-                    blobs[ref] = to_dict(obj)
-            self._writer.add_row(
-                key, row["skeleton"], skeleton,
-                np.frombuffer(raw, dtype="<f8"), row,
-                workload_doc=blobs[row["workload_ref"]],
-                platform_doc=blobs[row["platform_ref"]],
-                fault_plan=self._fault_plan_key,
-            )
 
     def release_worker(self, name: str) -> List[Lease]:
         """Settle every lease worker ``name`` holds (as crashes).
@@ -823,10 +797,7 @@ class Coordinator:
     def _finalize(self, complete: bool) -> DistSummary:
         """Merge the store rows, checkpoint, and summarize."""
         table = self.table
-        with self._store_lock:
-            writer, self._writer = self._writer, None
-        if writer is not None:
-            writer.commit()
+        self._cache.close()
         with self._plan_installed():
             quarantined = table.quarantined()
             if complete:

@@ -58,14 +58,11 @@ class EventSimComparison:
         return worst["analytic_tail_gap_ns"] - worst["sim_tail_gap_ns"]
 
 
-def run(fast: bool = True, engine: str = "auto") -> EventSimComparison:
+def run(fast: bool = True) -> EventSimComparison:
     """Compare every device at three load points.
 
-    ``engine`` selects the event-simulation implementation (``auto`` lets
-    the runtime engine fuse all twelve operating points into batched
-    kernel calls; ``scalar``/``vector`` pin each cell to a solo engine).
-    Every engine is bit-identical, so the rendered table does not depend
-    on the choice -- only the wall-clock does.
+    The runtime engine fuses all twelve operating points into batched
+    kernel calls.
     """
     n = 25_000 if fast else 120_000
     cells = []
@@ -79,7 +76,6 @@ def run(fast: bool = True, engine: str = "auto") -> EventSimComparison:
                     device=name,
                     n_requests=n,
                     offered_gbps=fraction * peak,
-                    engine=engine,
                 )
             )
             devices.append((name, device))

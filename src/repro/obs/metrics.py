@@ -22,9 +22,7 @@ instrument creation, and export snapshot, so ``+=`` on shared floats can
 never tear or lose increments and an export always sees a consistent
 snapshot (a histogram's ``counts`` always sum to its ``count``).  An
 export holds the lock only while it copies the values; it sorts and
-formats the copy after releasing it.  The lock is
-re-initialized in forked children (``os.register_at_fork``) so a child
-forked while another thread holds it cannot deadlock.
+formats the copy after releasing it.
 
 Determinism guarantee: instruments only *read* the quantities they are
 handed -- none of them touches an RNG or feeds back into a model -- so
@@ -35,7 +33,6 @@ enabling metrics can never perturb simulated results (enforced by the
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from contextlib import contextmanager
@@ -53,21 +50,6 @@ trivially consistent -- nothing can move while a snapshot is copied -- and
 instrument updates are far too coarse (per batch, per simulated run) for
 the contention to matter.
 """
-
-
-def _reset_lock_after_fork() -> None:
-    """Replace the lock in forked children.
-
-    ``fork`` clones only the calling thread; a lock held by any *other*
-    thread at fork time would stay locked forever in the child.  Isolated
-    resilient cell attempts fork, and under ``repro serve`` (with a
-    per-cell timeout) other threads are live when they do.
-    """
-    global _LOCK
-    _LOCK = threading.RLock()
-
-
-os.register_at_fork(after_in_child=_reset_lock_after_fork)
 
 DEFAULT_TIME_BUCKETS_S = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,

@@ -13,17 +13,22 @@ hashes a canonical fingerprint of the cell; :class:`RunCache` maps keys to
   invocations skip finished cells entirely.
 
 On disk an analytic run is written once, as its row in the columnar
-store (:mod:`repro.store`): :meth:`RunCache.put` encodes the row
-(:func:`~repro.store.store.encode_row`) and appends it to the cache's one
+store (:mod:`repro.store`), and :meth:`RunCache.append_row` is the one
+way a row gets there: it appends an encoded row to the cache's one
 :class:`~repro.store.store.StoreWriter`, named by :meth:`RunCache.name_rows`
 (the campaign fingerprint and job id where the caller has them, else
-:data:`UNNAMED_ROWS`).  :meth:`RunCache.flush` makes the appended rows
-durable -- the engine calls it once per fused chunk or serial cell, so a
-kill costs at most the chunk or cell in flight -- and
+:data:`UNNAMED_ROWS`).  :meth:`RunCache.put` keeps the run in memory,
+encodes its row (:func:`~repro.store.store.encode_row`) and appends it;
+the dist coordinator appends the rows its workers ship, as received,
+and never fills the memory tier.  :meth:`RunCache.flush` makes the
+appended rows durable -- the engine calls it once per fused chunk or
+serial cell, the coordinator once per ``results`` frame, so a kill
+costs at most the chunk, cell or frame in flight -- and
 :meth:`RunCache.close` merges the flushed parts into the one manifest of
-their (fingerprint, job) (the CLI closes in a ``finally``, and replacing
-the shared engine closes its cache; a cache never closed leaves
-O(log rows) parts, see :meth:`~repro.store.store.StoreWriter.flush`).
+their (fingerprint, job) (the CLI closes in a ``finally``, the
+coordinator when its campaign settles, and replacing the shared engine
+closes its cache; a cache never closed leaves O(log rows) parts, see
+:meth:`~repro.store.store.StoreWriter.flush`).
 Event-simulation results keep their self-contained JSON document per
 cell (``<cache_dir>/<k[:2]>/<k>.json``, written by
 :meth:`RunCache.put_memory`) and reach the store only through
@@ -231,9 +236,9 @@ class RunCache:
         )
         self._made_shards = set()
         self._lock = threading.RLock()
-        # The one writer analytic rows append to, its (fingerprint,
-        # job) name, and the blob documents it embeds, built once per
-        # ref; all guarded by _writer_lock.
+        # The one writer analytic rows append to (append_row), its
+        # (fingerprint, job) name, and the blob documents it embeds,
+        # built once per ref; all guarded by _writer_lock.
         self._writer_lock = threading.Lock()
         self._writer = None
         self._rows_name: Tuple[str, str] = (UNNAMED_ROWS, "")
@@ -419,14 +424,35 @@ class RunCache:
             self.stores += 1
         if self.store is None:
             return
-        row, ref, skeleton, vector = encode_row(result)
         plan = active_fault_plan()
-        plan_key = plan.key() if plan is not None and plan.enabled else ""
+        self.append_row(
+            key, encode_row(result), result.workload, result.platform,
+            plan.key() if plan is not None and plan.enabled else "",
+        )
+
+    def append_row(
+        self,
+        key: str,
+        encoded: Tuple[Dict[str, str], str, object, object],
+        workload: WorkloadSpec,
+        platform: Platform,
+        fault_plan: str,
+    ) -> None:
+        """Append one encoded analytic row to the store writer, and
+        nothing to the memory tier.
+
+        ``encoded`` is the ``(row, skeleton ref, skeleton, vector)``
+        :func:`~repro.store.store.encode_row` returns -- or the same
+        four a dist worker shipped; ``workload``/``platform`` are the
+        objects the row's blob refs name, embedded once per manifest.
+        This is the one way an analytic row reaches the store.
+        """
+        row, ref, skeleton, vector = encoded
         with self._writer_lock:
             docs = self._blob_docs
             for field_name, obj, to_dict in (
-                ("workload_ref", result.workload, workload_to_dict),
-                ("platform_ref", result.platform, platform_to_dict),
+                ("workload_ref", workload, workload_to_dict),
+                ("platform_ref", platform, platform_to_dict),
             ):
                 if row[field_name] not in docs:
                     docs[row[field_name]] = to_dict(obj)
@@ -436,11 +462,11 @@ class RunCache:
                 key, ref, skeleton, vector, row,
                 workload_doc=docs[row["workload_ref"]],
                 platform_doc=docs[row["platform_ref"]],
-                fault_plan=plan_key,
+                fault_plan=fault_plan,
             )
 
     def name_rows(self, fingerprint: str, job_id: str = "") -> None:
-        """Append the analytic rows put from now on under
+        """Append the analytic rows from now on under
         ``(fingerprint, job_id)``; rows appended under another name are
         merged first (:meth:`close`)."""
         with self._writer_lock:
@@ -452,8 +478,8 @@ class RunCache:
             writer.commit()
 
     def flush(self) -> None:
-        """Make every row :meth:`put` appended durable (one part
-        manifest; see :meth:`~repro.store.store.StoreWriter.flush`)."""
+        """Make every appended row durable (one part manifest; see
+        :meth:`~repro.store.store.StoreWriter.flush`)."""
         with self._writer_lock:
             if self._writer is not None:
                 self._writer.flush()
@@ -461,7 +487,7 @@ class RunCache:
     def close(self) -> None:
         """Merge this cache's rows, flushed or not, into the one
         manifest of their (fingerprint, job).  The cache stays usable;
-        a later :meth:`put` opens a fresh writer."""
+        a later append opens a fresh writer."""
         with self._writer_lock:
             writer, self._writer = self._writer, None
         if writer is not None:

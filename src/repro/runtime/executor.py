@@ -93,7 +93,7 @@ from repro.workloads.base import WorkloadSpec
 
 ENGINE_MODES = ("auto", "serial")
 """Accepted ``CampaignEngine.mode`` values: ``auto`` runs analytic cells
-and batchable sim cells fused, ``serial`` never batches (the reference
+and (untraced) sim cells fused, ``serial`` never batches (the reference
 the batch-identity checks compare against)."""
 
 ANALYTIC_CHUNK_CELLS = 512
@@ -128,23 +128,18 @@ class SimCell:
     """One event-simulation campaign cell: a device at an operating point.
 
     :func:`run_items` fuses many sim cells into single kernel
-    invocations, with or without a retry policy.
-    ``engine`` is a per-cell preference (``auto`` lets the cell join a
-    batch; ``scalar``/``vector`` force a solo engine and opt the cell out
-    of batching); it is excluded
-    from :meth:`key` because every engine returns byte-identical results,
-    so all of them collapse onto one cache entry.
+    invocations, with or without a retry policy (unfused only while a
+    trace buffer is active).
     """
 
     device: str
     n_requests: int
     offered_gbps: float
     read_fraction: float = 1.0
-    engine: str = "auto"
     seed: int = DEFAULT_SEED
 
     def key(self) -> str:
-        """Content-addressed identity (engine deliberately excluded)."""
+        """Content-addressed identity of this cell."""
         parts = [
             "simcell",
             str(FORMAT_VERSION),
@@ -161,18 +156,12 @@ class SimCell:
             parts.append(f"fault-plan:{plan.key()}")
         return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
-    @property
-    def batchable(self) -> bool:
-        """Whether this cell may join a fused batch."""
-        return self.engine == "auto" and tracing() is None
-
     def run(self):
         """Run this cell solo (serial runs and isolated reruns)."""
         return _simulator_for(self.device, self.seed).simulate(
             self.n_requests,
             self.offered_gbps,
             read_fraction=self.read_fraction,
-            engine=self.engine,
         )
 
 
@@ -226,9 +215,9 @@ def run_items(
     mode the rest split by kind: analytic cells run fused through
     :func:`~repro.cpu.pipeline.run_workloads` in chunks of
     :data:`ANALYTIC_CHUNK_CELLS`, sim cells through one
-    :func:`~repro.hw.cxl.eventdevice.simulate_batch` call when every one
-    is batchable (a pinned or traced sim cell asked for solo semantics);
-    anything else, and every cell in ``serial`` mode, runs alone.
+    :func:`~repro.hw.cxl.eventdevice.simulate_batch` call unless a trace
+    buffer is active (tracing asks for solo semantics); anything else,
+    and every cell in ``serial`` mode, runs alone.
 
     Yields ``(outcomes, fused)``: first the sabotaged items, then each
     chunk or single cell as it returns, in item order within a cell
@@ -253,7 +242,7 @@ def run_items(
     serial: List[Tuple[int, AnyCell]] = []
     if mode != "auto":
         serial, analytic, sims = sorted(analytic + sims), [], []
-    elif not all(cell.batchable for _, cell in sims):
+    elif tracing() is not None:
         serial, sims = sims, []
     if sabotaged:
         yield sabotaged, False

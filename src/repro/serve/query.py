@@ -98,7 +98,7 @@ class Query:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
     def cells(self) -> List[SimCell]:
-        """One batchable sim cell per operating point."""
+        """One sim cell per operating point."""
         return [
             SimCell(
                 device=self.device,

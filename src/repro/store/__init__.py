@@ -36,7 +36,6 @@ number counts).
 
 from repro.store.codec import (
     canonical_document,
-    join_document,
     skeleton_ref,
     split_document,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SegmentWriter",
     "StoreWriter",
     "canonical_document",
-    "join_document",
     "open_segment",
     "skeleton_ref",
     "split_document",

@@ -58,7 +58,7 @@ def split_document(doc: Any) -> Tuple[Any, np.ndarray]:
 
     ``doc`` must be JSON-representable (dicts with string keys, lists,
     strings, numbers, bools, ``None``); anything else raises
-    ``TypeError``.  The inverse is :func:`join_document`.
+    ``TypeError``.  The inverse is :func:`compile_skeleton`.
     """
     numbers: List[float] = []
     skeleton = _strip(doc, numbers)
@@ -92,71 +92,23 @@ def _strip(node: Any, out: List[float]) -> Any:
     )
 
 
-def join_document(skeleton: Any, vector: np.ndarray) -> Any:
-    """Reassemble the document :func:`split_document` took apart.
-
-    Scalar markers become native Python ``float``/``int`` (so the result
-    re-serializes through ``json`` exactly like the original); span
-    markers become ``ndarray`` *views* of ``vector`` -- when the vector
-    is an mmapped segment slice, large arrays are never copied.  Raises
-    ``ValueError`` when skeleton and vector disagree (a corrupt entry
-    must read as damage, not as plausible data).
-    """
-    position = 0
-
-    def build(node: Any) -> Any:
-        nonlocal position
-        if isinstance(node, str) and node.startswith(_MARK):
-            tag = node[1]
-            if tag in ("f", "i") and position >= len(vector):
-                raise ValueError("number vector shorter than skeleton")
-            if tag == "f":
-                value = float(vector[position])
-                position += 1
-                return value
-            if tag == "i":
-                value = int(vector[position])
-                position += 1
-                return value
-            if tag == "s":
-                return node[2:]
-            if tag == "F":
-                count = int(node[2:])
-                span = vector[position:position + count]
-                if len(span) != count:
-                    raise ValueError("number vector shorter than skeleton")
-                position += count
-                return span
-            raise ValueError(f"unknown skeleton marker {node[:2]!r}")
-        if isinstance(node, dict):
-            return {key: build(value) for key, value in node.items()}
-        if isinstance(node, list):
-            return [build(value) for value in node]
-        return node
-
-    doc = build(skeleton)
-    if position != len(vector):
-        raise ValueError(
-            f"number vector has {len(vector)} values, skeleton consumed "
-            f"{position}"
-        )
-    return doc
-
-
 def compile_skeleton(skeleton: Any):
-    """Compile a skeleton into a fast ``vector -> document`` function.
+    """Compile a skeleton into a ``vector -> document`` join: the
+    inverse of :func:`split_document`, and the store's only one.
 
-    :func:`join_document` re-walks the skeleton on every read; in a
-    campaign store thousands of cells share one skeleton (analytic ones
-    too, their row-recorded strings being kept out of it), so the walk
-    is pure repeated work.  Compilation does the walk once, recording
-    each marker's vector position, and the returned closure reassembles
-    a document without inspecting the skeleton again.  All scalar slots
-    are gathered with a single fancy-index + ``tolist()`` (one C call
-    instead of one mmap ``__getitem__`` per scalar); span markers stay
-    zero-copy slices of ``vector``.  The compiled function produces
-    documents identical to :func:`join_document` and raises the same
-    ``ValueError`` on a length mismatch.
+    In a campaign store thousands of cells share one skeleton (analytic
+    ones too, their row-recorded strings being kept out of it), so the
+    walk is done once, recording each marker's vector position, and the
+    returned closure reassembles a document without inspecting the
+    skeleton again.  All scalar slots are gathered with a single
+    fancy-index + ``tolist()`` (one C call instead of one mmap
+    ``__getitem__`` per scalar), so scalar markers become native Python
+    ``float``/``int`` (the result re-serializes through ``json`` exactly
+    like the original); span markers become zero-copy ``ndarray`` views
+    of ``vector``.  An unknown marker raises ``ValueError`` at compile
+    time, and the join raises ``ValueError`` when the vector's length is
+    not exactly what the skeleton consumes (a corrupt entry must read as
+    damage, not as plausible data).
     """
     scalar_slots: List[int] = []
     position = 0
@@ -228,7 +180,7 @@ def skeleton_ref(skeleton: Any) -> str:
 def array_span(skeleton: Any, field: str) -> Tuple[int, int]:
     """(offset, length) of ``field``'s packed array inside the vector.
 
-    Walks the skeleton exactly as :func:`join_document` would, counting
+    Walks the skeleton in the order :func:`compile_skeleton` does, counting
     consumed slots until the top-level key ``field`` carrying a span
     marker is reached.  Lets scans read one array (a latency vector)
     straight out of the segment without reassembling the document.

@@ -8,9 +8,10 @@ Layout, under ``<cache_dir>/store/``::
     manifests/merge.lock                    serializes manifest merges
     segments/<writer_id>-<seq>.f64          packed float64 payloads
 
-Reads are O(1): key -> (manifest row) -> ``np.memmap`` slice ->
-:func:`~repro.store.codec.join_document`, plus the :data:`ROW_FIELDS`
-an analytic row holds instead of its skeleton.  Scans are vectorized
+Reads are O(1): key -> (manifest row) -> ``np.memmap`` slice -> the
+skeleton's :func:`~repro.store.codec.compile_skeleton` join, plus (for
+an analytic row, through :func:`join_row`) the :data:`ROW_FIELDS` the
+row holds instead of its skeleton.  Scans are vectorized
 over the manifest columns and never touch segments except for the
 latency arrays a query actually asks percentiles of.  Manifests of several jobs
 may claim one cell key; the first claim wins and scans skip the
@@ -26,7 +27,7 @@ import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +88,30 @@ def split_row(
     }
     skeleton, vector = split_document(body)
     return row, skeleton, vector
+
+
+def join_row(
+    join: Callable[[np.ndarray], Dict[str, Any]],
+    vector: np.ndarray,
+    row: Dict[str, Any],
+) -> Dict[str, Any]:
+    """The analytic run document of one row: the inverse of
+    :func:`split_row`.
+
+    ``join`` is the row's compiled skeleton
+    (:func:`~repro.store.codec.compile_skeleton`) and ``row`` maps each
+    :data:`ROW_FIELDS` document field to the row's value; the fields
+    the row holds are written back after the join.  A skeleton written
+    before rows held them still carries these fields, with exactly the
+    values its row recorded.  Store reads and the dist coordinator's
+    row check both decode with this.
+    """
+    doc = join(vector)
+    for field in ROW_FIELDS:
+        value = row[field]
+        if _in_row(field, value):
+            doc[field] = value
+    return doc
 
 
 _EXACT_INT = 2 ** 53
@@ -665,16 +690,13 @@ class ResultStore:
         if join is None:
             join = compile_skeleton(manifest.skeletons[entry.skeleton])
             self._joins[entry.skeleton] = join
-        doc = join(self._vector(entry))
-        if entry.kind == KIND_ANALYTIC:
-            # Restore what ``StoreWriter.add`` kept in the row only.  A
-            # skeleton written before that still carries these fields,
-            # with exactly the values its row recorded.
-            for field, column in ROW_FIELDS.items():
-                value = getattr(entry, column)
-                if _in_row(field, value):
-                    doc[field] = value
-        return doc
+        vector = self._vector(entry)
+        if entry.kind != KIND_ANALYTIC:
+            return join(vector)
+        return join_row(join, vector, {
+            field: getattr(entry, column)
+            for field, column in ROW_FIELDS.items()
+        })
 
     def get(self, key: str) -> Any:
         """The stored document, reassembled bit-exactly.

@@ -36,6 +36,36 @@ class TestParseEndpoint:
             _parse_endpoint(bad)
 
 
+class TestCampaignFlags:
+    def test_campaign_and_coordinate_parse_one_spec(self, tmp_path):
+        import json
+
+        from repro.dist.spec import CampaignSpec
+        from repro.faults.plan import retry_storm_plan
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            retry_storm_plan(0.0, 1e9, multiplier=4.0).to_dict()
+        ))
+        argv = ["--platform", "EMR2S", "--targets", "numa", "cxl-b",
+                "--suite", "GAPBS", "--sample", "3",
+                "--fault-plan", str(path)]
+        parser = build_parser()
+        solo = CampaignSpec.from_args(parser.parse_args(
+            ["campaign", *argv]
+        ))
+        coordinated = CampaignSpec.from_args(parser.parse_args(
+            ["coordinate", *argv, "--cache-dir", str(tmp_path)]
+        ))
+        assert solo == coordinated
+        assert solo.targets == ("numa", "cxl-b")
+        assert solo.fault_plan is not None
+        assert CampaignSpec.from_args(parser.parse_args(["campaign"])) \
+            == CampaignSpec.from_args(parser.parse_args(
+                ["coordinate", "--cache-dir", str(tmp_path)]
+            ))
+
+
 class TestCampaignFlagValidation:
     def test_coordinator_excludes_shards(self, capsys, tmp_path):
         code = main([

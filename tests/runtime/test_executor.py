@@ -4,6 +4,7 @@ import pytest
 
 import repro.runtime.executor as executor_mod
 from repro.cpu.pipeline import PipelineConfig, run_workload, run_workloads
+from repro.obs.trace import TraceBuffer, use_tracing
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine, Cell, SimCell
 
@@ -196,13 +197,12 @@ class TestBatchRule:
                     result.latencies_ns, cell.run().latencies_ns
                 )
 
-    def test_pinned_sim_cell_leaves_analytic_cells_fused(self, grid,
+    def test_traced_sim_cells_leave_analytic_cells_fused(self, grid,
                                                          sim_cells):
-        pinned = SimCell(device=sim_cells[0].device, n_requests=600,
-                         offered_gbps=99.0, engine="scalar")
-        stats = self._ran(grid + sim_cells + [pinned])
+        with use_tracing(TraceBuffer()):
+            stats = self._ran(grid + sim_cells)
         assert stats.cells_batched == len(grid)
-        assert stats.cells_serial == len(sim_cells) + 1
+        assert stats.cells_serial == len(sim_cells)
         assert stats.last_plan == "batch"
 
     def test_fused_analytic_identical_to_serial(self, grid):
@@ -217,13 +217,11 @@ class TestBatchRule:
             run_result_to_dict(r) for r in fused
         ]
 
-    def test_engine_pinned_cell_opts_whole_set_out(self, sim_cells):
-        pinned = sim_cells[:-1] + [
-            SimCell(device=sim_cells[-1].device, n_requests=600,
-                    offered_gbps=99.0, engine="scalar")
-        ]
-        stats = self._ran(pinned)
+    def test_tracing_runs_whole_sim_set_serially(self, sim_cells):
+        with use_tracing(TraceBuffer()):
+            stats = self._ran(sim_cells)
         assert stats.cells_batched == 0
+        assert stats.cells_serial == len(sim_cells)
         assert stats.last_plan == "serial"
 
     def test_all_sim_set_batches(self, sim_cells):
@@ -307,17 +305,6 @@ class TestSimCells:
             assert a.link_retries == b.link_retries
             assert a.engine == b.engine
 
-    def test_key_excludes_engine(self):
-        from repro.hw.cxl import CXL_DEVICES
-
-        name = next(iter(CXL_DEVICES))
-        base = dict(device=name, n_requests=500, offered_gbps=3.0)
-        keys = {
-            SimCell(engine=engine, **base).key()
-            for engine in ("auto", "scalar", "vector")
-        }
-        assert len(keys) == 1
-
     def test_key_includes_fault_plan(self):
         from repro.faults.plan import (
             FaultEpisode, FaultPlan, fault_injection,
@@ -332,18 +319,6 @@ class TestSimCells:
         with fault_injection(plan):
             faulted = cell.key()
         assert faulted != cell.key()
-
-    def test_pinned_engine_cell_runs_serially(self, sim_grid):
-        pinned = [
-            SimCell(device=c.device, n_requests=c.n_requests,
-                    offered_gbps=c.offered_gbps,
-                    read_fraction=c.read_fraction, engine="vector")
-            for c in sim_grid
-        ]
-        engine = CampaignEngine(cache=RunCache())
-        results = engine.run_cells(pinned)
-        assert engine.stats.cells_batched == 0
-        assert all(r.engine == "vector" for r in results)
 
     def test_plan_summarized_in_stats_line(self, sim_grid):
         engine = CampaignEngine(cache=RunCache())

@@ -6,20 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.store import (
-    canonical_document,
-    join_document,
-    skeleton_ref,
-    split_document,
-)
-from repro.store.codec import _MIN_PACKED_LIST, array_span
+from repro.store import canonical_document, skeleton_ref, split_document
+from repro.store.codec import _MIN_PACKED_LIST, array_span, compile_skeleton
+
+
+def join(skeleton, vector):
+    """The store's one join: compile the skeleton, apply it."""
+    return compile_skeleton(skeleton)(vector)
 
 
 def roundtrip(doc):
     skeleton, vector = split_document(doc)
     # JSON round trip: skeletons travel inside manifest files.
     skeleton = json.loads(json.dumps(skeleton))
-    return join_document(skeleton, vector)
+    return join(skeleton, vector)
 
 
 class TestRoundTrip:
@@ -51,7 +51,7 @@ class TestRoundTrip:
         skeleton, vector = split_document({"latencies_ns": values})
         assert skeleton["latencies_ns"] == f"\x00F{_MIN_PACKED_LIST}"
         assert vector.tolist() == values
-        out = join_document(skeleton, vector)
+        out = join(skeleton, vector)
         assert isinstance(out["latencies_ns"], np.ndarray)
         assert out["latencies_ns"].tolist() == values
 
@@ -85,6 +85,18 @@ class TestRoundTrip:
         assert vec_a.tolist() == vec_b.tolist()
         assert skeleton_ref(sk_a) == skeleton_ref(sk_b)
 
+    def test_one_compiled_join_serves_every_vector_of_its_shape(self):
+        docs = [{"name": "cell", "x": float(i) / 3, "n": i,
+                 "xs": [float(i + j) for j in range(_MIN_PACKED_LIST)]}
+                for i in range(4)]
+        skeletons, vectors = zip(*map(split_document, docs))
+        assert len({skeleton_ref(sk) for sk in skeletons}) == 1
+        joined = compile_skeleton(skeletons[0])
+        for doc, vector in zip(docs, vectors):
+            out = joined(vector)
+            assert canonical_document(out) == canonical_document(doc)
+            assert type(out["n"]) is int
+
     def test_unstorable_type_raises(self):
         with pytest.raises(TypeError, match="not storable"):
             split_document({"x": object()})
@@ -94,22 +106,22 @@ class TestJoinValidation:
     def test_short_vector_rejected(self):
         skeleton, vector = split_document({"a": 1.0, "b": 2.0})
         with pytest.raises(ValueError):
-            join_document(skeleton, vector[:1])
+            join(skeleton, vector[:1])
 
     def test_long_vector_rejected(self):
         skeleton, vector = split_document({"a": 1.0})
         with pytest.raises(ValueError):
-            join_document(skeleton, np.concatenate([vector, [9.0]]))
+            join(skeleton, np.concatenate([vector, [9.0]]))
 
     def test_truncated_span_rejected(self):
         values = [float(i) for i in range(_MIN_PACKED_LIST)]
         skeleton, vector = split_document({"xs": values})
         with pytest.raises(ValueError):
-            join_document(skeleton, vector[:-2])
+            join(skeleton, vector[:-2])
 
     def test_unknown_marker_rejected(self):
         with pytest.raises(ValueError, match="marker"):
-            join_document({"x": "\x00q"}, np.zeros(0))
+            join({"x": "\x00q"}, np.zeros(0))
 
 
 class TestArraySpan:
